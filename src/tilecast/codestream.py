@@ -248,14 +248,6 @@ class Codestream:
             object.__setattr__(self, "_cached_offsets", m)
         return m
 
-    def _tile_cache(self):
-        # decode is pure, so repeated decodes of one stream are memoized
-        m = getattr(self, "_cached_tiles", None)
-        if m is None:
-            m = {}
-            object.__setattr__(self, "_cached_tiles", m)
-        return m
-
     def segment(self, index: int, component: int, resolution: int) -> bytes:
         pos, length = self._offset_map()[(index, component, resolution)]
         return self.payload[pos : pos + length]
@@ -343,13 +335,8 @@ def decode(
     """
     indices = _check_indices(cs, indices)
     _check_resolution(cs, resolution)
-    cache = cs._tile_cache()
     out = []
     for index in indices:
-        cached = cache.get((index, resolution))
-        if cached is not None:
-            out.append((index, cached))
-            continue
         _, _, tw, th = tile_bounds(cs.grid, index, cs.width, cs.height)
         shapes = _band_shapes(tw, th, cs.levels)
         planes = []
@@ -367,9 +354,7 @@ def decode(
             pyr = wavelet.CoefficientPyramid(ll=ll, details=tuple(details))
             rec = wavelet.inverse_53(pyr)
             planes.append(np.clip(rec + 128, 0, 255).astype(np.uint8))
-        tile = Image(np.stack(planes, axis=-1))
-        cache[(index, resolution)] = tile
-        out.append((index, tile))
+        out.append((index, Image(np.stack(planes, axis=-1))))
     return out
 
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
+import numpy as np
+
 
 class InfeasibleComparisonError(ValueError):
     """A ratio was requested against an infeasible (empty) run."""
@@ -28,36 +30,74 @@ def iou(a, b) -> float:
     return inter / union
 
 
+def iou_matrix(boxes: Sequence, gt: Sequence) -> np.ndarray:
+    """``iou`` of every box (rows) against every ground-truth box (columns).
+
+    The float64 operations are ``iou``'s, in the same order, so each
+    entry equals ``iou(boxes[i], gt[j])`` bit for bit for finite
+    coordinates. Boxes that do not overlap get 0.0 from ``0 / union``.
+    """
+    a = np.array([(b.x, b.y, b.w, b.h) for b in boxes], dtype=np.float64).reshape(-1, 4)
+    g = np.array([(b.x, b.y, b.w, b.h) for b in gt], dtype=np.float64).reshape(-1, 4)
+    ax, ay, aw, ah = (a[:, k, None] for k in range(4))
+    gx, gy, gw, gh = g.T
+    ix = np.minimum(ax + aw, gx + gw) - np.maximum(ax, gx)
+    iy = np.minimum(ay + ah, gy + gh) - np.maximum(ay, gy)
+    inter = np.maximum(ix, 0.0) * np.maximum(iy, 0.0)
+    return inter / ((aw * ah + gw * gh) - inter)
+
+
+def recall_by_step(
+    anns, first_step: Sequence[int], steps: int, gt: Sequence, iou_threshold: float = 0.1
+) -> list[float]:
+    """Recall after each step 0..steps of a set whose boxes arrive over time.
+
+    Box ``i`` counts from step ``first_step[i]`` on. Step k scores the
+    boxes present by then exactly as ``recall`` scores them on their
+    own: one IoU matrix serves every step, and each step replays the
+    greedy matching over the rows present. A row claims the unmatched
+    ground-truth box of highest IoU strictly above the threshold, the
+    lowest column on ties (a masked argmax).
+    """
+    if not 0 < iou_threshold <= 1:
+        raise ValueError("iou_threshold must be in (0, 1]")
+    if len(first_step) != len(anns.boxes):
+        raise ValueError("first_step needs one step per box")
+    if not gt:
+        return [1.0] * (steps + 1)
+    ious = iou_matrix(anns.boxes, gt)
+    rows, cols = np.nonzero(ious > iou_threshold)
+    ranked = np.lexsort((cols, -ious[rows, cols], rows))  # by row, best IoU, lowest column
+    candidates: dict[int, list[int]] = {}
+    for i, j in zip(rows[ranked].tolist(), cols[ranked].tolist()):
+        candidates.setdefault(i, []).append(j)
+    # rows by descending confidence, human boxes first on ties, then index;
+    # a row without a candidate never matches, so it is left out
+    boxes = anns.boxes
+    order = sorted(
+        candidates,
+        key=lambda i: (-boxes[i].confidence, 0 if boxes[i].source == "HUM" else 1, i),
+    )
+    out = []
+    for k in range(steps + 1):
+        matched = set()
+        for i in order:
+            if first_step[i] > k:
+                continue
+            for j in candidates[i]:
+                if j not in matched:
+                    matched.add(j)
+                    break
+        out.append(len(matched) / len(gt))
+    return out
+
+
 def recall(anns, gt: Sequence, iou_threshold: float = 0.1) -> float:
     """Fraction of ground-truth boxes matched one-to-one by detections.
 
     Empty ground truth counts as recall 1.0 (nothing was missed).
     """
-    if not 0 < iou_threshold <= 1:
-        raise ValueError("iou_threshold must be in (0, 1]")
-    if not gt:
-        return 1.0
-    boxes = anns.boxes
-    order = sorted(
-        range(len(boxes)),
-        key=lambda i: (-boxes[i].confidence, 0 if boxes[i].source == "HUM" else 1, i),
-    )
-    matched = [False] * len(gt)
-    tp = 0
-    for i in order:
-        best_j = -1
-        best_iou = iou_threshold  # strict: a tie at the threshold never matches
-        for j, g in enumerate(gt):
-            if matched[j]:
-                continue
-            v = iou(boxes[i], g)
-            if v > best_iou:
-                best_iou = v
-                best_j = j
-        if best_j >= 0:
-            matched[best_j] = True
-            tp += 1
-    return tp / len(gt)
+    return recall_by_step(anns, [0] * len(anns.boxes), 0, gt, iou_threshold)[0]
 
 
 def human_time(n_tiles: int, mu_t_hum: float) -> float:

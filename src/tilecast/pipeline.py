@@ -6,6 +6,10 @@ the detector, then sends the lowest-confidence tiles to the human.
 to the bandwidth budget (``compute_budget``), ships everything at that
 low resolution, and pulls only the tiles picked for human review back
 up to full resolution.
+
+Transfers are charged by their byte counts, read from the codestream's
+table; nothing is decoded here, since the detectors take tile indices,
+not pixels. Decoding is the codec's business (``tilecast decode``).
 """
 
 from __future__ import annotations
@@ -17,7 +21,8 @@ from . import channel as ch_mod
 from . import codestream as cs_mod
 from .annotate import AnnotationSet, human_annotate
 from .channel import ChannelSpec, transmit
-from .metrics import TimelineEvent, TimelineReport, recall
+from .metrics import TimelineEvent, TimelineReport, recall_by_step
+from .metrics import recall  # noqa: F401  bench/spans.py traces pipeline.recall by name
 from .raster import GroundTruthBox, Image, TileGrid
 
 ESTIMATE_MAX = "max"
@@ -102,12 +107,9 @@ def compute_budget(
     ch: ChannelSpec,
     mu_t_hum: float,
     t_hum_cap: float,
-    rlvls: Sequence[int] | None = None,
     estimate: str = ESTIMATE_MAX,
 ) -> BudgetPlan:
     """Budget plan for a full codestream over a channel."""
-    if rlvls is not None and list(rlvls) != list(range(1, cs.levels + 1)):
-        raise ValueError("rlvls must be the contiguous set 1..levels")
     indices = [e.index for e in cs.entries]
     if len(indices) != cs.grid.tile_count or cs.max_resolution != cs.levels:
         raise ValueError("compute_budget requires a full codestream")
@@ -166,14 +168,22 @@ def _human_timeline(
 
     The DL sample lands when the detector's input has arrived
     (``dl_time``); human samples step from the end of all transfers.
+    Sample k scores ``dl_anns`` merged with
+    ``human_annotate(selected[:k], gt, grid)``. That set is the boxes of
+    ``human_annotate(selected, ...)`` whose tile, the first selected
+    tile the box meets, is among the first k, so one annotation and one
+    IoU matrix serve every sample.
     """
-    events = [TimelineEvent(dl_time, recall(dl_anns, gt, iou_threshold), "DL")]
-    merged = dl_anns
-    for k, _ in enumerate(selected, start=1):
-        merged = dl_anns.merged_with(human_annotate(selected[:k], gt, grid))
-        events.append(
-            TimelineEvent(t_tr + mu_t_hum * k, recall(merged, gt, iou_threshold), f"HUM-tile-{k}")
-        )
+    human = human_annotate(selected, gt, grid)
+    first_k = {}
+    for k, t in enumerate(selected, start=1):
+        first_k.setdefault(t, k)
+    first_step = [0] * len(dl_anns) + [first_k[b.tile_index] for b in human.boxes]
+    merged = dl_anns.merged_with(human)
+    recalls = recall_by_step(merged, first_step, len(selected), gt, iou_threshold)
+    events = [TimelineEvent(dl_time, recalls[0], "DL")]
+    for k in range(1, len(selected) + 1):
+        events.append(TimelineEvent(t_tr + mu_t_hum * k, recalls[k], f"HUM-tile-{k}"))
     return events, merged
 
 
@@ -195,18 +205,14 @@ def run_baseline(
     """Conventional flow: send everything at full resolution, then refine.
 
     The human budget is an input here; the framework does not adapt to
-    the channel, which is exactly its weakness.
+    the channel, which is exactly its weakness. The transfer is charged
+    by the full payload's byte count; no tile is decoded.
     """
     cs = codestream if codestream is not None else cs_mod.encode(img, grid, levels)
     all_tiles = list(range(grid.tile_count))
     tr = transmit(cs_mod.size_of(cs, all_tiles, levels), ch, ch_mod.LABEL_HR_ALL)
-    cs_mod.decode(cs, all_tiles, levels)
     dl_anns = detector.detect(all_tiles, gt, levels, seed)
     selected = select_tiles_for_human(dl_anns, human_budget, grid)
-    if selected:
-        # ground-station side: extraction costs no transmission
-        sub = cs_mod.extract(cs, selected, levels)
-        cs_mod.decode(sub, selected, levels)
     t_tr = tr.seconds + compute_delay
     events, merged = _human_timeline(
         dl_anns, selected, gt, grid, t_tr, t_tr, mu_t_hum, iou_threshold
@@ -248,6 +254,11 @@ def run_streamlined(
     baseline's ``human_budget``, the result then equals
     ``run_baseline``'s for the same remaining arguments: the same
     timeline, bit for bit, and the same annotations.
+
+    Each transfer is charged by the byte count of what the UAV would
+    send (``size_of`` of those tiles up to that level, which is the
+    payload length of the matching ``extract``); nothing is extracted
+    or decoded.
     """
     cs = codestream if codestream is not None else cs_mod.encode(img, grid, levels)
     plan = compute_budget(
@@ -262,16 +273,12 @@ def run_streamlined(
             feasible=False,
         )
     all_tiles = list(range(grid.tile_count))
-    lr_stream = cs_mod.extract(cs, all_tiles, plan.lr)  # on the UAV
-    tr_lr = transmit(len(lr_stream.payload), ch, ch_mod.LABEL_LR_ALL)
-    cs_mod.decode(lr_stream, all_tiles, plan.lr)
+    tr_lr = transmit(cs_mod.size_of(cs, all_tiles, plan.lr), ch, ch_mod.LABEL_LR_ALL)
     dl_anns = detector.detect(all_tiles, gt, plan.lr, seed)
     selected = select_tiles_for_human(dl_anns, plan.human_budget, grid)
     tr_idx = transmit(ch_mod.INDEX_BYTES * len(selected), ch, ch_mod.LABEL_INDICES)
     if selected and plan.lr < levels:
-        hr_stream = cs_mod.extract(cs, selected, levels)  # on the UAV
-        tr_hr = transmit(len(hr_stream.payload), ch, ch_mod.LABEL_HR_SELECTED)
-        cs_mod.decode(hr_stream, selected, levels)
+        tr_hr = transmit(cs_mod.size_of(cs, selected, levels), ch, ch_mod.LABEL_HR_SELECTED)
     else:
         tr_hr = transmit(0, ch, ch_mod.LABEL_HR_SELECTED)
     dl_time = compute_delay + tr_lr.seconds

@@ -140,7 +140,13 @@ def tile_bounds(
     return x, y, min(grid.tile_w, image_w - x), min(grid.tile_h, image_h - y)
 
 
-_PNM_HEADER = re.compile(rb"^(P[56])\s+(\d+)\s+(\d+)\s+(\d+)\s")
+# Header tokens are separated by whitespace and by comments, which run
+# from '#' through the end of the line (netpbm); one whitespace byte
+# after maxval starts the raster.
+_PNM_SEP = rb"(?:\s|#[^\r\n]*[\r\n])+"
+_PNM_HEADER = re.compile(
+    rb"^(P[56])" + _PNM_SEP + rb"(\d+)" + _PNM_SEP + rb"(\d+)" + _PNM_SEP + rb"(\d+)\s"
+)
 
 
 def load_image(path) -> Image:
@@ -152,7 +158,11 @@ def load_image(path) -> Image:
         if data[:2] in (b"P5", b"P6"):
             raise ImageIOError(f"{path}: malformed PNM header")
         raise ImageIOError(f"{path}: not a binary PGM/PPM (P5/P6) file")
-    magic, width, height, maxval = m.group(1), int(m.group(2)), int(m.group(3)), int(m.group(4))
+    try:
+        width, height, maxval = (int(v) for v in m.group(2, 3, 4))
+    except ValueError:  # more digits than int() converts
+        raise ImageIOError(f"{path}: malformed PNM header") from None
+    magic = m.group(1)
     if maxval != 255:
         raise ImageIOError(f"{path}: unsupported maxval {maxval} (must be 255)")
     if width < 1 or height < 1:

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import xml.etree.ElementTree as ET
 
@@ -228,3 +229,30 @@ def test_cli_error_paths(tmp_path, capsys):
     bad.write_text("nonsense\n")
     assert main(["--quiet", "run", str(bad)]) == 1
     assert "key = value" in capsys.readouterr().err
+
+
+EXAMPLE_CFG = os.path.join(os.path.dirname(__file__), os.pardir, "scenario.example.cfg")
+
+# SHA-256 of every file `tilecast run scenario.example.cfg` writes, pinned
+# so that changes to the pipeline keep the reported numbers byte for byte.
+EXAMPLE_GOLDEN = {
+    "grid.csv": "c60434086c41b736745ccbbbb3b7902b7812839180849b2779b4b31441dcde71",
+    "recall_vs_time_176.svg": "fe39a5e63ab49211f50d6795951b67f508e8cc32150cde9dfaf97f4850cf5de0",
+    "recall_vs_time_22.svg": "9775c5433c66fd3c16337a94c99f4d08fd385520b550cc88980d58a0644148e6",
+    "recall_vs_time_88.svg": "8ffae87b266d2ef0d87bca1aa72f54cc6f2c74cb3e77c4bdf3711f17318aa792",
+    "timeline_176_180.csv": "55e782fef1073636e32f1e912e1153d1cd047e7f138ef74610c7bfebf8b6da20",
+    "timeline_176_1800.csv": "9e97b5e9fc998931d74a832ce198487d2d40ec0ff7dd47fb8f7626c4006d8bdf",
+    "timeline_176_600.csv": "b1b0cb34ff38f148f833780d9007edf58ad9c5c353c7518291ab4cf809f2830c",
+    "timeline_22_180.csv": "2869edb64dc0ae3855eb8813294484514f8514776f7e7c4d5aff5497a0c3167c",
+    "timeline_22_1800.csv": "b295ff9cb8295ff7d7d3e0970af99f062b511886e68f454d218a8c1e2cb7c32b",
+    "timeline_22_600.csv": "1c45ea80eee1a35f229dc76fa33002724bdaaf45d42dcacb3ceddb020c420f4c",
+    "timeline_88_180.csv": "b3c695983dd09cd348207ecb4ae96fb9c566249e410fd648a185e668f111db77",
+    "timeline_88_1800.csv": "665fb88fb57bf85480f7656544b63f18979fcd58b012a517126e3d098ad2c3ff",
+    "timeline_88_600.csv": "ee23b9b36baccbf961f2f17b5a3d1369aef998bc6ae0b86c2944160947331547",
+}
+
+
+def test_example_scenario_golden_outputs(tmp_path):
+    assert run("--out-dir", tmp_path, "run", EXAMPLE_CFG) == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert got == EXAMPLE_GOLDEN

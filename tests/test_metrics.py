@@ -3,6 +3,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from reference_recall import reference_recall
 from tilecast.annotate import AnnotationSet, DetectionBox
 from tilecast.metrics import (
     InfeasibleComparisonError,
@@ -10,7 +11,9 @@ from tilecast.metrics import (
     TimelineReport,
     human_time,
     iou,
+    iou_matrix,
     recall,
+    recall_by_step,
     recall_difference,
     response_ratio,
 )
@@ -167,6 +170,66 @@ def test_recall_monotone_and_invariant_to_noise_boxes():
         # boxes below the IoU threshold against every GT change nothing
         noise = hits + (dl(0, 1000, 1000, 5, 5, round(r.random(), 2)),)
         assert recall(AnnotationSet(noise, 1), gt) == base
+
+
+def test_iou_matrix_bit_identical_to_iou():
+    import random
+
+    r = random.Random(41)
+    boxes = [dl(0, r.uniform(0, 50), r.uniform(0, 50), r.uniform(1, 20), r.uniform(1, 20), 0.5)
+             for _ in range(40)]
+    boxes += [dl(0, r.randrange(0, 50), r.randrange(0, 50), r.randrange(1, 20),
+                 r.randrange(1, 20), 0.5) for _ in range(40)]
+    gt = [GroundTruthBox(i, 0, r.randrange(0, 50), r.randrange(0, 50), r.randrange(1, 20),
+                         r.randrange(1, 20)) for i in range(30)]
+    m = iou_matrix(boxes, gt)
+    assert m.shape == (80, 30)
+    assert m.tolist() == [[iou(b, g) for g in gt] for b in boxes]
+    assert iou_matrix([], gt).shape == (0, 30)
+    assert iou_matrix(boxes, []).shape == (80, 0)
+
+
+def test_recall_equals_reference_randomized():
+    import random
+
+    r = random.Random(43)
+    for _ in range(500):
+        gt = [GroundTruthBox(i, 0, r.randrange(0, 40), r.randrange(0, 40), r.randrange(1, 10),
+                             r.randrange(1, 10)) for i in range(r.randrange(0, 8))]
+        if len(gt) > 2:
+            gt.append(gt[0])  # a duplicate ground-truth box
+        boxes = []
+        for _ in range(r.randrange(0, 10)):
+            x, y = r.randrange(0, 40) + r.choice([0, 0.5]), r.randrange(0, 40)
+            w, h = r.randrange(1, 10), r.randrange(1, 10)
+            if r.random() < 0.3:
+                boxes.append(hum(0, x, y, w, h))
+            else:
+                boxes.append(dl(0, x, y, w, h, r.choice([1.0, 0.4, round(r.random(), 1)])))
+        anns = AnnotationSet(tuple(boxes), 1)
+        thr = r.choice([0.1, 0.3, 1.0])
+        assert recall(anns, gt, thr) == reference_recall(anns, gt, thr)
+
+
+def test_recall_tie_takes_first_ground_truth():
+    # the first detection overlaps both ground-truth boxes equally (IoU 1/3);
+    # it takes the first, so the second, which meets only that one, misses
+    gt = [GroundTruthBox(0, 0, 0, 0, 10, 10), GroundTruthBox(1, 0, 10, 0, 10, 10)]
+    anns = AnnotationSet((dl(0, 5, 0, 10, 10, 0.9), dl(0, 0, 0, 10, 10, 0.8)), 1)
+    assert recall(anns, gt) == reference_recall(anns, gt) == 0.5
+    assert recall(AnnotationSet(anns.boxes, 1), gt[::-1]) == 1.0
+
+
+def test_recall_by_step():
+    gt = [GroundTruthBox(0, 0, 0, 0, 10, 10), GroundTruthBox(1, 0, 50, 50, 10, 10)]
+    anns = AnnotationSet(
+        (dl(0, 0, 0, 10, 10, 0.9), hum(1, 0, 0, 10, 10), hum(1, 50, 50, 10, 10)), 1)
+    assert recall_by_step(anns, [0, 2, 1], 3, gt) == [0.5, 1.0, 1.0, 1.0]
+    assert recall_by_step(anns, [0, 2, 1], 1, []) == [1.0, 1.0]
+    with pytest.raises(ValueError, match="one step per box"):
+        recall_by_step(anns, [0], 1, gt)
+    with pytest.raises(ValueError, match="iou_threshold"):
+        recall_by_step(anns, [0, 0, 0], 0, gt, 0.0)
 
 
 def test_human_boxes_match_first():

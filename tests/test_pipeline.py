@@ -3,12 +3,22 @@ import random
 import numpy as np
 import pytest
 
+from reference_recall import reference_recall
 from tilecast import codestream as cs_mod
-from tilecast.annotate import AnnotationSet, DetectionBox, DetectorModel, OracleDetector
+from tilecast import config as cfg_mod
+from tilecast import scenario
+from tilecast.annotate import (
+    AnnotationSet,
+    DetectionBox,
+    DetectorModel,
+    OracleDetector,
+    human_annotate,
+)
 from tilecast.channel import ChannelSpec, bandwidth_budget
 from tilecast.codestream import encode, size_of
 from tilecast.pipeline import (
     BudgetPlan,
+    _human_timeline,
     compute_budget,
     plan_budget,
     run_baseline,
@@ -95,7 +105,7 @@ def test_budget_against_brute_force():
 def test_compute_budget_from_codestream():
     img, gt, grid, stream, levels = make_scene()
     ch = ChannelSpec(data_rate=16_000, t_tr_limit=100)
-    plan = compute_budget(stream, ch, 30.0, 300.0, rlvls=range(1, levels + 1))
+    plan = compute_budget(stream, ch, 30.0, 300.0)
     bw = bandwidth_budget(ch)
     all_idx = list(range(grid.tile_count))
     assert plan.hr == levels
@@ -104,8 +114,6 @@ def test_compute_budget_from_codestream():
         assert size_of(stream, all_idx, plan.lr) <= bw
         if plan.lr < levels:
             assert size_of(stream, all_idx, plan.lr + 1) > bw
-    with pytest.raises(ValueError, match="rlvls"):
-        compute_budget(stream, ch, 30.0, 300.0, rlvls=[1, 3])
     sub = cs_mod.extract(stream, [0], levels - 1)
     with pytest.raises(ValueError, match="full codestream"):
         compute_budget(sub, ch, 30.0, 300.0)
@@ -266,3 +274,81 @@ def test_budget_plan_validation():
     with pytest.raises(ValueError):
         BudgetPlan(lr=1, hr=5, human_budget=-1, tile_count=4)
     assert BudgetPlan(lr=None, hr=5, human_budget=0, tile_count=4).lr is None
+
+
+def _random_timeline_case(r, grid):
+    """Ground truth and detections on a 64x64 image of 16 px tiles.
+
+    Boxes often span tile edges; some ground-truth boxes repeat, some
+    detections copy a ground-truth box at confidence 1.0 (tied with the
+    human boxes), and one detection sits at exactly IoU 0.1.
+    """
+    gt = []
+    for i in range(r.randrange(0, 9)):
+        if gt and r.random() < 0.2:
+            g = r.choice(gt)
+            gt.append(GroundTruthBox(i, 0, g.x, g.y, g.w, g.h))
+        else:
+            gt.append(GroundTruthBox(
+                i, 0, r.randrange(0, 56), r.randrange(0, 56), r.randrange(1, 12), r.randrange(1, 12)))
+    boxes = []
+    for _ in range(r.randrange(0, 10)):
+        conf = r.choice([1.0, 0.5, round(r.random(), 2)])
+        if gt and r.random() < 0.5:
+            g = r.choice(gt)
+            x, y, w, h = g.x + r.choice([0, 0, 1, -1]), g.y + r.choice([0, 1]), g.w, g.h
+        else:
+            x, y, w, h = r.randrange(0, 56), r.randrange(0, 56), r.randrange(1, 12), r.randrange(1, 12)
+        tile = (min(y, 63) // grid.tile_h) * grid.tiles_x + min(max(x, 0), 63) // grid.tile_w
+        boxes.append(DetectionBox(tile, 0, float(x), float(y), float(w), float(h), conf, "DL"))
+    if gt and r.random() < 0.5:
+        g = gt[0]  # a 1 x h box inside a w x h ground truth of w == 10: IoU exactly 0.1
+        gt[0] = GroundTruthBox(g.object_id, 0, g.x, g.y, 10, g.h)
+        boxes.append(DetectionBox(0, 0, float(g.x), float(g.y), 1.0, float(g.h), 0.9, "DL"))
+    selected = r.sample(range(grid.tile_count), r.randrange(0, grid.tile_count + 1))
+    return gt, AnnotationSet(tuple(boxes), 3), selected
+
+
+def test_human_timeline_recalls_equal_reference():
+    """Every event equals recall(dl + human_annotate(selected[:k]), gt) by the reference."""
+    grid = TileGrid.for_image(64, 64, 16, 16)
+    r = random.Random(23)
+    cases = [_random_timeline_case(r, grid) for _ in range(400)]
+    gt, dl_anns, _ = cases[0]
+    cases += [([], dl_anns, [0, 5, 6]), (gt, dl_anns, []), ([], AnnotationSet(), [])]
+    # a detection tied between two ground-truth boxes across a tile edge (IoU 1/3 each)
+    tie_gt = [GroundTruthBox(0, 0, 6, 0, 10, 10), GroundTruthBox(1, 0, 16, 0, 10, 10)]
+    tie_dl = AnnotationSet((DetectionBox(0, 0, 11.0, 0.0, 10.0, 10.0, 1.0, "DL"),
+                            DetectionBox(0, 0, 6.0, 0.0, 10.0, 10.0, 0.5, "DL")), 3)
+    cases += [(tie_gt, tie_dl, sel) for sel in ([], [1], [0], [1, 0])]
+    for gt, dl_anns, selected in cases:
+        for thr in (0.1, 0.5):
+            events, merged = _human_timeline(dl_anns, selected, gt, grid, 1.0, 2.0, 3.0, thr)
+            assert [e.phase for e in events] == ["DL"] + [
+                f"HUM-tile-{k}" for k in range(1, len(selected) + 1)]
+            for k, e in enumerate(events):
+                want = dl_anns.merged_with(human_annotate(selected[:k], gt, grid))
+                assert e.recall == reference_recall(want, gt, thr), (k, gt, dl_anns, selected)
+            assert merged == dl_anns.merged_with(human_annotate(selected, gt, grid))
+
+
+def test_pipelines_never_decode(monkeypatch, tmp_path):
+    def no_decode(*args, **kwargs):
+        raise AssertionError("the simulator decoded a tile")
+
+    monkeypatch.setattr(cs_mod, "decode", no_decode)
+    img, gt, grid, stream, levels = make_scene()
+    det = OracleDetector(DetectorModel.default(levels), grid, 256, 256)
+    for rate in (2_000, 16_000, 1e9):
+        ch = ChannelSpec(data_rate=rate, t_tr_limit=100)
+        assert run_baseline(img, grid, levels, ch, 30.0, 3, det, gt, 1).feasible
+        run_streamlined(img, grid, levels, ch, 30.0, 300.0, det, gt, 1)
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(
+        "synthetic = 9, 256, 256, 8\nobject_size = 12, 24\ntile_w = 64\ntile_h = 64\n"
+        "levels = 4\ndata_rates = 4, 16, 1000\nt_TRlimits = 30, 120\nmu_t_hum = 10\n"
+        "t_hum_cap = 40\nseed = 5\n"
+    )
+    report = scenario.run_grid(cfg_mod.parse_config(str(cfg)), str(tmp_path / "out"))
+    assert len(report.rows) == 6
+    assert any(c.prop.plan.lr < 4 and c.prop.timeline.t_hum > 0 for c in report.cells)

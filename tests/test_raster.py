@@ -24,6 +24,16 @@ def test_load_p5_direct_byte_mapping(tmp_path):
     assert img.samples == bytes([0, 255, 128, 7])
 
 
+def test_load_pnm_header_comments(tmp_path):
+    p = tmp_path / "c.pgm"
+    pixels = bytes([0, 255, 128, 7])
+    p.write_bytes(b"P5\n# made by gimp\n2 2\n255\n" + pixels)
+    assert load_image(p).samples == pixels
+    p.write_bytes(b"P5 3 # width, then\r\n#\n 2\n# maxval next\n255\n" + bytes(6))
+    img = load_image(p)
+    assert (img.width, img.height) == (3, 2)
+
+
 def test_load_p6_single_pixel(tmp_path):
     p = tmp_path / "a.ppm"
     p.write_bytes(b"P6\n1 1\n255\n" + bytes([1, 2, 3]))
@@ -46,6 +56,11 @@ def test_bad_magic_and_header(tmp_path):
     p.write_bytes(b"P5\n2 two\n255\n")
     with pytest.raises(ImageIOError, match="malformed"):
         load_image(p)
+    for header in (b"P5\n# c\n2 two\n255\n", b"P5\n2 2\n# unterminated", b"P5\n2 2",
+                   b"P5\n" + b"9" * 5000 + b" 2\n255\n"):
+        p.write_bytes(header)
+        with pytest.raises(ImageIOError, match="malformed"):
+            load_image(p)
 
 
 def test_maxval_rejected(tmp_path):
