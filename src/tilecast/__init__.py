@@ -21,9 +21,11 @@ from .channel import ChannelSpec, TransferRecord, bandwidth_budget, transmit
 from .codestream import (
     Codestream,
     CodestreamError,
+    CodestreamTable,
     decode,
     encode,
     extract,
+    measure,
     parse_codestream,
     size_of,
     write_codestream,
@@ -70,8 +72,8 @@ __all__ = [
     "OracleDetector", "file_detect", "human_annotate", "oracle_detect",
     "save_detections",
     "ChannelSpec", "TransferRecord", "bandwidth_budget", "transmit",
-    "Codestream", "CodestreamError", "decode", "encode", "extract",
-    "parse_codestream", "size_of", "write_codestream",
+    "Codestream", "CodestreamError", "CodestreamTable", "decode", "encode",
+    "extract", "measure", "parse_codestream", "size_of", "write_codestream",
     "ConfigError", "ScenarioConfig", "parse_config",
     "ComparisonRow", "TimelineEvent", "TimelineReport", "human_time",
     "iou", "recall", "recall_difference", "response_ratio",

@@ -11,6 +11,7 @@ human side is a perfect annotator; only its time is modeled, elsewhere.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -41,6 +42,10 @@ class DetectionBox:
     def __post_init__(self):
         if not 0.0 <= self.confidence <= 1.0:
             raise ValueError(f"confidence {self.confidence} outside [0, 1]")
+        if not all(math.isfinite(v) for v in (self.x, self.y, self.w, self.h)):
+            raise ValueError(
+                f"non-finite detection box ({self.x}, {self.y}, {self.w}, {self.h})"
+            )
         if self.w < 1 or self.h < 1:
             raise ValueError(f"degenerate detection box {self.w}x{self.h}")
         if self.source not in (SOURCE_DL, SOURCE_HUM):

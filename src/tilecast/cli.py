@@ -4,7 +4,7 @@ Subcommands:
     encode      image (PGM/PPM) -> .ssc codestream
     decode      .ssc -> image(s) at a chosen resolution level
     extract     .ssc -> sub-codestream (tile subset, lower resolution)
-    info        per-resolution sizes and dimensions of a codestream
+    info        per-resolution sizes, dimensions and size against raw samples
     gen-scene   deterministic synthetic scene + ground-truth CSV
     run         execute a scenario grid and emit CSV/SVG reports
 """
@@ -99,6 +99,11 @@ def cmd_info(args) -> int:
         w = -(-stream.width // (1 << shift))
         h = -(-stream.height // (1 << shift))
         print(f"R={r}: {cs_mod.size_of(stream, indices, r)} bytes, {w}x{h} px")
+    raw = stream.width * stream.height * stream.components
+    print(
+        f"payload {len(stream.payload)} bytes = {len(stream.payload) / raw:.3f}x "
+        f"the {raw} raw sample bytes"
+    )
     return 0
 
 

@@ -20,6 +20,8 @@ c < 0, always >= 1 for nonzero c).
 
 Because tiles, components and resolutions are byte-separable,
 ``extract`` builds sub-codestreams by copying segment bytes verbatim.
+``measure`` gives the header and table ``encode`` would write (a
+``CodestreamTable``) by counting token bytes instead of writing them.
 """
 
 from __future__ import annotations
@@ -139,6 +141,36 @@ def encode_band(band: np.ndarray) -> bytes:
     return encode_varints(tokens)
 
 
+def _varint_extra(values: np.ndarray, first: int) -> int:
+    """Continuation bytes over ``values``: one per threshold first * 128**k reached."""
+    extra = 0
+    while first < 1 << 63:
+        count = int(np.count_nonzero(values >= first))
+        if not count:
+            break
+        extra += count
+        first <<= 7
+    return extra
+
+
+def band_size(band: np.ndarray) -> int:
+    """Bytes ``encode_band(band)`` writes, counted without writing them.
+
+    A nonzero coefficient costs the varint length of its zigzag code; a
+    zero run costs its zero token plus the varint length of the run.
+    """
+    flat = np.ascontiguousarray(band, dtype=np.int64).ravel()
+    if flat.size == 0:
+        return 0
+    zero = flat == 0
+    # zigzag(c) >> 1, so zigzag(c) >= 128**k exactly when this is >= 64 * 128**(k-1)
+    half = flat ^ (flat >> 63)
+    size = flat.size - int(np.count_nonzero(zero)) + _varint_extra(half, 64)
+    edges = np.flatnonzero(np.diff(zero, prepend=False, append=False))
+    runs = edges[1::2] - edges[::2]
+    return size + 2 * runs.size + _varint_extra(runs, 128)
+
+
 def decode_bands(buf, counts: list[int]) -> list[np.ndarray]:
     """Decode back-to-back band token streams with known coefficient counts."""
     tokens = decode_varints(buf)
@@ -203,7 +235,13 @@ class TileEntry:
 
 
 @dataclass(frozen=True)
-class Codestream:
+class CodestreamTable:
+    """The header and table of a codestream: every segment's length, no bytes.
+
+    ``measure`` builds one for an image without coding it; sizes, plans
+    and tile lookups need nothing more.
+    """
+
     width: int
     height: int
     tile_w: int
@@ -212,7 +250,6 @@ class Codestream:
     components: int
     max_resolution: int
     entries: tuple[TileEntry, ...]
-    payload: bytes
 
     @property
     def tile_count(self) -> int:
@@ -234,6 +271,13 @@ class Codestream:
             m = {e.index: e for e in self.entries}
             object.__setattr__(self, "_cached_index_map", m)
         return m
+
+
+@dataclass(frozen=True)
+class Codestream(CodestreamTable):
+    """A table plus its payload: the segments, concatenated in table order."""
+
+    payload: bytes
 
     def _offset_map(self):
         m = getattr(self, "_cached_offsets", None)
@@ -268,8 +312,13 @@ def _band_shapes(tile_w: int, tile_h: int, levels: int):
     return segs
 
 
-def encode(img: Image, grid: TileGrid, levels: int) -> Codestream:
-    """Encode every tile of an image into a full codestream."""
+def _tile_bands(img: Image, grid: TileGrid, levels: int):
+    """Yield (tile index, bands[component][resolution - 1]) in wire order.
+
+    This walk fixes the table order for both ``encode`` and ``measure``:
+    tiles in raster order, then components, then resolutions, each
+    resolution's bands in the order its segment holds them.
+    """
     if not 1 <= levels <= MAX_LEVELS:
         raise ValueError(f"levels must be in 1..{MAX_LEVELS}, got {levels}")
     if img.components not in (1, 3):
@@ -281,21 +330,19 @@ def encode(img: Image, grid: TileGrid, levels: int) -> Codestream:
     if grid.tile_w >= 1 << 16 or grid.tile_h >= 1 << 16:
         raise ValueError("tile dimensions exceed u16")
 
-    entries = []
-    chunks = []
     for index in range(grid.tile_count):
         x, y, tw, th = tile_bounds(grid, index, img.width, img.height)
-        comp_lengths = []
+        comps = []
         for c in range(img.components):
             samples = img.pixels[y : y + th, x : x + tw, c].astype(np.int64) - 128
             pyr = wavelet.forward_53(samples, levels - 1)
-            segs = [encode_band(pyr.ll)]
-            for hl, lh, hh in pyr.details:  # deepest first == resolution 2 first
-                segs.append(encode_band(hl) + encode_band(lh) + encode_band(hh))
-            comp_lengths.append(tuple(len(s) for s in segs))
-            chunks.extend(segs)
-        entries.append(TileEntry(index=index, seg_lengths=tuple(comp_lengths)))
-    return Codestream(
+            # deepest details first == resolution 2 first
+            comps.append([(pyr.ll,), *pyr.details])
+        yield index, comps
+
+
+def _header(img: Image, grid: TileGrid, levels: int) -> dict:
+    return dict(
         width=img.width,
         height=img.height,
         tile_w=grid.tile_w,
@@ -303,12 +350,41 @@ def encode(img: Image, grid: TileGrid, levels: int) -> Codestream:
         levels=levels,
         components=img.components,
         max_resolution=levels,
-        entries=tuple(entries),
-        payload=b"".join(chunks),
     )
 
 
-def _check_indices(cs: Codestream, indices) -> list[int]:
+def encode(img: Image, grid: TileGrid, levels: int) -> Codestream:
+    """Encode every tile of an image into a full codestream."""
+    entries = []
+    chunks = []
+    for index, comps in _tile_bands(img, grid, levels):
+        comp_lengths = []
+        for segs in comps:
+            coded = [b"".join(encode_band(band) for band in bands) for bands in segs]
+            comp_lengths.append(tuple(len(seg) for seg in coded))
+            chunks.extend(coded)
+        entries.append(TileEntry(index=index, seg_lengths=tuple(comp_lengths)))
+    return Codestream(
+        **_header(img, grid, levels), entries=tuple(entries), payload=b"".join(chunks)
+    )
+
+
+def measure(img: Image, grid: TileGrid, levels: int) -> CodestreamTable:
+    """The table ``encode`` would write, sized by ``band_size``, with no payload."""
+    entries = [
+        TileEntry(
+            index=index,
+            seg_lengths=tuple(
+                tuple(sum(band_size(band) for band in bands) for bands in segs)
+                for segs in comps
+            ),
+        )
+        for index, comps in _tile_bands(img, grid, levels)
+    ]
+    return CodestreamTable(**_header(img, grid, levels), entries=tuple(entries))
+
+
+def _check_indices(cs: CodestreamTable, indices) -> list[int]:
     indices = list(indices)
     if len(set(indices)) != len(indices):
         raise CodestreamError("duplicate tile indices")
@@ -317,7 +393,7 @@ def _check_indices(cs: Codestream, indices) -> list[int]:
     return indices
 
 
-def _check_resolution(cs: Codestream, resolution: int) -> None:
+def _check_resolution(cs: CodestreamTable, resolution: int) -> None:
     if not 1 <= resolution <= cs.max_resolution:
         raise CodestreamError(
             f"resolution {resolution} not available (stream holds 1..{cs.max_resolution})"
@@ -391,7 +467,7 @@ def extract(cs: Codestream, indices, resolution: int) -> Codestream:
     )
 
 
-def size_of(cs: Codestream, indices, resolution: int) -> int:
+def size_of(cs: CodestreamTable, indices, resolution: int) -> int:
     """Payload bytes of the selected tiles up to a resolution level.
 
     Counts segment bytes only; container header and table are excluded.

@@ -8,13 +8,17 @@ low resolution, and pulls only the tiles picked for human review back
 up to full resolution.
 
 Transfers are charged by their byte counts, read from the codestream's
-table; nothing is decoded here, since the detectors take tile indices,
-not pixels. Decoding is the codec's business (``tilecast decode``).
+table. Without a ``codestream=`` argument the table comes from
+``codestream.measure``, which sizes every segment without writing it;
+nothing is encoded or decoded here, since the detectors take tile
+indices, not pixels. Writing and reading bytes is the codec's business
+(``tilecast encode`` / ``tilecast decode``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional, Sequence
 
 from . import channel as ch_mod
@@ -103,25 +107,36 @@ def plan_budget(
 
 
 def compute_budget(
-    cs: cs_mod.Codestream,
+    cs: cs_mod.CodestreamTable,
     ch: ChannelSpec,
     mu_t_hum: float,
     t_hum_cap: float,
     estimate: str = ESTIMATE_MAX,
 ) -> BudgetPlan:
-    """Budget plan for a full codestream over a channel."""
-    indices = [e.index for e in cs.entries]
-    if len(indices) != cs.grid.tile_count or cs.max_resolution != cs.levels:
+    """Budget plan for a full codestream (or its table) over a channel.
+
+    One pass over the table gives each resolution's segment bytes over
+    all tiles and each tile's full-resolution size.
+    """
+    tile_count = cs.grid.tile_count
+    if (
+        sorted(e.index for e in cs.entries) != list(range(tile_count))
+        or cs.max_resolution != cs.levels
+    ):
         raise ValueError("compute_budget requires a full codestream")
-    sizes = [cs_mod.size_of(cs, indices, r) for r in range(1, cs.levels + 1)]
-    tile_sizes = [cs_mod.size_of(cs, [i], cs.levels) for i in indices]
+    level_bytes = [0] * cs.levels
+    tile_sizes = []
+    for e in cs.entries:
+        per_level = [sum(lengths) for lengths in zip(*e.seg_lengths)]
+        level_bytes = [a + b for a, b in zip(level_bytes, per_level)]
+        tile_sizes.append(sum(per_level))
     return plan_budget(
-        sizes,
+        list(accumulate(level_bytes)),
         tile_sizes,
         ch_mod.bandwidth_budget(ch),
         mu_t_hum,
         t_hum_cap,
-        len(indices),
+        tile_count,
         estimate,
     )
 
@@ -198,7 +213,7 @@ def run_baseline(
     gt: Sequence[GroundTruthBox],
     seed: int,
     *,
-    codestream: cs_mod.Codestream | None = None,
+    codestream: cs_mod.CodestreamTable | None = None,
     compute_delay: float = 0.0,
     iou_threshold: float = 0.1,
 ) -> RunResult:
@@ -206,9 +221,10 @@ def run_baseline(
 
     The human budget is an input here; the framework does not adapt to
     the channel, which is exactly its weakness. The transfer is charged
-    by the full payload's byte count; no tile is decoded.
+    by the full payload's byte count; no tile is encoded or decoded.
+    ``codestream`` may be a ``Codestream`` or just its ``CodestreamTable``.
     """
-    cs = codestream if codestream is not None else cs_mod.encode(img, grid, levels)
+    cs = codestream if codestream is not None else cs_mod.measure(img, grid, levels)
     all_tiles = list(range(grid.tile_count))
     tr = transmit(cs_mod.size_of(cs, all_tiles, levels), ch, ch_mod.LABEL_HR_ALL)
     dl_anns = detector.detect(all_tiles, gt, levels, seed)
@@ -237,7 +253,7 @@ def run_streamlined(
     gt: Sequence[GroundTruthBox],
     seed: int,
     *,
-    codestream: cs_mod.Codestream | None = None,
+    codestream: cs_mod.CodestreamTable | None = None,
     compute_delay: float = 0.0,
     iou_threshold: float = 0.1,
     tile_size_estimate: str = ESTIMATE_MAX,
@@ -257,10 +273,11 @@ def run_streamlined(
 
     Each transfer is charged by the byte count of what the UAV would
     send (``size_of`` of those tiles up to that level, which is the
-    payload length of the matching ``extract``); nothing is extracted
-    or decoded.
+    payload length of the matching ``extract``); nothing is encoded,
+    extracted or decoded. ``codestream`` may be a ``Codestream`` or just
+    its ``CodestreamTable``.
     """
-    cs = codestream if codestream is not None else cs_mod.encode(img, grid, levels)
+    cs = codestream if codestream is not None else cs_mod.measure(img, grid, levels)
     plan = compute_budget(
         cs, ch, mu_t_hum, t_hum_cap, estimate=tile_size_estimate
     )

@@ -5,6 +5,9 @@ scenario on the same inputs and seed, then writes ``grid.csv``, one
 timeline CSV per cell, and one recall-vs-time SVG per rate. Output
 bytes depend only on the configuration and seed; cells may be computed
 on several threads without changing a single byte.
+
+The scene is sized once with ``codestream.measure``: the cells read
+segment lengths from its table, so no codestream bytes are written.
 """
 
 from __future__ import annotations
@@ -95,7 +98,7 @@ def run_grid(
     """Execute the full scenario grid and emit all report files."""
     img, gt = load_scene(cfg)
     grid = TileGrid.for_image(img.width, img.height, cfg.tile_w, cfg.tile_h)
-    stream = cs_mod.encode(img, grid, cfg.levels)
+    table = cs_mod.measure(img, grid, cfg.levels)
     if cfg.detections_path is not None:
         detector = FileDetector(file_detect(cfg.detections_path, grid))
     else:
@@ -113,13 +116,13 @@ def run_grid(
         base = run_baseline(
             img, grid, cfg.levels, chan, cfg.mu_t_hum, cfg.baseline_human_budget,
             detector, gt, cfg.seed,
-            codestream=stream, compute_delay=cfg.compute_delay,
+            codestream=table, compute_delay=cfg.compute_delay,
             iou_threshold=cfg.iou_threshold,
         )
         prop = run_streamlined(
             img, grid, cfg.levels, chan, cfg.mu_t_hum, cfg.t_hum_cap,
             detector, gt, cfg.seed,
-            codestream=stream, compute_delay=cfg.compute_delay,
+            codestream=table, compute_delay=cfg.compute_delay,
             iou_threshold=cfg.iou_threshold, tile_size_estimate=cfg.tile_size_estimate,
         )
         return GridCell(rate_kbps=rate, limit_s=limit, base=base, prop=prop)

@@ -191,6 +191,26 @@ def test_file_detect_round_trip_and_errors(tmp_path):
         file_detect(path, grid)
 
 
+def test_detection_box_rejects_non_finite_coordinates(tmp_path):
+    grid = TileGrid.for_image(256, 256, 64, 64)
+    path = tmp_path / "d.csv"
+    header = "tile_index,class_id,x,y,w,h,confidence,source\n"
+    path.write_text(header + "0,0,nan,1,inf,nan,0.5,DL\n")
+    with pytest.raises(ValueError, match="line 2: non-finite"):
+        file_detect(path, grid)
+    good = ["5", "6", "4", "4"]
+    for field in range(4):
+        for bad in ("nan", "inf", "-inf"):
+            row = good.copy()
+            row[field] = bad
+            path.write_text(header + "0,0," + ",".join(row) + ",0.5,DL\n")
+            with pytest.raises(ValueError, match="line 2: non-finite"):
+                file_detect(path, grid)
+            coords = [float(v) for v in row]
+            with pytest.raises(ValueError, match="non-finite"):
+                DetectionBox(0, 0, *coords, 0.5, "DL")
+
+
 def test_save_detections_round_trip(tmp_path):
     grid = TileGrid.for_image(256, 256, 64, 64)
     gt = [GroundTruthBox(0, 1, 10, 10, 20, 20)]

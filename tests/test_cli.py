@@ -72,6 +72,11 @@ def test_info_lists_each_resolution(tmp_path, scene, capsys):
     assert len(lines) == 4
     sizes = [int(l.split("bytes")[0].split(":")[1].strip()) for l in lines]
     assert sizes == sorted(sizes)
+    img = raster.load_image(ipath)
+    raw = img.width * img.height * img.components
+    payload = len(cs_mod.parse_codestream(str(ssc)).payload)
+    assert payload == sizes[-1]
+    assert f"payload {payload} bytes = {payload / raw:.3f}x the {raw} raw sample bytes" in out
 
 
 def test_encode_level_validation(tmp_path, scene, capsys):

@@ -1,12 +1,17 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tilecast import codestream as cs
+from tilecast import config, scenario
 from tilecast.codestream import (
     Codestream,
     CodestreamError,
+    CodestreamTable,
+    band_size,
     decode,
     decode_bands,
     decode_varints,
@@ -14,13 +19,16 @@ from tilecast.codestream import (
     encode_band,
     encode_varints,
     extract,
+    measure,
     parse_codestream,
     size_of,
     unzigzag,
     write_codestream,
     zigzag,
 )
-from tilecast.raster import Image, TileGrid
+from tilecast.raster import Image, TileGrid, generate_scene
+
+EXAMPLE_CFG = os.path.join(os.path.dirname(__file__), os.pardir, "scenario.example.cfg")
 
 
 def random_image(rng, max_side=120, comps=None):
@@ -83,6 +91,90 @@ def test_band_decode_rejects_garbage():
         decode_bands(encode_varints(np.array([2, 0], dtype=np.uint64)), [2])
     with pytest.raises(CodestreamError, match="trailing tokens"):
         decode_bands(encode_varints(np.array([2, 2], dtype=np.uint64)), [1])
+
+
+# zero runs at the varint length steps, and literals whose zigzag codes need 1-5 bytes
+_RUN_LENGTHS = st.one_of(
+    st.sampled_from([1, 2, 127, 128, 129, 16383, 16384, 16385]),
+    st.integers(min_value=1, max_value=300),
+)
+_LITERALS = st.one_of(
+    st.sampled_from([1, -1, 63, 64, -64, -65, 8191, 8192, -8192, -8193,
+                     2**31 - 1, 2**31, -(2**31)]),
+    st.integers(min_value=-(2**31), max_value=2**31).filter(bool),
+)
+
+
+@st.composite
+def bands(draw):
+    pieces = draw(st.lists(st.one_of(
+        _RUN_LENGTHS.map(lambda n: np.zeros(n, dtype=np.int64)),
+        st.lists(_LITERALS, min_size=1, max_size=8).map(
+            lambda v: np.array(v, dtype=np.int64)),
+    ), max_size=6))
+    return np.concatenate([np.empty(0, dtype=np.int64), *pieces])
+
+
+@given(bands())
+@settings(max_examples=300)
+def test_band_size_equals_encoded_length(band):
+    assert band_size(band) == len(encode_band(band))
+
+
+def test_band_size_edge_cases():
+    for band in (
+        np.empty(0, dtype=np.int64),
+        np.empty((0, 5), dtype=np.int64),
+        np.zeros((128, 128), dtype=np.int64),
+        np.zeros(16384, dtype=np.int64),
+        np.array([7]),
+        np.array([-(2**31)]),
+        np.array([2**31]),
+        np.arange(-300, 300).reshape(20, 30),
+    ):
+        assert band_size(band) == len(encode_band(band))
+
+
+def _assert_measure_matches_encode(img, grid, levels):
+    table, stream = measure(img, grid, levels), encode(img, grid, levels)
+    assert type(table) is CodestreamTable
+    for field in ("width", "height", "tile_w", "tile_h", "levels", "components",
+                  "max_resolution", "entries"):
+        assert getattr(table, field) == getattr(stream, field), field
+
+
+def test_measure_matches_encode_on_example_scene():
+    cfg = config.parse_config(EXAMPLE_CFG)
+    img, _ = scenario.load_scene(cfg)
+    grid = TileGrid.for_image(img.width, img.height, cfg.tile_w, cfg.tile_h)
+    _assert_measure_matches_encode(img, grid, cfg.levels)
+
+
+def test_measure_matches_encode_on_dense_scene():
+    img, _ = generate_scene(11, 1024, 1024, 120)
+    _assert_measure_matches_encode(img, TileGrid.for_image(1024, 1024, 256, 256), 5)
+
+
+def test_measure_matches_encode_on_odd_tilings():
+    rng = np.random.default_rng(12)
+    for _ in range(80):
+        img = random_image(rng)
+        if rng.random() < 0.3:  # flat areas give long zero runs
+            img = Image(img.pixels // 64 * 64)
+        tw = int(rng.integers(1, img.width + 20))
+        th = int(rng.integers(1, img.height + 20))
+        grid = TileGrid.for_image(img.width, img.height, tw, th)
+        _assert_measure_matches_encode(img, grid, int(rng.integers(1, 6)))
+
+
+def test_measure_validates_like_encode():
+    img = Image(np.zeros((8, 8), dtype=np.uint8))
+    grid = TileGrid.for_image(8, 8, 4, 4)
+    for bad in (0, cs.MAX_LEVELS + 1):
+        with pytest.raises(ValueError, match="levels"):
+            measure(img, grid, bad)
+    with pytest.raises(ValueError, match="grid"):
+        measure(img, TileGrid.for_image(16, 8, 4, 4), 2)
 
 
 def test_encode_structure():

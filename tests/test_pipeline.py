@@ -1,3 +1,4 @@
+import os
 import random
 
 import numpy as np
@@ -117,6 +118,21 @@ def test_compute_budget_from_codestream():
     sub = cs_mod.extract(stream, [0], levels - 1)
     with pytest.raises(ValueError, match="full codestream"):
         compute_budget(sub, ch, 30.0, 300.0)
+
+
+def test_compute_budget_equals_plan_from_size_of():
+    img, gt, grid, stream, levels = make_scene(seed=4, size=320, tile=48, levels=4)
+    table = cs_mod.measure(img, grid, levels)
+    all_idx = list(range(grid.tile_count))
+    sizes = [size_of(stream, all_idx, r) for r in range(1, levels + 1)]
+    tile_sizes = [size_of(stream, [i], levels) for i in all_idx]
+    for rate in (500, 4_000, 16_000, 64_000, 1e9):
+        ch = ChannelSpec(data_rate=rate, t_tr_limit=60)
+        for estimate in ("max", "mean"):
+            want = plan_budget(sizes, tile_sizes, bandwidth_budget(ch), 20.0, 200.0,
+                               grid.tile_count, estimate)
+            assert compute_budget(stream, ch, 20.0, 200.0, estimate) == want
+            assert compute_budget(table, ch, 20.0, 200.0, estimate) == want
 
 
 def test_indexer_hand_example():
@@ -352,3 +368,27 @@ def test_pipelines_never_decode(monkeypatch, tmp_path):
     report = scenario.run_grid(cfg_mod.parse_config(str(cfg)), str(tmp_path / "out"))
     assert len(report.rows) == 6
     assert any(c.prop.plan.lr < 4 and c.prop.timeline.t_hum > 0 for c in report.cells)
+
+
+def test_run_grid_never_writes_codestream_bytes(monkeypatch, tmp_path):
+    def no_coding(*args, **kwargs):
+        raise AssertionError("the simulator wrote codestream bytes")
+
+    cfg_path = tmp_path / "grid.cfg"
+    cfg_path.write_text(
+        "synthetic = 9, 256, 192, 8\nobject_size = 12, 24\ntile_w = 64\ntile_h = 48\n"
+        "levels = 4\ndata_rates = 4, 16, 1000\nt_TRlimits = 30, 120\nmu_t_hum = 10\n"
+        "t_hum_cap = 40\nseed = 5\n"
+    )
+    cfg = cfg_mod.parse_config(str(cfg_path))
+    with monkeypatch.context() as m:
+        m.setattr(cs_mod, "encode_band", no_coding)
+        m.setattr(cs_mod, "encode_varints", no_coding)
+        report = scenario.run_grid(cfg, str(tmp_path / "table"))
+    assert any(c.prop.plan.lr < 4 and c.prop.timeline.t_hum > 0 for c in report.cells)
+    # the same grid planned from a real encoded stream
+    monkeypatch.setattr(cs_mod, "measure", cs_mod.encode)
+    scenario.run_grid(cfg, str(tmp_path / "stream"))
+    for name in os.listdir(tmp_path / "stream"):
+        assert (tmp_path / "table" / name).read_bytes() == (
+            tmp_path / "stream" / name).read_bytes(), name
