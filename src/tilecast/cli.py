@@ -95,9 +95,7 @@ def cmd_info(args) -> int:
         f"levels {stream.levels}, max resolution {stream.max_resolution}"
     )
     for r in range(1, stream.max_resolution + 1):
-        shift = stream.levels - r
-        w = -(-stream.width // (1 << shift))
-        h = -(-stream.height // (1 << shift))
+        w, h = cs_mod.resolution_size(stream, r)
         print(f"R={r}: {cs_mod.size_of(stream, indices, r)} bytes, {w}x{h} px")
     raw = stream.width * stream.height * stream.components
     print(

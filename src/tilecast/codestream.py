@@ -36,6 +36,7 @@ from .raster import Image, TileGrid, tile_bounds
 
 MAGIC = b"SSC1"
 MAX_LEVELS = 8
+MAX_PIXELS = 1 << 26  # largest width * height coded or parsed (8192^2)
 _HEADER = struct.Struct(">4sIIHHBBBI")
 _MAX_COEFF_TOKEN = 1 << 32  # zigzag codes beyond this are corrupt input
 
@@ -297,19 +298,42 @@ class Codestream(CodestreamTable):
         return self.payload[pos : pos + length]
 
 
-def _band_shapes(tile_w: int, tile_h: int, levels: int):
-    """Band shapes mirroring _band_counts; segs[r-1] -> list of (h, w)."""
-    h, w = tile_h, tile_w
-    per_depth = []
+def _low_sizes(n: int, levels: int) -> list[int]:
+    """Low-pass length of an axis of ``n`` samples after 0..levels-1 splits."""
+    sizes = [n]
     for _ in range(levels - 1):
-        lh_, hh_ = wavelet.split_dims(h)
-        lw, hw = wavelet.split_dims(w)
-        per_depth.append([(lh_, hw), (hh_, lw), (hh_, hw)])
-        h, w = lh_, lw
-    segs = [[(h, w)]]
-    for d in range(levels - 1, 0, -1):
-        segs.append(per_depth[d - 1])
+        sizes.append(wavelet.split_dims(sizes[-1])[0])
+    return sizes
+
+
+def _band_shapes(tile_w: int, tile_h: int, levels: int):
+    """Band shapes of one tile's segments: segs[r-1] -> list of (h, w)."""
+    hs, ws = _low_sizes(tile_h, levels), _low_sizes(tile_w, levels)
+    segs = [[(hs[-1], ws[-1])]]
+    for d in range(levels - 2, -1, -1):  # the split of depth d + 1 is resolution levels - d
+        lh, hh = wavelet.split_dims(hs[d])
+        lw, hw = wavelet.split_dims(ws[d])
+        segs.append([(lh, hw), (hh, lw), (hh, hw)])
     return segs
+
+
+def resolution_size(cs: CodestreamTable, resolution: int) -> tuple[int, int]:
+    """Width and height of ``assemble(cs, resolution)``.
+
+    Every tile is halved on its own, so the image is the sum of the
+    reduced tile sizes along one tile row and one tile column.
+    """
+    _check_resolution(cs, resolution)
+    grid, depth = cs.grid, cs.levels - resolution
+    widths = (tile_bounds(grid, col, cs.width, cs.height)[2] for col in range(grid.tiles_x))
+    heights = (
+        tile_bounds(grid, row * grid.tiles_x, cs.width, cs.height)[3]
+        for row in range(grid.tiles_y)
+    )
+    return (
+        sum(_low_sizes(w, cs.levels)[depth] for w in widths),
+        sum(_low_sizes(h, cs.levels)[depth] for h in heights),
+    )
 
 
 def _tile_bands(img: Image, grid: TileGrid, levels: int):
@@ -325,8 +349,8 @@ def _tile_bands(img: Image, grid: TileGrid, levels: int):
         raise ValueError(f"unsupported component count {img.components}")
     if grid != TileGrid.for_image(img.width, img.height, grid.tile_w, grid.tile_h):
         raise ValueError("tile grid does not match image dimensions")
-    if img.width >= 1 << 32 or img.height >= 1 << 32:
-        raise ValueError("image dimensions exceed u32")
+    if img.width * img.height > MAX_PIXELS:
+        raise ValueError(f"image of {img.width}x{img.height} exceeds {MAX_PIXELS} pixels")
     if grid.tile_w >= 1 << 16 or grid.tile_h >= 1 << 16:
         raise ValueError("tile dimensions exceed u16")
 
@@ -524,6 +548,8 @@ def parse_codestream(src) -> Codestream:
     )
     if width < 1 or height < 1 or tile_w < 1 or tile_h < 1:
         raise CodestreamError("degenerate dimensions in header")
+    if width * height > MAX_PIXELS:
+        raise CodestreamError(f"image of {width}x{height} exceeds {MAX_PIXELS} pixels")
     if not 1 <= levels <= MAX_LEVELS:
         raise CodestreamError(f"levels {levels} outside 1..{MAX_LEVELS}")
     if components not in (1, 3):

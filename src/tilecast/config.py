@@ -17,11 +17,12 @@ Example::
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 from .annotate import DetectorModel
-from .codestream import MAX_LEVELS
+from .codestream import MAX_LEVELS, MAX_PIXELS
 
 
 class ConfigError(ValueError):
@@ -61,210 +62,173 @@ class ScenarioConfig:
     iou_threshold: float = 0.1
 
 
-def _parse_seconds(value: str, where: str) -> float:
-    value = value.strip()
-    factor = 1.0
-    if value.endswith("m"):
-        factor = 60.0
-        value = value[:-1].strip()
+def _finite(value: float) -> float:
+    if not math.isfinite(value):
+        raise ValueError(value)
+    return value
+
+
+def _number(text: str) -> float:
+    return _finite(float(text))
+
+
+def _seconds(text: str) -> float:
+    text = text.strip()
+    if text.endswith("m"):
+        return _finite(float(text[:-1]) * 60.0)
+    return _number(text)
+
+
+# what a bad value is called, and its converter (raising ValueError)
+_INT = ("integer", int)
+_NUMBER = ("number", _number)
+_TIME = ("time value", _seconds)
+_TEXT = ("value", str)
+
+# a check on a converted value, and the rule its message states
+_ANY = (lambda v: True, "")
+_AT_LEAST_0 = (lambda v: v >= 0, "must be >= 0")
+_ALL_ABOVE_0 = (lambda v: len(v) > 0 and min(v) > 0, "must be positive and non-empty")
+_U16 = (lambda v: 1 <= v <= 65535, "must be in 1..65535")
+
+_KEYS = {
+    "image", "synthetic", "ground_truth", "object_size",
+    "tile_w", "tile_h", "levels",
+    "data_rates", "t_TRlimits", "mu_t_hum", "t_hum_cap",
+    "baseline_human_budget", "seed",
+    "detect_p", "detect_conf", "detect_sigma", "detect_jitter",
+    "detect_fp_rate", "detections",
+    "tile_size_estimate", "charge_index_bytes", "compute_delay",
+    "iou_threshold",
+}
+
+
+def _read_lines(path) -> dict[str, tuple[str, int]]:
+    """Each key's raw value and line number; comments and blank lines dropped."""
     try:
-        return float(value) * factor
-    except ValueError:
-        raise ConfigError(f"{where}: bad time value {value!r}") from None
-
-
-def _parse_list(value: str):
-    return [v.strip() for v in value.split(",") if v.strip()]
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = list(fh)
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: not UTF-8 text") from None
+    raw: dict[str, tuple[str, int]] = {}
+    for lineno, line in enumerate(lines, start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}: line {lineno}: expected 'key = value'")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in raw:
+            raise ConfigError(f"{path}: line {lineno}: duplicate key {key!r}")
+        if key not in _KEYS:
+            raise ConfigError(f"{path}: line {lineno}: unknown key {key!r}")
+        raw[key] = (value, lineno)
+    return raw
 
 
 def parse_config(path) -> ScenarioConfig:
-    """Parse and validate a scenario configuration file."""
-    raw: dict[str, tuple[str, int]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}: line {lineno}: expected 'key = value'")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key in raw:
-                raise ConfigError(f"{path}: line {lineno}: duplicate key {key!r}")
-            raw[key] = (value, lineno)
+    """Parse and validate a scenario configuration file.
 
-    known = {
-        "image", "synthetic", "ground_truth", "object_size",
-        "tile_w", "tile_h", "levels",
-        "data_rates", "t_TRlimits", "mu_t_hum", "t_hum_cap",
-        "baseline_human_budget", "seed",
-        "detect_p", "detect_conf", "detect_sigma", "detect_jitter",
-        "detect_fp_rate", "detections",
-        "tile_size_estimate", "charge_index_bytes", "compute_delay",
-        "iou_threshold",
-    }
-    for key, (_, lineno) in raw.items():
-        if key not in known:
-            raise ConfigError(f"{path}: line {lineno}: unknown key {key!r}")
+    Every key goes through one reader that converts its value (or each
+    item of a comma list), checks it, and names the line of a bad one.
+    Numbers must be finite, and so must the two quantities the run turns
+    into integers: ``t_hum_cap / mu_t_hum``, and the largest rate in
+    bit/s times the largest limit.
+    """
+    raw = _read_lines(path)
 
-    def where(key):
-        return f"{path}: line {raw[key][1]}"
+    def fail(key, problem):
+        raise ConfigError(f"{path}: line {raw[key][1]}: {problem}")
 
-    def get_int(key, default=None, minimum=None, maximum=None):
+    def get(key, kind, check=_ANY, default=None, many=False):
         if key not in raw:
             return default
-        try:
-            v = int(raw[key][0])
-        except ValueError:
-            raise ConfigError(f"{where(key)}: bad integer {raw[key][0]!r}") from None
-        if minimum is not None and v < minimum:
-            raise ConfigError(f"{where(key)}: {key} must be >= {minimum}")
-        if maximum is not None and v > maximum:
-            raise ConfigError(f"{where(key)}: {key} must be <= {maximum}")
-        return v
+        text = raw[key][0]
+        name, convert = kind
+        values = []
+        for item in [v.strip() for v in text.split(",") if v.strip()] if many else [text]:
+            try:
+                values.append(convert(item))
+            except ValueError:
+                fail(key, f"bad {name} {item!r}")
+        value = tuple(values) if many else values[0]
+        if not check[0](value):
+            fail(key, f"{key} {check[1]}")
+        return value
 
-    def get_float(key, default=None, minimum=None):
-        if key not in raw:
-            return default
-        try:
-            v = float(raw[key][0])
-        except ValueError:
-            raise ConfigError(f"{where(key)}: bad number {raw[key][0]!r}") from None
-        if minimum is not None and v < minimum:
-            raise ConfigError(f"{where(key)}: {key} must be >= {minimum}")
-        return v
-
-    image_path = raw["image"][0] if "image" in raw else None
-    synthetic = None
-    if "synthetic" in raw:
-        parts = _parse_list(raw["synthetic"][0])
-        if len(parts) != 4:
-            raise ConfigError(
-                f"{where('synthetic')}: expected 'seed, width, height, objects'"
-            )
-        try:
-            synthetic = SyntheticSpec(*[int(p) for p in parts])
-        except ValueError:
-            raise ConfigError(f"{where('synthetic')}: bad integer in list") from None
-        if synthetic.width < 1 or synthetic.height < 1 or synthetic.objects < 0:
-            raise ConfigError(f"{where('synthetic')}: bad scene parameters")
+    image_path = get("image", _TEXT)
+    synthetic = get("synthetic", _INT, (
+        lambda v: len(v) == 4 and min(v[1:3]) >= 1 and v[3] >= 0 and v[1] * v[2] <= MAX_PIXELS,
+        f"must be 'seed, width, height, objects' with width, height >= 1, "
+        f"width * height <= {MAX_PIXELS} and objects >= 0",
+    ), many=True)
     if image_path is None and synthetic is None:
         raise ConfigError(f"{path}: one of 'image' or 'synthetic' is required")
     if image_path is not None and synthetic is not None:
         raise ConfigError(f"{path}: 'image' and 'synthetic' are mutually exclusive")
-    ground_truth = raw["ground_truth"][0] if "ground_truth" in raw else None
+    ground_truth = get("ground_truth", _TEXT)
     if image_path is not None and ground_truth is None:
         raise ConfigError(f"{path}: 'image' requires a 'ground_truth' CSV")
+    for key in ("data_rates", "t_TRlimits"):
+        if key not in raw:
+            raise ConfigError(f"{path}: missing required key {key!r}")
 
-    if "data_rates" not in raw:
-        raise ConfigError(f"{path}: missing required key 'data_rates'")
-    try:
-        rates = tuple(float(v) for v in _parse_list(raw["data_rates"][0]))
-    except ValueError:
-        raise ConfigError(f"{where('data_rates')}: bad rate list") from None
-    if not rates or any(r <= 0 for r in rates):
-        raise ConfigError(f"{where('data_rates')}: rates must be positive and non-empty")
+    rates = get("data_rates", _NUMBER, _ALL_ABOVE_0, many=True)
+    limits = get("t_TRlimits", _TIME, _ALL_ABOVE_0, many=True)
+    if not math.isfinite(max(rates) * 1000.0 * max(limits)):
+        fail("data_rates", "largest rate times largest t_TRlimit overflows")
+    mu_t_hum = get("mu_t_hum", _TIME, (lambda v: v > 0, "must be > 0"), default=30.0)
+    t_hum_cap = get("t_hum_cap", _TIME, _AT_LEAST_0, default=300.0)
+    if not math.isfinite(t_hum_cap / mu_t_hum):
+        fail("mu_t_hum", "t_hum_cap / mu_t_hum overflows")
 
-    if "t_TRlimits" not in raw:
-        raise ConfigError(f"{path}: missing required key 't_TRlimits'")
-    limits = tuple(
-        _parse_seconds(v, where("t_TRlimits")) for v in _parse_list(raw["t_TRlimits"][0])
-    )
-    if not limits or any(t <= 0 for t in limits):
-        raise ConfigError(f"{where('t_TRlimits')}: limits must be positive and non-empty")
+    object_size = get("object_size", _INT, (
+        lambda v: len(v) == 2 and 1 <= v[0] <= v[1], "must be 'min, max' with 1 <= min <= max",
+    ), default=(24, 64), many=True)
+    if synthetic is not None:
+        synthetic = SyntheticSpec(*synthetic)
+        if object_size[1] > min(synthetic.width, synthetic.height):
+            fail("object_size" if "object_size" in raw else "synthetic",
+                 f"object size {object_size[1]} exceeds the "
+                 f"{synthetic.width}x{synthetic.height} scene")
 
-    levels = get_int("levels", default=5, minimum=1, maximum=MAX_LEVELS)
-    tile_w = get_int("tile_w", default=256, minimum=1, maximum=65535)
-    tile_h = get_int("tile_h", default=256, minimum=1, maximum=65535)
-    mu_t_hum = (
-        _parse_seconds(raw["mu_t_hum"][0], where("mu_t_hum")) if "mu_t_hum" in raw else 30.0
-    )
-    if mu_t_hum <= 0:
-        raise ConfigError(f"{where('mu_t_hum')}: mu_t_hum must be > 0")
-    t_hum_cap = (
-        _parse_seconds(raw["t_hum_cap"][0], where("t_hum_cap")) if "t_hum_cap" in raw else 300.0
-    )
-    if t_hum_cap < 0:
-        raise ConfigError(f"{where('t_hum_cap')}: t_hum_cap must be >= 0")
-    baseline_budget = get_int(
-        "baseline_human_budget", default=int(t_hum_cap / mu_t_hum), minimum=0
-    )
-    seed = get_int("seed", default=0)
-
-    object_size = (24, 64)
-    if "object_size" in raw:
-        parts = _parse_list(raw["object_size"][0])
-        if len(parts) != 2:
-            raise ConfigError(f"{where('object_size')}: expected 'min, max'")
-        try:
-            object_size = (int(parts[0]), int(parts[1]))
-        except ValueError:
-            raise ConfigError(f"{where('object_size')}: bad integer") from None
-        if not 1 <= object_size[0] <= object_size[1]:
-            raise ConfigError(f"{where('object_size')}: bad size range")
-
-    default_model = DetectorModel.default(levels)
-    detect_p = default_model.detect_p
-    detect_conf = default_model.conf_mean
-    if "detect_p" in raw:
-        try:
-            detect_p = tuple(float(v) for v in _parse_list(raw["detect_p"][0]))
-        except ValueError:
-            raise ConfigError(f"{where('detect_p')}: bad probability list") from None
-        if len(detect_p) != levels:
-            raise ConfigError(f"{where('detect_p')}: need one value per level ({levels})")
-    if "detect_conf" in raw:
-        try:
-            detect_conf = tuple(float(v) for v in _parse_list(raw["detect_conf"][0]))
-        except ValueError:
-            raise ConfigError(f"{where('detect_conf')}: bad confidence list") from None
-        if len(detect_conf) != levels:
-            raise ConfigError(f"{where('detect_conf')}: need one value per level ({levels})")
+    levels = get("levels", _INT, (lambda v: 1 <= v <= MAX_LEVELS, f"must be in 1..{MAX_LEVELS}"),
+                 default=5)
+    d = DetectorModel.default(levels)
+    per_level = (lambda v: len(v) == levels, f"must have one value per level ({levels})")
     try:
         detector = DetectorModel(
-            detect_p=detect_p,
-            conf_mean=detect_conf,
-            conf_sigma=get_float("detect_sigma", default=default_model.conf_sigma, minimum=0.0),
-            jitter=get_float("detect_jitter", default=default_model.jitter, minimum=0.0),
-            fp_rate=get_float("detect_fp_rate", default=default_model.fp_rate, minimum=0.0),
+            detect_p=get("detect_p", _NUMBER, per_level, default=d.detect_p, many=True),
+            conf_mean=get("detect_conf", _NUMBER, per_level, default=d.conf_mean, many=True),
+            conf_sigma=get("detect_sigma", _NUMBER, _AT_LEAST_0, default=d.conf_sigma),
+            jitter=get("detect_jitter", _NUMBER, _AT_LEAST_0, default=d.jitter),
+            fp_rate=get("detect_fp_rate", _NUMBER, _AT_LEAST_0, default=d.fp_rate),
         )
     except ValueError as exc:
         raise ConfigError(f"{path}: invalid detector profile: {exc}") from None
-
-    estimate = raw.get("tile_size_estimate", ("max", 0))[0]
-    if estimate not in ("max", "mean"):
-        raise ConfigError(f"{where('tile_size_estimate')}: must be 'max' or 'mean'")
-    charge = raw.get("charge_index_bytes", ("false", 0))[0].lower()
-    if charge not in ("true", "false"):
-        raise ConfigError(f"{where('charge_index_bytes')}: must be true or false")
-    compute_delay = (
-        _parse_seconds(raw["compute_delay"][0], where("compute_delay"))
-        if "compute_delay" in raw
-        else 0.0
-    )
-    if compute_delay < 0:
-        raise ConfigError(f"{where('compute_delay')}: compute_delay must be >= 0")
-    iou_threshold = get_float("iou_threshold", default=0.1)
-    if not 0 < iou_threshold <= 1:
-        raise ConfigError(f"{where('iou_threshold')}: must be in (0, 1]")
 
     return ScenarioConfig(
         image_path=image_path,
         synthetic=synthetic,
         ground_truth=ground_truth,
-        tile_w=tile_w,
-        tile_h=tile_h,
+        tile_w=get("tile_w", _INT, _U16, default=256),
+        tile_h=get("tile_h", _INT, _U16, default=256),
         levels=levels,
         data_rates_kbps=rates,
         t_tr_limits_s=limits,
         mu_t_hum=mu_t_hum,
         t_hum_cap=t_hum_cap,
-        baseline_human_budget=baseline_budget,
-        seed=seed,
+        baseline_human_budget=get("baseline_human_budget", _INT, _AT_LEAST_0,
+                                  default=int(t_hum_cap / mu_t_hum)),
+        seed=get("seed", _INT, default=0),
         detector=detector,
-        detections_path=raw["detections"][0] if "detections" in raw else None,
+        detections_path=get("detections", _TEXT),
         object_size=object_size,
-        tile_size_estimate=estimate,
-        charge_index_bytes=charge == "true",
-        compute_delay=compute_delay,
-        iou_threshold=iou_threshold,
+        tile_size_estimate=get("tile_size_estimate", _TEXT, (
+            lambda v: v in ("max", "mean"), "must be 'max' or 'mean'"), default="max"),
+        charge_index_bytes=get("charge_index_bytes", ("value", str.lower), (
+            lambda v: v in ("true", "false"), "must be true or false"), default="false") == "true",
+        compute_delay=get("compute_delay", _TIME, _AT_LEAST_0, default=0.0),
+        iou_threshold=get("iou_threshold", _NUMBER, (lambda v: 0 < v <= 1, "must be in (0, 1]"),
+                          default=0.1),
     )

@@ -9,6 +9,7 @@ each ground-truth box is matched at most once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -127,6 +128,8 @@ class TimelineReport:
 
     def __post_init__(self):
         times = [e.time_s for e in self.events]
+        if not all(math.isfinite(t) for t in times):
+            raise ValueError("timeline event times must be finite")
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("timeline event times must be strictly increasing")
         if times and times[-1] != self.t_rs:

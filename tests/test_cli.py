@@ -78,6 +78,18 @@ def test_info_lists_each_resolution(tmp_path, scene, capsys):
     assert payload == sizes[-1]
     assert f"payload {payload} bytes = {payload / raw:.3f}x the {raw} raw sample bytes" in out
 
+    # each tile is halved on its own: 5x5 tiles of a 13x13 image give 5x5 at R=1, not 4x4
+    odd, _ = raster.generate_scene(2, 13, 13, 0, (1, 1))
+    raster.save_image(odd, tmp_path / "odd.ppm")
+    run("encode", tmp_path / "odd.ppm", "-o", ssc, "--levels", 3, "--tile-w", 5, "--tile-h", 5)
+    assert main(["info", str(ssc)]) == 0
+    dims = [l.split(", ")[1] for l in capsys.readouterr().out.splitlines() if l.startswith("R=")]
+    assert dims == ["5x5 px", "8x8 px", "13x13 px"]
+    stream = cs_mod.parse_codestream(str(ssc))
+    for r, d in enumerate(dims, start=1):
+        img = cs_mod.assemble(stream, r)
+        assert d == f"{img.width}x{img.height} px"
+
 
 def test_encode_level_validation(tmp_path, scene, capsys):
     _, _, ipath, _ = scene
@@ -234,6 +246,29 @@ def test_cli_error_paths(tmp_path, capsys):
     bad.write_text("nonsense\n")
     assert main(["--quiet", "run", str(bad)]) == 1
     assert "key = value" in capsys.readouterr().err
+
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"t_hum_cap": "inf"}, "line 10: bad time value 'inf'"),
+        ({"data_rates": "1e400"}, "line 7: bad number '1e400'"),
+        ({"t_TRlimits": "nan"}, "line 8: bad time value 'nan'"),
+        # finite, but the full-resolution transfer takes longer than any float
+        ({"data_rates": "5e-324", "mu_t_hum": "1e6"}, "timeline event times must be finite"),
+    ],
+)
+def test_run_reports_unusable_numbers_in_one_line(tmp_path, capsys, overrides, message):
+    lines = RUN_CFG.splitlines()
+    for i, line in enumerate(lines):
+        key = line.split(" ")[0]
+        if key in overrides:
+            lines[i] = f"{key} = {overrides[key]}"
+    cfg = write_cfg(tmp_path, "\n".join(lines) + "\n")
+    assert main(["--quiet", "--out-dir", str(tmp_path / "out"), "run", cfg]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
 
 
 EXAMPLE_CFG = os.path.join(os.path.dirname(__file__), os.pardir, "scenario.example.cfg")

@@ -1,4 +1,5 @@
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -349,6 +350,43 @@ def test_parser_totality_fuzz():
             decode(stream, indices, stream.max_resolution)
         except CodestreamError:
             pass
+
+
+def test_parse_refuses_a_decompression_bomb(monkeypatch):
+    # one 65535x65535 tile whose only token is a zero run over the whole
+    # band: 37 bytes that would decode to 4,294,836,225 coefficients
+    run = encode_varints(np.array([65535 * 65535], dtype=np.uint64))
+    payload = b"\x00" + run
+    blob = (
+        cs._HEADER.pack(cs.MAGIC, 65535, 65535, 65535, 65535, 1, 1, 1, 1)
+        + struct.pack(">II", 0, len(payload))
+        + payload
+    )
+    assert len(blob) == 37
+
+    def no_expansion(*args, **kwargs):
+        raise AssertionError("a zero run was expanded")
+
+    monkeypatch.setattr(np, "repeat", no_expansion)
+    with pytest.raises(CodestreamError, match="exceeds"):
+        parse_codestream(blob)
+
+
+def test_pixel_ceiling_is_shared_by_encode_measure_and_parse(monkeypatch):
+    monkeypatch.setattr(cs, "MAX_PIXELS", 100)
+    at = Image(np.zeros((10, 10, 1), dtype=np.uint8))
+    over = Image(np.zeros((10, 11, 1), dtype=np.uint8))
+    over_grid = TileGrid.for_image(11, 10, 8, 8)
+    blob = write_codestream(encode(at, TileGrid.for_image(10, 10, 8, 8), 2))
+    assert parse_codestream(blob).width == 10
+    for coder in (encode, measure):
+        with pytest.raises(ValueError, match="exceeds 100 pixels"):
+            coder(over, over_grid, 2)
+    monkeypatch.setattr(cs, "MAX_PIXELS", 110)
+    blob = write_codestream(encode(over, over_grid, 2))
+    monkeypatch.setattr(cs, "MAX_PIXELS", 100)
+    with pytest.raises(CodestreamError, match="exceeds 100 pixels"):
+        parse_codestream(blob)
 
 
 def test_encode_input_validation():

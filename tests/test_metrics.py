@@ -264,6 +264,19 @@ def test_timeline_invariants():
         TimelineReport(events=(TimelineEvent(5.0, 0.5, "DL"),), t_tr=10.0, t_hum=0.0)
 
 
+def test_timeline_rejects_non_finite_times():
+    # a link slow enough for a transfer to take longer than any float
+    inf = float("inf")
+    with pytest.raises(ValueError, match="finite"):
+        TimelineReport(events=(TimelineEvent(inf, 0.5, "DL"),), t_tr=inf, t_hum=0.0)
+    with pytest.raises(ValueError, match="finite"):
+        TimelineReport(
+            events=(TimelineEvent(1e308, 0.5, "DL"), TimelineEvent(inf, 0.7, "HUM-tile-1")),
+            t_tr=1e308,
+            t_hum=inf,
+        )
+
+
 def test_response_ratio_and_recall_diff():
     base = TimelineReport(events=(TimelineEvent(13_100.0, 0.9, "DL"),), t_tr=13_100.0, t_hum=0.0)
     prop = TimelineReport(events=(TimelineEvent(1_110.0, 0.65, "DL"),), t_tr=1_110.0, t_hum=0.0)

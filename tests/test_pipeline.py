@@ -15,7 +15,7 @@ from tilecast.annotate import (
     OracleDetector,
     human_annotate,
 )
-from tilecast.channel import ChannelSpec, bandwidth_budget
+from tilecast.channel import INDEX_BYTES, ChannelSpec, bandwidth_budget
 from tilecast.codestream import encode, size_of
 from tilecast.pipeline import (
     BudgetPlan,
@@ -282,6 +282,54 @@ def test_compute_delay_is_charged():
     )
     assert delayed.timeline.t_tr == plain.timeline.t_tr + 5.0
     assert delayed.timeline.t_rs == delayed.timeline.t_tr + delayed.timeline.t_hum
+
+
+def test_index_charging_in_both_pipelines():
+    img, gt, grid, stream, levels = make_scene(size=512, objects=12, tile=64)
+    det = perfect_detector(grid, 512, levels)
+    all_idx = list(range(grid.tile_count))
+
+    def runs(rate, limit):
+        free, charged = (
+            ChannelSpec(data_rate=rate, t_tr_limit=limit, charge_index_bytes=c)
+            for c in (False, True)
+        )
+        return [
+            run_streamlined(img, grid, levels, ch, 30.0, 300.0, det, gt, 1, codestream=stream)
+            for ch in (free, charged)
+        ]
+
+    # below full resolution: LR-all, then the k indices, then the k tiles at full resolution
+    rate = size_of(stream, all_idx, levels) * 8 / 100
+    free, charged = runs(rate, 30)
+    assert free.plan == charged.plan and free.plan.lr < levels
+    selected = select_tiles_for_human(
+        det.detect(all_idx, gt, free.plan.lr, 1), free.plan.human_budget, grid
+    )
+    k = len(selected)
+    assert k > 0
+    assert k == sum(e.phase.startswith("HUM") for e in charged.timeline.events)
+    lr_s = size_of(stream, all_idx, free.plan.lr) * 8 / rate
+    hr_s = size_of(stream, selected, levels) * 8 / rate
+    index_s = INDEX_BYTES * k * 8 / rate
+    assert free.timeline.t_tr == lr_s + 0.0 + hr_s
+    assert charged.timeline.t_tr == lr_s + index_s + hr_s
+    assert charged.annotations == free.annotations
+
+    # full resolution: the baseline plus the index exchange, nothing else
+    free, charged = runs(1e9, 1e6)
+    assert charged.plan.lr == levels
+    k = sum(e.phase.startswith("HUM") for e in charged.timeline.events)
+    assert k > 0
+    for prop in (free, charged):
+        base = run_baseline(
+            img, grid, levels, ChannelSpec(data_rate=1e9, t_tr_limit=1e6, charge_index_bytes=True),
+            30.0, prop.plan.human_budget, det, gt, 1, codestream=stream,
+        )
+        assert base.annotations == prop.annotations
+        assert base.timeline.t_hum == prop.timeline.t_hum
+    assert free.timeline.t_tr == base.timeline.t_tr
+    assert charged.timeline.t_tr == base.timeline.t_tr + INDEX_BYTES * k * 8 / 1e9
 
 
 def test_budget_plan_validation():
