@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from . import rng
-from .raster import GroundTruthBox, TileGrid, tile_bounds
+from .raster import GroundTruthBox, TileGrid, _csv_rows, tile_bounds
 
 SOURCE_DL = "DL"
 SOURCE_HUM = "HUM"
@@ -50,6 +50,8 @@ class DetectionBox:
             raise ValueError(f"degenerate detection box {self.w}x{self.h}")
         if self.source not in (SOURCE_DL, SOURCE_HUM):
             raise ValueError(f"unknown source {self.source!r}")
+        if self.source == SOURCE_HUM and self.confidence != 1.0:
+            raise ValueError("human annotations must have confidence 1.0")
 
 
 @dataclass(frozen=True)
@@ -65,9 +67,6 @@ class AnnotationSet:
 
     def __post_init__(self):
         object.__setattr__(self, "boxes", tuple(self.boxes))
-        for b in self.boxes:
-            if b.source == SOURCE_HUM and b.confidence != 1.0:
-                raise ValueError("human annotations must have confidence 1.0")
 
     def __len__(self) -> int:
         return len(self.boxes)
@@ -273,46 +272,42 @@ _DETECTIONS_HEADER = ["tile_index", "class_id", "x", "y", "w", "h", "confidence"
 
 def file_detect(path, grid: TileGrid) -> AnnotationSet:
     """Load replayed detector output from a detections CSV."""
-    with open(path, "r", newline="") as fh:
-        reader = csv.reader(fh)
+    rows = _csv_rows(path, ValueError)
+    _, header = next(rows, (0, None))
+    if header is None:
+        raise ValueError(f"{path}: empty detections file")
+    if header != _DETECTIONS_HEADER:
+        raise ValueError(f"{path}: bad detections header {header!r}")
+    boxes = []
+    for lineno, row in rows:
+        if not row:
+            continue
+        if len(row) != len(_DETECTIONS_HEADER):
+            raise ValueError(f"{path}: line {lineno}: expected 8 fields, got {len(row)}")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty detections file") from None
-        if header != _DETECTIONS_HEADER:
-            raise ValueError(f"{path}: bad detections header {header!r}")
-        boxes = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(_DETECTIONS_HEADER):
-                raise ValueError(f"{path}: line {lineno}: expected 8 fields, got {len(row)}")
-            try:
-                tile_index = int(row[0])
-                class_id = int(row[1])
-                x, y, w, h, conf = (float(v) for v in row[2:7])
-                source = row[7].strip()
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: malformed value") from None
-            if not 0 <= tile_index < grid.tile_count:
-                raise ValueError(f"{path}: line {lineno}: tile index {tile_index} out of range")
-            if not 0.0 <= conf <= 1.0:
-                raise ValueError(f"{path}: line {lineno}: confidence {conf} outside [0, 1]")
-            try:
-                boxes.append(
-                    DetectionBox(
-                        tile_index=tile_index,
-                        class_id=class_id,
-                        x=x,
-                        y=y,
-                        w=w,
-                        h=h,
-                        confidence=conf,
-                        source=source,
-                    )
+            tile_index = int(row[0])
+            class_id = int(row[1])
+            x, y, w, h, conf = (float(v) for v in row[2:7])
+            source = row[7].strip()
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: malformed value") from None
+        if not 0 <= tile_index < grid.tile_count:
+            raise ValueError(f"{path}: line {lineno}: tile index {tile_index} out of range")
+        try:
+            boxes.append(
+                DetectionBox(
+                    tile_index=tile_index,
+                    class_id=class_id,
+                    x=x,
+                    y=y,
+                    w=w,
+                    h=h,
+                    confidence=conf,
+                    source=source,
                 )
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
+            )
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
     return AnnotationSet(tuple(boxes), provenance=0)
 
 

@@ -16,7 +16,9 @@ as its own token stream. Tokens are base-128 varints (7 bits per byte,
 little-endian groups, high bit = continuation): a zero token starts a
 zero run and is followed by the run length (>= 1); any other token is
 the zigzag code of one nonzero coefficient (2c for c >= 0, -2c-1 for
-c < 0, always >= 1 for nonzero c).
+c < 0, always >= 1 for nonzero c). The decoder checks every run, and
+each segment's total, against the band sizes the header implies before
+it expands any run.
 
 Because tiles, components and resolutions are byte-separable,
 ``extract`` builds sub-codestreams by copying segment bytes verbatim.
@@ -26,8 +28,10 @@ Because tiles, components and resolutions are byte-separable,
 
 from __future__ import annotations
 
+import dataclasses
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -46,16 +50,6 @@ class CodestreamError(ValueError):
 
 
 # --- token primitives ---------------------------------------------------
-
-
-def zigzag(c: int) -> int:
-    return 2 * c if c >= 0 else -2 * c - 1
-
-
-def unzigzag(u: int) -> int:
-    if u < 0:
-        raise ValueError("zigzag codes are nonnegative")
-    return u // 2 if u % 2 == 0 else -(u + 1) // 2
 
 
 def encode_varints(values: np.ndarray) -> bytes:
@@ -105,40 +99,27 @@ def decode_varints(buf) -> np.ndarray:
     return values
 
 
+def _zero_runs(zero: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and length of every run of True in a flat boolean mask."""
+    edges = np.flatnonzero(np.diff(zero, prepend=False, append=False))
+    return edges[::2], edges[1::2] - edges[::2]
+
+
 def encode_band(band: np.ndarray) -> bytes:
     """Token stream for one subband: zigzag literals and zero runs."""
     flat = np.ascontiguousarray(band, dtype=np.int64).ravel()
     if flat.size == 0:
         return b""
     zero = flat == 0
-    padded = np.concatenate([[False], zero, [False]])
-    run_starts = np.flatnonzero(padded[1:-1] & ~padded[:-2])
-    run_ends = np.flatnonzero(padded[1:-1] & ~padded[2:])
-    run_lengths = run_ends - run_starts + 1
-    nz_pos = np.flatnonzero(~zero)
-
-    positions = np.concatenate([nz_pos, run_starts])
-    first_tok = np.concatenate(
-        [
-            np.where(flat[nz_pos] >= 0, 2 * flat[nz_pos], -2 * flat[nz_pos] - 1).astype(
-                np.uint64
-            ),
-            np.zeros(run_starts.size, dtype=np.uint64),
-        ]
-    )
-    is_run = np.concatenate(
-        [np.zeros(nz_pos.size, dtype=bool), np.ones(run_starts.size, dtype=bool)]
-    )
-    order = np.argsort(positions, kind="stable")
-    first_tok = first_tok[order]
-    is_run = is_run[order]
-    counts = np.where(is_run, 2, 1)
-    offsets = np.cumsum(counts) - counts
-    tokens = np.zeros(int(offsets[-1] + counts[-1]), dtype=np.uint64)
-    tokens[offsets] = first_tok
-    tokens[offsets[is_run] + 1] = run_lengths[np.argsort(run_starts, kind="stable")].astype(
-        np.uint64
-    )
+    run_starts, run_lengths = _zero_runs(zero)
+    # tokens per coefficient: 1 for a literal, 2 opening a zero run, 0 inside one
+    width = (~zero).astype(np.int64)
+    width[run_starts] = 2
+    last = np.cumsum(width) - 1  # each coefficient's last token
+    tokens = np.zeros(int(last[-1]) + 1, dtype=np.uint64)
+    literals = flat[~zero]
+    tokens[last[~zero]] = ((literals << 1) ^ (literals >> 63)).astype(np.uint64)  # zigzag
+    tokens[last[run_starts]] = run_lengths
     return encode_varints(tokens)
 
 
@@ -167,58 +148,40 @@ def band_size(band: np.ndarray) -> int:
     # zigzag(c) >> 1, so zigzag(c) >= 128**k exactly when this is >= 64 * 128**(k-1)
     half = flat ^ (flat >> 63)
     size = flat.size - int(np.count_nonzero(zero)) + _varint_extra(half, 64)
-    edges = np.flatnonzero(np.diff(zero, prepend=False, append=False))
-    runs = edges[1::2] - edges[::2]
+    runs = _zero_runs(zero)[1]
     return size + 2 * runs.size + _varint_extra(runs, 128)
 
 
 def decode_bands(buf, counts: list[int]) -> list[np.ndarray]:
-    """Decode back-to-back band token streams with known coefficient counts."""
+    """Decode back-to-back band token streams with known coefficient counts.
+
+    Every run is checked against the band sizes before any is expanded.
+    """
     tokens = decode_varints(buf)
-    n = tokens.size
     is_zero = tokens == 0
-    preceded_by_zero = np.concatenate([[False], is_zero[:-1]])
-    is_intro = is_zero & ~preceded_by_zero
-    is_runlen = np.concatenate([[False], is_intro[:-1]])
+    # every zero token starts a run, and the token after it is the run length
+    is_runlen = np.zeros_like(is_zero)
+    is_runlen[1:] = is_zero[:-1]
     if np.any(is_zero & is_runlen):
         raise CodestreamError("zero-length zero run")
-    if np.any(is_zero & ~is_intro):
-        # a zero token right after a completed run's length
-        raise CodestreamError("zero-length zero run")
-    if n and is_intro[-1]:
+    if tokens.size and is_zero[-1]:
         raise CodestreamError("dangling zero-run introducer")
-    out_counts = np.where(is_runlen, 0, np.where(is_intro, 0, 1)).astype(np.int64)
-    if is_intro.any():
-        out_counts[is_intro] = tokens[np.flatnonzero(is_intro) + 1].astype(np.int64)
-    literal = ~is_intro & ~is_runlen
-    if np.any(tokens[literal] >= _MAX_COEFF_TOKEN):
+    codes = tokens[~is_runlen]  # literals, and 0 for each run
+    if np.any(codes >= _MAX_COEFF_TOKEN):
         raise CodestreamError("coefficient token out of range")
-    signed = tokens.astype(np.int64)
-    values = np.where(signed % 2 == 0, signed // 2, -(signed + 1) // 2)
-    values[~literal] = 0
-
-    cumulative = np.cumsum(out_counts) if n else np.empty(0, dtype=np.int64)
-    bands = []
-    tok_pos = 0
-    produced = 0
-    for count in counts:
-        if count == 0:
-            bands.append(np.empty(0, dtype=np.int64))
-            continue
-        target = produced + count
-        cut = int(np.searchsorted(cumulative, target, side="left"))
-        if cut >= n or cumulative[cut] != target:
-            raise CodestreamError("zero run crosses a band boundary or segment is short")
-        if is_intro[cut]:
-            cut += 1  # run length token belongs to this band
-        piece_tokens = slice(tok_pos, cut + 1)
-        coeffs = np.repeat(values[piece_tokens], out_counts[piece_tokens])
-        bands.append(coeffs)
-        tok_pos = cut + 1
-        produced = target
-    if tok_pos != n:
+    codes = codes.astype(np.int64)
+    width = np.ones(codes.size, dtype=np.int64)
+    width[codes == 0] = tokens[is_runlen]
+    ends = np.cumsum(width)
+    bounds = np.cumsum([0, *counts])
+    inner = bounds[bounds > 0]
+    # each band must end where a literal or a run ends; the -1 stands past the last
+    if np.any(np.append(ends, -1)[np.searchsorted(ends, inner)] != inner):
+        raise CodestreamError("zero run crosses a band boundary or segment is short")
+    if ends.size and ends[-1] != bounds[-1]:
         raise CodestreamError("trailing tokens after final band")
-    return bands
+    values = (codes >> 1) ^ -(codes & 1)  # undo the zigzag
+    return np.split(np.repeat(values, width), bounds[1:-1]) if counts else []
 
 
 # --- container ----------------------------------------------------------
@@ -261,17 +224,14 @@ class CodestreamTable:
         return TileGrid.for_image(self.width, self.height, self.tile_w, self.tile_h)
 
     def entry_for(self, index: int) -> TileEntry:
-        e = self._index_map().get(index)
+        e = self._index_map.get(index)
         if e is None:
             raise CodestreamError(f"tile {index} not present in codestream")
         return e
 
-    def _index_map(self):
-        m = getattr(self, "_cached_index_map", None)
-        if m is None:
-            m = {e.index: e for e in self.entries}
-            object.__setattr__(self, "_cached_index_map", m)
-        return m
+    @cached_property
+    def _index_map(self) -> dict[int, TileEntry]:
+        return {e.index: e for e in self.entries}
 
 
 @dataclass(frozen=True)
@@ -280,21 +240,19 @@ class Codestream(CodestreamTable):
 
     payload: bytes
 
-    def _offset_map(self):
-        m = getattr(self, "_cached_offsets", None)
-        if m is None:
-            m = {}
-            pos = 0
-            for e in self.entries:
-                for c, comp in enumerate(e.seg_lengths):
-                    for r, length in enumerate(comp, start=1):
-                        m[(e.index, c, r)] = (pos, length)
-                        pos += length
-            object.__setattr__(self, "_cached_offsets", m)
+    @cached_property
+    def _offset_map(self) -> dict[tuple[int, int, int], tuple[int, int]]:
+        m = {}
+        pos = 0
+        for e in self.entries:
+            for c, comp in enumerate(e.seg_lengths):
+                for r, length in enumerate(comp, start=1):
+                    m[(e.index, c, r)] = (pos, length)
+                    pos += length
         return m
 
     def segment(self, index: int, component: int, resolution: int) -> bytes:
-        pos, length = self._offset_map()[(index, component, resolution)]
+        pos, length = self._offset_map[(index, component, resolution)]
         return self.payload[pos : pos + length]
 
 
@@ -441,18 +399,12 @@ def decode(
         shapes = _band_shapes(tw, th, cs.levels)
         planes = []
         for c in range(cs.components):
-            ll = decode_bands(cs.segment(index, c, 1), [shapes[0][0][0] * shapes[0][0][1]])[
-                0
-            ].reshape(shapes[0][0])
-            details = []
-            for r in range(2, resolution + 1):
-                shp = shapes[r - 1]
-                bands = decode_bands(
-                    cs.segment(index, c, r), [h * w for h, w in shp]
-                )
-                details.append(tuple(b.reshape(s) for b, s in zip(bands, shp)))
-            pyr = wavelet.CoefficientPyramid(ll=ll, details=tuple(details))
-            rec = wavelet.inverse_53(pyr)
+            levels = []
+            for r, shp in enumerate(shapes[:resolution], start=1):
+                bands = decode_bands(cs.segment(index, c, r), [h * w for h, w in shp])
+                levels.append(tuple(b.reshape(s) for b, s in zip(bands, shp)))
+            (ll,), *details = levels
+            rec = wavelet.inverse_53(wavelet.CoefficientPyramid(ll=ll, details=tuple(details)))
             planes.append(np.clip(rec + 128, 0, 255).astype(np.uint8))
         out.append((index, Image(np.stack(planes, axis=-1))))
     return out
@@ -478,16 +430,8 @@ def extract(cs: Codestream, indices, resolution: int) -> Codestream:
             for r in range(1, resolution + 1):
                 chunks.append(cs.segment(index, c, r))
         entries.append(TileEntry(index=index, seg_lengths=tuple(comp_lengths)))
-    return Codestream(
-        width=cs.width,
-        height=cs.height,
-        tile_w=cs.tile_w,
-        tile_h=cs.tile_h,
-        levels=cs.levels,
-        components=cs.components,
-        max_resolution=resolution,
-        entries=tuple(entries),
-        payload=b"".join(chunks),
+    return dataclasses.replace(
+        cs, max_resolution=resolution, entries=tuple(entries), payload=b"".join(chunks)
     )
 
 

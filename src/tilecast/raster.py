@@ -8,6 +8,7 @@ graymap/pixmap files (P5/P6, maxval 255) are read and written.
 from __future__ import annotations
 
 import csv
+import io
 import re
 from dataclasses import dataclass
 
@@ -207,24 +208,43 @@ def save_ground_truth(path, boxes: list[GroundTruthBox]) -> None:
             writer.writerow([b.object_id, b.class_id, b.x, b.y, b.w, b.h])
 
 
+def _csv_rows(path, error: type[ValueError]):
+    """Yield (line number, row) for each record of a UTF-8 CSV file.
+
+    Bytes that are not UTF-8 and rows the csv module refuses (an
+    oversized field, say) raise ``error`` naming the path and the line.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}: line {line}: not UTF-8 text") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        for row in reader:
+            yield reader.line_num, row
+    except csv.Error as exc:
+        raise error(f"{path}: line {reader.line_num}: {exc}") from None
+
+
 def load_ground_truth(path) -> list[GroundTruthBox]:
-    with open(path, "r", newline="") as fh:
-        reader = csv.reader(fh)
+    rows = _csv_rows(path, ImageIOError)
+    _, header = next(rows, (0, None))
+    if header is None:
+        raise ImageIOError(f"{path}: empty ground-truth file")
+    if header != _GT_HEADER:
+        raise ImageIOError(f"{path}: bad ground-truth header {header!r}")
+    boxes = []
+    for lineno, row in rows:
+        if not row:
+            continue
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ImageIOError(f"{path}: empty ground-truth file") from None
-        if header != _GT_HEADER:
-            raise ImageIOError(f"{path}: bad ground-truth header {header!r}")
-        boxes = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                vals = [int(v) for v in row]
-                boxes.append(GroundTruthBox(*vals))
-            except (ValueError, TypeError) as exc:
-                raise ImageIOError(f"{path}: line {lineno}: {exc}") from None
+            vals = [int(v) for v in row]
+            boxes.append(GroundTruthBox(*vals))
+        except (ValueError, TypeError) as exc:
+            raise ImageIOError(f"{path}: line {lineno}: {exc}") from None
     return boxes
 
 

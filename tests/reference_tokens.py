@@ -1,0 +1,60 @@
+"""Per-band token decoder: the reference ``decode_bands`` must agree with.
+
+This is the body ``tilecast.codestream.decode_bands`` had before it
+checked every run against the band sizes and expanded them in one
+``np.repeat``: each band is cut from the token stream with its own
+``searchsorted`` and expanded on its own. On any input both return the
+same bands or both raise ``CodestreamError``.
+"""
+
+import numpy as np
+
+from tilecast.codestream import _MAX_COEFF_TOKEN, CodestreamError, decode_varints
+
+
+def reference_decode_bands(buf, counts):
+    tokens = decode_varints(buf)
+    n = tokens.size
+    is_zero = tokens == 0
+    preceded_by_zero = np.concatenate([[False], is_zero[:-1]])
+    is_intro = is_zero & ~preceded_by_zero
+    is_runlen = np.concatenate([[False], is_intro[:-1]])
+    if np.any(is_zero & is_runlen):
+        raise CodestreamError("zero-length zero run")
+    if np.any(is_zero & ~is_intro):
+        # a zero token right after a completed run's length
+        raise CodestreamError("zero-length zero run")
+    if n and is_intro[-1]:
+        raise CodestreamError("dangling zero-run introducer")
+    out_counts = np.where(is_runlen, 0, np.where(is_intro, 0, 1)).astype(np.int64)
+    if is_intro.any():
+        out_counts[is_intro] = tokens[np.flatnonzero(is_intro) + 1].astype(np.int64)
+    literal = ~is_intro & ~is_runlen
+    if np.any(tokens[literal] >= _MAX_COEFF_TOKEN):
+        raise CodestreamError("coefficient token out of range")
+    signed = tokens.astype(np.int64)
+    values = np.where(signed % 2 == 0, signed // 2, -(signed + 1) // 2)
+    values[~literal] = 0
+
+    cumulative = np.cumsum(out_counts) if n else np.empty(0, dtype=np.int64)
+    bands = []
+    tok_pos = 0
+    produced = 0
+    for count in counts:
+        if count == 0:
+            bands.append(np.empty(0, dtype=np.int64))
+            continue
+        target = produced + count
+        cut = int(np.searchsorted(cumulative, target, side="left"))
+        if cut >= n or cumulative[cut] != target:
+            raise CodestreamError("zero run crosses a band boundary or segment is short")
+        if is_intro[cut]:
+            cut += 1  # run length token belongs to this band
+        piece_tokens = slice(tok_pos, cut + 1)
+        coeffs = np.repeat(values[piece_tokens], out_counts[piece_tokens])
+        bands.append(coeffs)
+        tok_pos = cut + 1
+        produced = target
+    if tok_pos != n:
+        raise CodestreamError("trailing tokens after final band")
+    return bands

@@ -261,7 +261,7 @@ def _trend_sweep():
     for seed in range(SEEDS):
         img, gt = tc.generate_scene(seed, 2048, 2048, 40)
         grid = TileGrid.for_image(2048, 2048, 256, 256)
-        stream = cs_mod.encode(img, grid, LEVELS)
+        stream = cs_mod.measure(img, grid, LEVELS)
         full_size = cs_mod.size_of(stream, range(grid.tile_count), LEVELS)
         det = OracleDetector(DetectorModel.default(LEVELS), grid, 2048, 2048)
         for rate in RATES:

@@ -1,5 +1,9 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tilecast.annotate import (
     AnnotationSet,
@@ -189,6 +193,44 @@ def test_file_detect_round_trip_and_errors(tmp_path):
     )
     with pytest.raises(ValueError, match="line 2.*tile index"):
         file_detect(path, grid)
+
+
+def test_file_detect_names_path_and_line_of_unreadable_rows(tmp_path):
+    grid = TileGrid.for_image(256, 256, 64, 64)
+    path = tmp_path / "d.csv"
+    header = b"tile_index,class_id,x,y,w,h,confidence,source\n"
+    good = b"3,0,100,100,40,20,0.85,DL\n"
+    for row, message in (
+        (b"3,0,1,1,4,2,0.5,HUM\n", "human annotations must have confidence 1.0"),
+        (b"3,0,1,1,4,2," + b"5" * 200_000 + b",DL\n", "field larger than field limit"),
+        (b"3,0,1,1,4,2,0.5,D\xc3L\n", "not UTF-8"),
+    ):
+        path.write_bytes(header + good + row)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 3: {message}")) as info:
+            file_detect(path, grid)
+        assert type(info.value) is ValueError
+
+
+_DETECTION_FIELDS = ["0", "3", "99", "-1", "0.5", "1.0", "1.5", "nan", "inf", "DL", "HUM", "", "x"]
+
+
+@given(st.one_of(
+    st.binary(),
+    st.text().map(lambda t: ("tile_index,class_id,x,y,w,h,confidence,source\n" + t).encode(
+        "utf-8", "surrogatepass")),
+    st.lists(st.lists(st.sampled_from(_DETECTION_FIELDS), min_size=7, max_size=9),
+             max_size=4).map(lambda rows: "\n".join(
+                 ["tile_index,class_id,x,y,w,h,confidence,source", *map(",".join, rows)]).encode()),
+))
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_any_file_detects_or_raises_value_error(tmp_path, content):
+    path = tmp_path / "fuzz.csv"
+    path.write_bytes(content)
+    try:
+        file_detect(path, TileGrid.for_image(256, 256, 64, 64))
+    except ValueError as exc:
+        assert type(exc) is ValueError and str(path) in str(exc)
 
 
 def test_detection_box_rejects_non_finite_coordinates(tmp_path):

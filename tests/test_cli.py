@@ -230,6 +230,40 @@ detections   = {det}
     assert (out / "grid.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "csv_name, row, message",
+    [
+        ("gt.csv", b"0,1,2,3,4," + b"5" * 200_000, "line 2: field larger than field limit"),
+        ("gt.csv", b"0,1,2,3,4,\xff", "line 2: not UTF-8"),
+        ("det.csv", b"0,0,1,1,4,2,0.5,HUM", "line 2: human annotations must have confidence 1.0"),
+    ],
+    ids=["oversized-field", "not-utf8", "human-confidence"],
+)
+def test_run_reports_an_unreadable_csv_in_one_line(tmp_path, capsys, scene, csv_name, row, message):
+    _, _, ipath, gpath = scene
+    det = tmp_path / "det.csv"
+    det.write_text("tile_index,class_id,x,y,w,h,confidence,source\n")
+    bad = tmp_path / csv_name
+    bad.write_bytes(bad.read_bytes().splitlines(keepends=True)[0] + row + b"\n")
+    cfg = write_cfg(
+        tmp_path,
+        f"""
+image        = {ipath}
+ground_truth = {gpath}
+tile_w       = 32
+tile_h       = 32
+levels       = 3
+data_rates   = 64
+t_TRlimits   = 60
+detections   = {det}
+""",
+        name="replay.cfg",
+    )
+    assert main(["--quiet", "--out-dir", str(tmp_path / "out"), "run", cfg]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {bad}: {message}")
+
+
 def test_global_flags_accepted_after_subcommand(tmp_path):
     cfg = write_cfg(tmp_path)
     before = tmp_path / "before"

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import struct
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_tokens import reference_decode_bands
 from tilecast import codestream as cs
 from tilecast import config, scenario
 from tilecast.codestream import (
@@ -23,9 +25,7 @@ from tilecast.codestream import (
     measure,
     parse_codestream,
     size_of,
-    unzigzag,
     write_codestream,
-    zigzag,
 )
 from tilecast.raster import Image, TileGrid, generate_scene
 
@@ -39,15 +39,9 @@ def random_image(rng, max_side=120, comps=None):
     return Image(rng.integers(0, 256, size=(h, w, c)).astype(np.uint8))
 
 
-def test_zigzag_fixture():
-    assert [zigzag(c) for c in (0, -1, 1, -2)] == [0, 1, 2, 3]
-
-
-@given(st.integers(min_value=-(2**31), max_value=2**31 - 1))
-def test_zigzag_bijective(c):
-    assert unzigzag(zigzag(c)) == c
-    if c != 0:
-        assert zigzag(c) >= 1
+def test_band_wire_fixture():
+    # literals are zigzag codes: -1 -> 1, 1 -> 2, -2 -> 3
+    assert encode_band(np.array([-1, 1, -2])) == b"\x01\x02\x03"
 
 
 def test_varint_hand_values():
@@ -94,6 +88,19 @@ def test_band_decode_rejects_garbage():
         decode_bands(encode_varints(np.array([2, 2], dtype=np.uint64)), [1])
 
 
+def test_band_decode_checks_runs_before_expanding(monkeypatch):
+    def no_expansion(*args, **kwargs):
+        raise AssertionError("a zero run was expanded")
+
+    monkeypatch.setattr(np, "repeat", no_expansion)
+    bomb = encode_varints(np.array([0, 2**34], dtype=np.uint64))
+    with pytest.raises(CodestreamError, match="crosses a band boundary or segment is short"):
+        decode_bands(bomb, [4])
+    straddle = encode_varints(np.array([0, 3], dtype=np.uint64))
+    with pytest.raises(CodestreamError, match="crosses a band boundary"):
+        decode_bands(straddle, [2, 1])
+
+
 # zero runs at the varint length steps, and literals whose zigzag codes need 1-5 bytes
 _RUN_LENGTHS = st.one_of(
     st.sampled_from([1, 2, 127, 128, 129, 16383, 16384, 16385]),
@@ -107,10 +114,10 @@ _LITERALS = st.one_of(
 
 
 @st.composite
-def bands(draw):
+def bands(draw, literals=_LITERALS):
     pieces = draw(st.lists(st.one_of(
         _RUN_LENGTHS.map(lambda n: np.zeros(n, dtype=np.int64)),
-        st.lists(_LITERALS, min_size=1, max_size=8).map(
+        st.lists(literals, min_size=1, max_size=8).map(
             lambda v: np.array(v, dtype=np.int64)),
     ), max_size=6))
     return np.concatenate([np.empty(0, dtype=np.int64), *pieces])
@@ -120,6 +127,56 @@ def bands(draw):
 @settings(max_examples=300)
 def test_band_size_equals_encoded_length(band):
     assert band_size(band) == len(encode_band(band))
+
+
+@given(st.lists(bands(_LITERALS.filter(lambda c: c < 2**31)), max_size=4))
+@settings(max_examples=200)
+def test_band_round_trip_over_several_bands(band_list):
+    buf = b"".join(encode_band(band) for band in band_list)
+    got = decode_bands(buf, [band.size for band in band_list])
+    assert len(got) == len(band_list)
+    for out, band in zip(got, band_list):
+        assert out.dtype == np.int64 and np.array_equal(out, band)
+
+
+# short token streams: zeros (run starts or zero-length runs), small
+# literals or run lengths, and tokens at and beyond the 2**32 literal ceiling
+_TOKENS = st.lists(
+    st.sampled_from([0, 0, 0, 1, 1, 2, 3, 6, 2**32 - 1, 2**32, 2**34]), max_size=8
+)
+
+
+@st.composite
+def token_streams(draw):
+    """Tokens and band counts, the counts mostly cutting what the tokens expand to."""
+    tokens = draw(_TOKENS)
+    total, i = 0, 0  # coefficients, reading a zero as a run start and anything else as a literal
+    while i < len(tokens):
+        if tokens[i] == 0 and i + 1 < len(tokens):
+            total, i = total + tokens[i + 1], i + 2
+        else:
+            total, i = total + 1, i + 1
+    if total > 64 or draw(st.booleans()) and draw(st.booleans()):
+        return tokens, draw(st.lists(st.sampled_from([0, 0, 1, 2, 3, 5]), max_size=5))
+    cuts = sorted(draw(st.lists(st.integers(0, total), max_size=4)))
+    return tokens, np.diff([0, *cuts, total]).tolist()
+
+
+@given(token_streams())
+@settings(max_examples=500)
+def test_decode_bands_agrees_with_reference(stream):
+    tokens, counts = stream
+    buf = encode_varints(np.array(tokens, dtype=np.uint64))
+    try:
+        want = reference_decode_bands(buf, counts)
+    except CodestreamError:
+        with pytest.raises(CodestreamError):
+            decode_bands(buf, counts)
+        return
+    got = decode_bands(buf, counts)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def test_band_size_edge_cases():
@@ -137,18 +194,25 @@ def test_band_size_edge_cases():
 
 
 def _assert_measure_matches_encode(img, grid, levels):
+    """Check ``measure`` against ``encode`` and return the .ssc bytes."""
     table, stream = measure(img, grid, levels), encode(img, grid, levels)
     assert type(table) is CodestreamTable
     for field in ("width", "height", "tile_w", "tile_h", "levels", "components",
                   "max_resolution", "entries"):
         assert getattr(table, field) == getattr(stream, field), field
+    return write_codestream(stream)
 
 
 def test_measure_matches_encode_on_example_scene():
     cfg = config.parse_config(EXAMPLE_CFG)
     img, _ = scenario.load_scene(cfg)
     grid = TileGrid.for_image(img.width, img.height, cfg.tile_w, cfg.tile_h)
-    _assert_measure_matches_encode(img, grid, cfg.levels)
+    blob = _assert_measure_matches_encode(img, grid, cfg.levels)
+    # the .ssc bytes are pinned: a faster coder must write the same stream
+    assert len(blob) == 20_961_238
+    assert hashlib.sha256(blob).hexdigest() == (
+        "c5cfee84e5be1b1a509c12abf51e3d2fb11fab0f33038a72bdd2782ac2f0b6b0"
+    )
 
 
 def test_measure_matches_encode_on_dense_scene():
@@ -158,6 +222,7 @@ def test_measure_matches_encode_on_dense_scene():
 
 def test_measure_matches_encode_on_odd_tilings():
     rng = np.random.default_rng(12)
+    digest = hashlib.sha256()
     for _ in range(80):
         img = random_image(rng)
         if rng.random() < 0.3:  # flat areas give long zero runs
@@ -165,7 +230,10 @@ def test_measure_matches_encode_on_odd_tilings():
         tw = int(rng.integers(1, img.width + 20))
         th = int(rng.integers(1, img.height + 20))
         grid = TileGrid.for_image(img.width, img.height, tw, th)
-        _assert_measure_matches_encode(img, grid, int(rng.integers(1, 6)))
+        digest.update(_assert_measure_matches_encode(img, grid, int(rng.integers(1, 6))))
+    assert digest.hexdigest() == (
+        "c32aa6f07a5d034b6048ebdae0e0041996324c5b453af21335e6fdc936529e61"
+    )
 
 
 def test_measure_validates_like_encode():

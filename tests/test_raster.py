@@ -1,5 +1,9 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tilecast import raster
 from tilecast.raster import (
@@ -155,3 +159,47 @@ def test_ground_truth_csv_round_trip(tmp_path):
     p.write_text("wrong,header\n")
     with pytest.raises(ImageIOError, match="header"):
         load_ground_truth(p)
+
+
+def test_ground_truth_names_path_and_line_of_unreadable_rows(tmp_path):
+    p = tmp_path / "gt.csv"
+    header = b"object_id,class_id,x,y,w,h\n"
+    # a field past the csv module's 131,072-character limit
+    p.write_bytes(header + b"0,1,2,3,4," + b"5" * 200_000 + b"\n")
+    with pytest.raises(ImageIOError, match=re.escape(f"{p}: line 2: field larger than")):
+        load_ground_truth(p)
+    p.write_bytes(header + b"0,1,2,3,4,5\n1,1,2,3,\xff,5\n")
+    with pytest.raises(ImageIOError, match=re.escape(f"{p}: line 3: not UTF-8")):
+        load_ground_truth(p)
+
+
+_PNM_FILES = st.one_of(
+    st.binary(),
+    st.tuples(st.sampled_from([b"P5", b"P6", b"P7"]), st.integers(0, 9), st.integers(0, 9),
+              st.sampled_from([0, 1, 255, 256, 10**30]), st.binary(max_size=300)).map(
+        lambda t: b"%s %d %d %d\n" % t[:4] + t[4]),
+)
+_GT_FILES = st.one_of(
+    st.binary(),
+    st.text().map(lambda t: ("object_id,class_id,x,y,w,h\n" + t).encode("utf-8", "surrogatepass")),
+    st.lists(st.lists(st.sampled_from(["0", "1", "-3", "x", "", "1e3", "9" * 5000]),
+                      max_size=7), max_size=4).map(
+        lambda rows: "\n".join(["object_id,class_id,x,y,w,h", *map(",".join, rows)]).encode()),
+)
+
+
+@pytest.mark.parametrize(
+    "reader, files",
+    [(load_image, _PNM_FILES), (load_ground_truth, _GT_FILES)],
+    ids=["image", "ground_truth"],
+)
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_file_loads_or_raises_image_io_error(tmp_path, reader, files, data):
+    p = tmp_path / "fuzz.bin"
+    p.write_bytes(data.draw(files))
+    try:
+        reader(p)
+    except ImageIOError as exc:
+        assert type(exc) is ImageIOError and str(p) in str(exc)
