@@ -17,7 +17,7 @@ import sys
 
 from . import codestream as cs_mod
 from . import raster
-from .config import ConfigError, parse_config
+from .config import parse_config
 from .scenario import run_grid
 
 
@@ -213,13 +213,7 @@ def main(argv=None) -> int:
         args.seed = 0
     try:
         return args.func(args)
-    except (
-        raster.ImageIOError,
-        cs_mod.CodestreamError,
-        ConfigError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (ValueError, OSError) as exc:  # the module errors all subclass ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

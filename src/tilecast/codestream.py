@@ -301,16 +301,9 @@ def _tile_bands(img: Image, grid: TileGrid, levels: int):
     tiles in raster order, then components, then resolutions, each
     resolution's bands in the order its segment holds them.
     """
-    if not 1 <= levels <= MAX_LEVELS:
-        raise ValueError(f"levels must be in 1..{MAX_LEVELS}, got {levels}")
-    if img.components not in (1, 3):
-        raise ValueError(f"unsupported component count {img.components}")
+    _check_header(**_header(img, grid, levels))
     if grid != TileGrid.for_image(img.width, img.height, grid.tile_w, grid.tile_h):
         raise ValueError("tile grid does not match image dimensions")
-    if img.width * img.height > MAX_PIXELS:
-        raise ValueError(f"image of {img.width}x{img.height} exceeds {MAX_PIXELS} pixels")
-    if grid.tile_w >= 1 << 16 or grid.tile_h >= 1 << 16:
-        raise ValueError("tile dimensions exceed u16")
 
     for index in range(grid.tile_count):
         x, y, tw, th = tile_bounds(grid, index, img.width, img.height)
@@ -321,6 +314,30 @@ def _tile_bands(img: Image, grid: TileGrid, levels: int):
             # deepest details first == resolution 2 first
             comps.append([(pyr.ll,), *pyr.details])
         yield index, comps
+
+
+def _check_header(
+    width: int,
+    height: int,
+    tile_w: int,
+    tile_h: int,
+    levels: int,
+    components: int,
+    max_resolution: int,
+) -> None:
+    """The header rules every codestream obeys, whether coded or parsed."""
+    if width < 1 or height < 1 or tile_w < 1 or tile_h < 1:
+        raise CodestreamError("degenerate dimensions in header")
+    if width * height > MAX_PIXELS:
+        raise CodestreamError(f"image of {width}x{height} exceeds {MAX_PIXELS} pixels")
+    if tile_w >= 1 << 16 or tile_h >= 1 << 16:
+        raise CodestreamError("tile dimensions exceed u16")
+    if not 1 <= levels <= MAX_LEVELS:
+        raise CodestreamError(f"levels {levels} outside 1..{MAX_LEVELS}")
+    if components not in (1, 3):
+        raise CodestreamError(f"unsupported component count {components}")
+    if not 1 <= max_resolution <= levels:
+        raise CodestreamError(f"max_resolution {max_resolution} outside 1..{levels}")
 
 
 def _header(img: Image, grid: TileGrid, levels: int) -> dict:
@@ -490,16 +507,7 @@ def parse_codestream(src) -> Codestream:
     _, width, height, tile_w, tile_h, levels, components, max_res, tile_count = (
         _HEADER.unpack_from(data)
     )
-    if width < 1 or height < 1 or tile_w < 1 or tile_h < 1:
-        raise CodestreamError("degenerate dimensions in header")
-    if width * height > MAX_PIXELS:
-        raise CodestreamError(f"image of {width}x{height} exceeds {MAX_PIXELS} pixels")
-    if not 1 <= levels <= MAX_LEVELS:
-        raise CodestreamError(f"levels {levels} outside 1..{MAX_LEVELS}")
-    if components not in (1, 3):
-        raise CodestreamError(f"unsupported component count {components}")
-    if not 1 <= max_res <= levels:
-        raise CodestreamError(f"max_resolution {max_res} outside 1..{levels}")
+    _check_header(width, height, tile_w, tile_h, levels, components, max_res)
     grid = TileGrid.for_image(width, height, tile_w, tile_h)
     if tile_count < 1 or tile_count > grid.tile_count:
         raise CodestreamError(

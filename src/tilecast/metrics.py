@@ -15,6 +15,11 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
+# Largest boxes x ground-truth product scored at once. iou_matrix holds
+# about five float64 matrices of that shape at its peak, 40 bytes per
+# pair: 640 MiB at this bound.
+MAX_IOU_PAIRS = 1 << 24
+
 
 class InfeasibleComparisonError(ValueError):
     """A ratio was requested against an infeasible (empty) run."""
@@ -37,7 +42,15 @@ def iou_matrix(boxes: Sequence, gt: Sequence) -> np.ndarray:
     The float64 operations are ``iou``'s, in the same order, so each
     entry equals ``iou(boxes[i], gt[j])`` bit for bit for finite
     coordinates. Boxes that do not overlap get 0.0 from ``0 / union``.
+    More than ``MAX_IOU_PAIRS`` pairs raise ``ValueError`` before any
+    matrix is allocated.
     """
+    pairs = len(boxes) * len(gt)
+    if pairs > MAX_IOU_PAIRS:
+        raise ValueError(
+            f"{len(boxes)} detections against {len(gt)} ground-truth boxes make "
+            f"{pairs} IoU pairs, more than the {MAX_IOU_PAIRS} scored at once"
+        )
     a = np.array([(b.x, b.y, b.w, b.h) for b in boxes], dtype=np.float64).reshape(-1, 4)
     g = np.array([(b.x, b.y, b.w, b.h) for b in gt], dtype=np.float64).reshape(-1, 4)
     ax, ay, aw, ah = (a[:, k, None] for k in range(4))

@@ -22,7 +22,7 @@ from .channel import ChannelSpec
 from .config import ScenarioConfig
 from .metrics import ComparisonRow, InfeasibleComparisonError, response_ratio, recall_difference
 from .pipeline import RunResult, run_baseline, run_streamlined
-from .raster import TileGrid, generate_scene, load_ground_truth, load_image
+from .raster import ImageIOError, TileGrid, generate_scene, load_ground_truth, load_image
 from .svg import Panel, render_recall_svg
 
 GRID_CSV_HEADER = (
@@ -81,11 +81,21 @@ def make_row(rate_kbps: float, limit_s: float, base: RunResult, prop: RunResult)
 
 
 def load_scene(cfg: ScenarioConfig):
-    """Materialize the configured image and ground truth."""
+    """Materialize the configured image and ground truth.
+
+    Every ground-truth box must lie wholly inside the image.
+    """
     if cfg.synthetic is not None:
         s = cfg.synthetic
         return generate_scene(s.seed, s.width, s.height, s.objects, cfg.object_size)
-    return load_image(cfg.image_path), load_ground_truth(cfg.ground_truth)
+    img, gt = load_image(cfg.image_path), load_ground_truth(cfg.ground_truth)
+    for b in gt:
+        if b.x < 0 or b.y < 0 or b.x + b.w > img.width or b.y + b.h > img.height:
+            raise ImageIOError(
+                f"{cfg.ground_truth}: object {b.object_id} at ({b.x}, {b.y}) size "
+                f"{b.w}x{b.h} lies outside the {img.width}x{img.height} image"
+            )
+    return img, gt
 
 
 def run_grid(

@@ -9,8 +9,11 @@ the LeGall 5/3 lifting steps
 applied rows-then-columns, using whole-sample symmetric extension at
 boundaries. Even-indexed samples feed the low-pass band, so a length-n
 signal splits into ceil(n/2) low and floor(n/2) high samples and odd
-dimensions are handled without padding. The transform is exactly
-invertible on integer input.
+dimensions are handled without padding. One boundary rule serves every
+length: a neighbour past either end of a band is that band's edge
+sample (d[-1] = d[0], d[nd] = d[nd-1], x[2ns] = x[2ns-2]), so analysis
+and synthesis share two lifting terms and never branch on parity. The
+transform is exactly invertible on integer input.
 """
 
 from __future__ import annotations
@@ -56,56 +59,45 @@ def _as_coeffs(a) -> np.ndarray:
     return arr
 
 
+def _update_term(d: np.ndarray, ns: int) -> np.ndarray:
+    """floor((d[k-1] + d[k] + 2) / 4) for k in 0..ns-1, d mirrored at both ends."""
+    edged = np.concatenate([d[..., :1], d, d[..., -1:]], axis=-1)
+    return (edged[..., :ns] + edged[..., 1 : ns + 1] + 2) >> 2
+
+
+def _predict_term(even: np.ndarray, nd: int) -> np.ndarray:
+    """floor((even[k] + even[k+1]) / 2) for k in 0..nd-1, even mirrored at the end."""
+    following = np.concatenate([even[..., 1:], even[..., -1:]], axis=-1)
+    return (even[..., :nd] + following[..., :nd]) >> 1
+
+
 def _analyze_last(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One lifting pass along the last axis: returns (low, high)."""
-    n = a.shape[-1]
     even = np.ascontiguousarray(a[..., 0::2])
     odd = np.ascontiguousarray(a[..., 1::2])
-    nd = odd.shape[-1]
+    ns, nd = even.shape[-1], odd.shape[-1]
     if nd == 0:
         return even, odd
-    if n % 2 == 0:
-        even_next = np.concatenate([even[..., 1:], even[..., -1:]], axis=-1)
-        d = odd - ((even + even_next) >> 1)
-        d_left = np.concatenate([d[..., :1], d[..., :-1]], axis=-1)
-        d_right = d
-    else:
-        d = odd - ((even[..., :-1] + even[..., 1:]) >> 1)
-        d_left = np.concatenate([d[..., :1], d], axis=-1)
-        d_right = np.concatenate([d, d[..., -1:]], axis=-1)
-    s = even + ((d_left + d_right + 2) >> 2)
-    return s, d
+    d = odd - _predict_term(even, nd)
+    return even + _update_term(d, ns), d
 
 
 def _synthesize_last(s: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Invert _analyze_last: interleave (low, high) back into samples."""
     ns, nd = s.shape[-1], d.shape[-1]
-    n = ns + nd
     if nd == 0:
         return s.copy()
-    if ns == nd:
-        d_left = np.concatenate([d[..., :1], d[..., :-1]], axis=-1)
-        d_right = d
-    else:
-        d_left = np.concatenate([d[..., :1], d], axis=-1)
-        d_right = np.concatenate([d, d[..., -1:]], axis=-1)
-    even = s - ((d_left + d_right + 2) >> 2)
-    if n % 2 == 0:
-        even_next = np.concatenate([even[..., 1:], even[..., -1:]], axis=-1)
-        odd = d + ((even + even_next) >> 1)
-    else:
-        odd = d + ((even[..., :-1] + even[..., 1:]) >> 1)
-    out = np.empty(s.shape[:-1] + (n,), dtype=np.int64)
+    even = s - _update_term(d, ns)
+    out = np.empty(s.shape[:-1] + (ns + nd,), dtype=np.int64)
     out[..., 0::2] = even
-    out[..., 1::2] = odd
+    out[..., 1::2] = d + _predict_term(even, nd)
     return out
 
 
 def _analyze2d(a: np.ndarray) -> tuple[Band, Band, Band, Band]:
     low, high = _analyze_last(a)
-    lowT, highT = low.T, high.T
-    ll_t, lh_t = _analyze_last(lowT)
-    hl_t, hh_t = _analyze_last(highT)
+    ll_t, lh_t = _analyze_last(low.T)
+    hl_t, hh_t = _analyze_last(high.T)
     return ll_t.T.copy(), hl_t.T.copy(), lh_t.T.copy(), hh_t.T.copy()
 
 

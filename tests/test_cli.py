@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from tilecast import codestream as cs_mod
+from tilecast import metrics
 from tilecast import raster
 from tilecast.cli import main
 from tilecast.scenario import GRID_CSV_HEADER
@@ -262,6 +263,38 @@ detections   = {det}
     assert main(["--quiet", "--out-dir", str(tmp_path / "out"), "run", cfg]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {bad}: {message}")
+
+
+def test_run_reports_ground_truth_outside_the_image_in_one_line(tmp_path, capsys, scene):
+    _, _, ipath, gpath = scene
+    with open(gpath, "a") as fh:
+        fh.write("99,0,5000,5000,10,10\n")
+    cfg = write_cfg(
+        tmp_path,
+        f"""
+image        = {ipath}
+ground_truth = {gpath}
+tile_w       = 32
+tile_h       = 32
+levels       = 3
+data_rates   = 64
+t_TRlimits   = 60
+""",
+        name="outside.cfg",
+    )
+    assert main(["--quiet", "--out-dir", str(tmp_path / "out"), "run", cfg]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: {gpath}: object 99 ") and "outside the 96x80 image" in err[0]
+
+
+def test_run_reports_too_many_iou_pairs_in_one_line(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(metrics, "MAX_IOU_PAIRS", 5, raising=False)
+    cfg = write_cfg(tmp_path)
+    assert main(["--quiet", "--out-dir", str(tmp_path / "out"), "run", cfg]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: ") and "more than the 5 scored at once" in err[0]
 
 
 def test_global_flags_accepted_after_subcommand(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from reference_recall import reference_recall
+from tilecast import metrics
 from tilecast.annotate import AnnotationSet, DetectionBox
 from tilecast.metrics import (
     InfeasibleComparisonError,
@@ -230,6 +231,20 @@ def test_recall_by_step():
         recall_by_step(anns, [0], 1, gt)
     with pytest.raises(ValueError, match="iou_threshold"):
         recall_by_step(anns, [0, 0, 0], 0, gt, 0.0)
+
+
+def test_recall_refuses_too_many_pairs_before_allocating(monkeypatch):
+    monkeypatch.setattr(metrics, "MAX_IOU_PAIRS", 6, raising=False)
+    anns = AnnotationSet(tuple(dl(0, 10 * i, 0, 10, 10, 0.5) for i in range(3)), 1)
+    gt = [GroundTruthBox(i, 0, 10 * i, 0, 10, 10) for i in range(3)]
+    assert recall_by_step(anns, [0, 0, 0], 0, gt[:2]) == [1.0]
+
+    def no_matrix(*args, **kwargs):
+        raise AssertionError("an IoU matrix was allocated")
+
+    monkeypatch.setattr(np, "array", no_matrix)
+    with pytest.raises(ValueError, match="3 detections against 3 ground-truth boxes make 9 IoU pairs"):
+        recall_by_step(anns, [0, 0, 0], 0, gt)
 
 
 def test_human_boxes_match_first():

@@ -130,3 +130,31 @@ def test_empty_grid_rejected():
         forward_53(np.empty((0, 4)), 1)
     with pytest.raises(ValueError):
         forward_53(np.ones((4, 4)), -1)
+
+
+def _rows(band):
+    # the reference writes a band with no columns as [], not one [] per row
+    return band.tolist() if band.size else []
+
+
+def test_every_small_shape_matches_scalar_reference():
+    # 1- and 2-wide axes are where the boundary neighbours are cut to length
+    rng = np.random.default_rng(8)
+    for h in range(1, 13):
+        for w in range(1, 13):
+            g = rng.integers(-128, 128, size=(h, w))
+            pyr = forward_53(g, 1)
+            bands = [pyr.ll.tolist(), *map(_rows, pyr.details[0])]
+            assert bands == list(ref.analyze_2d(g.tolist()))
+            for depth in range((max(h, w) - 1).bit_length() + 1):
+                assert forward_53(g, depth).ll.tolist() == ref.ll_chain(g.tolist(), depth)
+    for n in range(1, 13):
+        ns, nd = wavelet.split_dims(n)
+        s = rng.integers(-300, 300, size=ns)
+        d = rng.integers(-300, 300, size=nd)
+        expected = ref.synthesize_1d(s.tolist(), d.tolist())
+        no_rows, no_cols = np.empty((0, n), dtype=np.int64), np.empty((n, 0), dtype=np.int64)
+        row = CoefficientPyramid(s[None, :], ((d[None, :], no_rows[:, :ns], no_rows[:, :nd]),))
+        column = CoefficientPyramid(s[:, None], ((no_cols[:ns], d[:, None], no_cols[:nd]),))
+        assert inverse_53(row).tolist() == [expected]
+        assert inverse_53(column).tolist() == [[v] for v in expected]
