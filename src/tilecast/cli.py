@@ -125,10 +125,15 @@ def cmd_run(args) -> int:
         cfg,
         out_dir=args.out_dir,
         threads=args.threads,
-        quiet=args.quiet,
         save_cell_detections=args.save_detections,
     )
     if not args.quiet:
+        for row in report.rows:
+            ratio = "---" if row.t_rs_ratio is None else f"{row.t_rs_ratio:.2f}"
+            print(
+                f"{row.scenario_id}: ratio={ratio} recall_diff={row.recall_diff:+.3f}"
+                + ("" if row.feasible_prop else " (proposed infeasible)")
+            )
         print(f"wrote {len(report.files)} files to {args.out_dir}")
     return 0
 

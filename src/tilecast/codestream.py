@@ -36,11 +36,10 @@ from functools import cached_property
 import numpy as np
 
 from . import wavelet
-from .raster import Image, TileGrid, tile_bounds
+from .raster import MAX_PIXELS, Image, TileGrid, tile_bounds
 
 MAGIC = b"SSC1"
 MAX_LEVELS = 8
-MAX_PIXELS = 1 << 26  # largest width * height coded or parsed (8192^2)
 _HEADER = struct.Struct(">4sIIHHBBBI")
 _MAX_COEFF_TOKEN = 1 << 32  # zigzag codes beyond this are corrupt input
 

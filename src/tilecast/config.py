@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .annotate import DetectorModel
-from .codestream import MAX_LEVELS, MAX_PIXELS
+from .codestream import MAX_LEVELS
+from .raster import MAX_PIXELS
 
 
 class ConfigError(ValueError):
@@ -133,7 +134,8 @@ def parse_config(path) -> ScenarioConfig:
     item of a comma list), checks it, and names the line of a bad one.
     Numbers must be finite, and so must the two quantities the run turns
     into integers: ``t_hum_cap / mu_t_hum``, and the largest rate in
-    bit/s times the largest limit.
+    bit/s times the largest limit. No two rates, and no two limits, may
+    share the ``:g`` label that names their output files.
     """
     raw = _read_lines(path)
 
@@ -175,6 +177,11 @@ def parse_config(path) -> ScenarioConfig:
 
     rates = get("data_rates", _NUMBER, _ALL_ABOVE_0, many=True)
     limits = get("t_TRlimits", _TIME, _ALL_ABOVE_0, many=True)
+    for key, values in (("data_rates", rates), ("t_TRlimits", limits)):
+        labels = [f"{v:g}" for v in values]  # as they appear in the output file names
+        if len(set(labels)) < len(labels):
+            clash = next(label for label in labels if labels.count(label) > 1)
+            fail(key, f"{key} repeats {clash} (values must differ in 6 significant digits)")
     if not math.isfinite(max(rates) * 1000.0 * max(limits)):
         fail("data_rates", "largest rate times largest t_TRlimit overflows")
     mu_t_hum = get("mu_t_hum", _TIME, (lambda v: v > 0, "must be > 0"), default=30.0)

@@ -1,11 +1,12 @@
 """End-to-end orchestration of the two annotation frameworks.
 
-``run_baseline`` ships every tile at full resolution, annotates with
-the detector, then sends the lowest-confidence tiles to the human.
-``run_streamlined`` first fits a resolution level and a human budget
-to the bandwidth budget (``compute_budget``), ships everything at that
-low resolution, and pulls only the tiles picked for human review back
-up to full resolution.
+Both frameworks run one flow on a ``BudgetPlan``: send every tile at
+``plan.lr``, annotate with the detector, and send the lowest-confidence
+tiles to the human. ``run_baseline`` fixes the plan at full resolution
+with a given human budget. ``run_streamlined`` fits the plan to the
+bandwidth budget (``compute_budget``), then exchanges the picked tiles'
+indices and pulls those tiles back up to full resolution. At full
+resolution with free indices the two therefore agree bit for bit.
 
 Transfers are charged by their byte counts, read from the codestream's
 table. Without a ``codestream=`` argument the table comes from
@@ -60,7 +61,10 @@ class RunResult:
     annotations: AnnotationSet
     plan: BudgetPlan
     timeline: TimelineReport
-    feasible: bool
+
+    @property
+    def feasible(self) -> bool:
+        return self.plan.lr is not None
 
 
 def plan_budget(
@@ -141,9 +145,7 @@ def compute_budget(
     )
 
 
-def select_tiles_for_human(
-    anns: AnnotationSet, budget: int, grid: TileGrid
-) -> list[int]:
+def select_tiles_for_human(anns: AnnotationSet, budget: int) -> list[int]:
     """Tiles owning the lowest-confidence detections, up to ``budget``.
 
     Boxes are ranked by ascending confidence (ties: lower tile index,
@@ -202,6 +204,38 @@ def _human_timeline(
     return events, merged
 
 
+def _run_plan(
+    cs: cs_mod.CodestreamTable, ch: ChannelSpec, plan: BudgetPlan, exchange: bool,
+    mu_t_hum: float, detector, gt: Sequence[GroundTruthBox], seed: int,
+    compute_delay: float, iou_threshold: float,
+) -> RunResult:
+    """The flow both frameworks run on their plan.
+
+    With ``exchange`` the picked tiles' indices go up and those tiles
+    come back at ``plan.hr``: a zero-byte transfer when ``plan.lr`` is
+    already full resolution. An infeasible plan sends nothing.
+    """
+    if plan.lr is None:
+        timeline = TimelineReport(events=(), t_tr=0.0, t_hum=0.0)
+        return RunResult(annotations=AnnotationSet(), plan=plan, timeline=timeline)
+    all_tiles = list(range(cs.grid.tile_count))
+    label = ch_mod.LABEL_LR_ALL if exchange else ch_mod.LABEL_HR_ALL
+    tr_all = transmit(cs_mod.size_of(cs, all_tiles, plan.lr), ch, label)
+    dl_anns = detector.detect(all_tiles, gt, plan.lr, seed)
+    selected = select_tiles_for_human(dl_anns, plan.human_budget)
+    dl_time = compute_delay + tr_all.seconds
+    t_tr = dl_time
+    if exchange:
+        t_tr += transmit(ch_mod.INDEX_BYTES * len(selected), ch, ch_mod.LABEL_INDICES).seconds
+        hr_bytes = cs_mod.size_of(cs, selected, plan.hr) if selected and plan.lr < plan.hr else 0
+        t_tr += transmit(hr_bytes, ch, ch_mod.LABEL_HR_SELECTED).seconds
+    events, merged = _human_timeline(
+        dl_anns, selected, gt, cs.grid, dl_time, t_tr, mu_t_hum, iou_threshold
+    )
+    timeline = TimelineReport(events=tuple(events), t_tr=t_tr, t_hum=mu_t_hum * len(selected))
+    return RunResult(annotations=merged, plan=plan, timeline=timeline)
+
+
 def run_baseline(
     img: Image,
     grid: TileGrid,
@@ -219,27 +253,17 @@ def run_baseline(
 ) -> RunResult:
     """Conventional flow: send everything at full resolution, then refine.
 
-    The human budget is an input here; the framework does not adapt to
-    the channel, which is exactly its weakness. The transfer is charged
-    by the full payload's byte count; no tile is encoded or decoded.
-    ``codestream`` may be a ``Codestream`` or just its ``CodestreamTable``.
+    The flow runs on a fixed plan, ``lr = hr = levels`` with the given
+    human budget, and without the index exchange: the human's tiles are
+    already on the ground. The framework does not adapt to the channel,
+    which is exactly its weakness. ``codestream`` may be a
+    ``Codestream`` or just its ``CodestreamTable``.
     """
     cs = codestream if codestream is not None else cs_mod.measure(img, grid, levels)
-    all_tiles = list(range(grid.tile_count))
-    tr = transmit(cs_mod.size_of(cs, all_tiles, levels), ch, ch_mod.LABEL_HR_ALL)
-    dl_anns = detector.detect(all_tiles, gt, levels, seed)
-    selected = select_tiles_for_human(dl_anns, human_budget, grid)
-    t_tr = tr.seconds + compute_delay
-    events, merged = _human_timeline(
-        dl_anns, selected, gt, grid, t_tr, t_tr, mu_t_hum, iou_threshold
+    plan = BudgetPlan(levels, levels, human_budget, grid.tile_count)
+    return _run_plan(
+        cs, ch, plan, False, mu_t_hum, detector, gt, seed, compute_delay, iou_threshold
     )
-    timeline = TimelineReport(
-        events=tuple(events), t_tr=t_tr, t_hum=mu_t_hum * len(selected)
-    )
-    plan = BudgetPlan(
-        lr=levels, hr=levels, human_budget=human_budget, tile_count=grid.tile_count
-    )
-    return RunResult(annotations=merged, plan=plan, timeline=timeline, feasible=True)
 
 
 def run_streamlined(
@@ -260,50 +284,20 @@ def run_streamlined(
 ) -> RunResult:
     """Bandwidth-adaptive flow: low resolution first, detail on demand.
 
-    When the budget cannot carry even the lowest resolution the run is
-    infeasible: no transmissions, empty annotations, recall 0. When the
-    chosen level is already full resolution the high-resolution
-    re-transfer is skipped (the ground station holds those tiles), so
-    the flow degenerates to the baseline plus the index exchange. That
-    exchange takes no time unless ``ch.charge_index_bytes`` is set.
-    Without index charging, and with a human budget equal to the
-    baseline's ``human_budget``, the result then equals
-    ``run_baseline``'s for the same remaining arguments: the same
-    timeline, bit for bit, and the same annotations.
-
-    Each transfer is charged by the byte count of what the UAV would
-    send (``size_of`` of those tiles up to that level, which is the
-    payload length of the matching ``extract``); nothing is encoded,
-    extracted or decoded. ``codestream`` may be a ``Codestream`` or just
-    its ``CodestreamTable``.
+    ``compute_budget`` fits the plan to the channel, and the flow runs
+    it with the index exchange. When the budget cannot carry even the
+    lowest resolution the run is infeasible: no transmissions, empty
+    annotations, recall 0. When the chosen level is already full
+    resolution the re-transfer is empty, so the flow is the baseline's
+    plus the index exchange, which takes no time unless
+    ``ch.charge_index_bytes`` is set. Without index charging, and with a
+    human budget equal to the baseline's ``human_budget``, the result
+    then equals ``run_baseline``'s for the same remaining arguments: the
+    same timeline, bit for bit, and the same annotations. ``codestream``
+    may be a ``Codestream`` or just its ``CodestreamTable``.
     """
     cs = codestream if codestream is not None else cs_mod.measure(img, grid, levels)
-    plan = compute_budget(
-        cs, ch, mu_t_hum, t_hum_cap, estimate=tile_size_estimate
+    plan = compute_budget(cs, ch, mu_t_hum, t_hum_cap, estimate=tile_size_estimate)
+    return _run_plan(
+        cs, ch, plan, True, mu_t_hum, detector, gt, seed, compute_delay, iou_threshold
     )
-    if plan.lr is None:
-        timeline = TimelineReport(events=(), t_tr=0.0, t_hum=0.0)
-        return RunResult(
-            annotations=AnnotationSet(),
-            plan=plan,
-            timeline=timeline,
-            feasible=False,
-        )
-    all_tiles = list(range(grid.tile_count))
-    tr_lr = transmit(cs_mod.size_of(cs, all_tiles, plan.lr), ch, ch_mod.LABEL_LR_ALL)
-    dl_anns = detector.detect(all_tiles, gt, plan.lr, seed)
-    selected = select_tiles_for_human(dl_anns, plan.human_budget, grid)
-    tr_idx = transmit(ch_mod.INDEX_BYTES * len(selected), ch, ch_mod.LABEL_INDICES)
-    if selected and plan.lr < levels:
-        tr_hr = transmit(cs_mod.size_of(cs, selected, levels), ch, ch_mod.LABEL_HR_SELECTED)
-    else:
-        tr_hr = transmit(0, ch, ch_mod.LABEL_HR_SELECTED)
-    dl_time = compute_delay + tr_lr.seconds
-    t_tr = dl_time + tr_idx.seconds + tr_hr.seconds
-    events, merged = _human_timeline(
-        dl_anns, selected, gt, grid, dl_time, t_tr, mu_t_hum, iou_threshold
-    )
-    timeline = TimelineReport(
-        events=tuple(events), t_tr=t_tr, t_hum=mu_t_hum * len(selected)
-    )
-    return RunResult(annotations=merged, plan=plan, timeline=timeline, feasible=True)

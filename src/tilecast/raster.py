@@ -16,6 +16,8 @@ import numpy as np
 
 from . import rng
 
+MAX_PIXELS = 1 << 26  # largest width * height generated, coded or parsed (8192^2)
+
 
 class ImageIOError(ValueError):
     """A portable image or ground-truth file failed to parse or serialize."""
@@ -266,6 +268,8 @@ def generate_scene(
     """
     if width < 1 or height < 1:
         raise ValueError("scene dimensions must be >= 1")
+    if width * height > MAX_PIXELS:
+        raise ValueError(f"scene of {width}x{height} exceeds {MAX_PIXELS} pixels")
     if object_count < 0:
         raise ValueError("object_count must be >= 0")
     lo, hi = size_range

@@ -102,7 +102,6 @@ def run_grid(
     cfg: ScenarioConfig,
     out_dir: str = ".",
     threads: int = 1,
-    quiet: bool = True,
     save_cell_detections: bool = False,
 ) -> GridReport:
     """Execute the full scenario grid and emit all report files."""
@@ -193,24 +192,11 @@ def run_grid(
 
     for rate in cfg.data_rates_kbps:
         panels = [
-            Panel(
-                title=f"t_TRlimit {limit:g} s",
-                baseline=cell.base.timeline,
-                proposed=cell.prop.timeline,
-            )
-            for limit in cfg.t_tr_limits_s
+            Panel(f"t_TRlimit {cell.limit_s:g} s", cell.base.timeline, cell.prop.timeline)
             for cell in cells
-            if cell.rate_kbps == rate and cell.limit_s == limit
+            if cell.rate_kbps == rate
         ]
         spath = os.path.join(out_dir, f"recall_vs_time_{rate:g}.svg")
         render_recall_svg(spath, rate, panels)
         files.append(spath)
-
-    if not quiet:
-        for row in rows:
-            ratio = "---" if row.t_rs_ratio is None else f"{row.t_rs_ratio:.2f}"
-            print(
-                f"{row.scenario_id}: ratio={ratio} recall_diff={row.recall_diff:+.3f}"
-                + ("" if row.feasible_prop else " (proposed infeasible)")
-            )
     return GridReport(rows=rows, cells=cells, files=files)

@@ -187,7 +187,7 @@ def test_criterion_4_indexer_oracle():
                 expect.append(t)
             if len(expect) == budget:
                 break
-        if select_tiles_for_human(anns, budget, grid) != expect[:budget]:
+        if select_tiles_for_human(anns, budget) != expect[:budget]:
             wrong += 1
     report(4, "indexer oracle", wrong == 0, "10000 annotation sets exact incl. tie-breaks")
 

@@ -7,8 +7,9 @@ import pytest
 
 from tilecast import codestream as cs_mod
 from tilecast import metrics
-from tilecast import raster
+from tilecast import raster, scenario
 from tilecast.cli import main
+from tilecast.config import parse_config
 from tilecast.scenario import GRID_CSV_HEADER
 
 
@@ -146,6 +147,37 @@ def test_run_emits_reports(tmp_path):
         for panel in panels:
             polys = [p for p in panel.iter() if p.tag.endswith("polyline")]
             assert len(polys) == 2
+
+
+def test_run_prints_one_line_per_cell_then_the_file_count(tmp_path, capsys):
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "out"
+    assert main(["--out-dir", str(out), "run", cfg]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = [row.split(",") for row in (out / "grid.csv").read_text().splitlines()[1:]]
+    assert len(lines) == len(rows) + 1 == 5
+    for line, row in zip(lines, rows):
+        ratio = "---" if row[6] == "" else f"{float(row[6]):.2f}"
+        suffix = "" if row[3] == "true" else " (proposed infeasible)"
+        assert line == f"{row[0]}kbps_{row[1]}s: ratio={ratio} recall_diff={float(row[9]):+.3f}{suffix}"
+    assert lines[-1] == f"wrote {len(os.listdir(out))} files to {out}"
+    # the library itself prints nothing
+    scenario.run_grid(parse_config(cfg), str(tmp_path / "lib"))
+    assert capsys.readouterr().out == ""
+
+
+def test_gen_scene_over_the_pixel_ceiling_is_one_error_line(tmp_path, capsys, monkeypatch):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("pixels allocated before the ceiling check")
+
+    for name in ("arange", "empty", "zeros"):
+        monkeypatch.setattr(np, name, no_allocation)
+    out = tmp_path / "big.ppm"
+    argv = ["gen-scene", "-o", out, "--width", 100_000, "--height", 100_000, "--objects", 1]
+    assert run(*argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: scene of 100000x100000 exceeds {raster.MAX_PIXELS} pixels"]
+    assert not out.exists()
 
 
 def test_run_deterministic_across_runs_and_threads(tmp_path):
@@ -324,6 +356,8 @@ def test_cli_error_paths(tmp_path, capsys):
         ({"t_TRlimits": "nan"}, "line 8: bad time value 'nan'"),
         # finite, but the full-resolution transfer takes longer than any float
         ({"data_rates": "5e-324", "mu_t_hum": "1e6"}, "timeline event times must be finite"),
+        # both would write timeline_16_20.csv
+        ({"data_rates": "16, 16.0000001"}, "line 7: data_rates repeats 16 "),
     ],
 )
 def test_run_reports_unusable_numbers_in_one_line(tmp_path, capsys, overrides, message):

@@ -237,6 +237,26 @@ def test_values_the_run_cannot_use_name_their_line(tmp_path, lines, key):
         parse_config(write(tmp_path, text))
 
 
+@pytest.mark.parametrize(
+    "key, values, clash",
+    [
+        ("data_rates", "16, 16.0000001", "16"),
+        ("data_rates", "22, 88, 22", "22"),
+        ("t_TRlimits", "30, 30", "30"),
+        ("t_TRlimits", "1m, 60", "60"),
+    ],
+)
+def test_rates_or_limits_sharing_a_file_label_are_refused(tmp_path, key, values, clash):
+    base = {"synthetic": "1, 512, 512, 1", "data_rates": "16, 16.0001", "t_TRlimits": "30, 31"}
+    text = "".join(f"{k} = {v}\n" for k, v in base.items())
+    assert parse_config(write(tmp_path, text)).data_rates_kbps == (16.0, 16.0001)
+    base[key] = values
+    text = "".join(f"{k} = {v}\n" for k, v in base.items())
+    lineno = list(base).index(key) + 1
+    with pytest.raises(ConfigError, match=f"line {lineno}: {key} repeats {clash} "):
+        parse_config(write(tmp_path, text))
+
+
 def test_pixel_ceiling_and_object_size_bounds_are_inclusive(tmp_path):
     side = math.isqrt(MAX_PIXELS)
     cfg = parse_config(write(tmp_path, MINIMAL.replace("512, 512", f"{side}, {side}")))

@@ -138,10 +138,9 @@ def test_compute_budget_equals_plan_from_size_of():
 def test_indexer_hand_example():
     boxes = (dl(0, 0.9), dl(1, 0.2), dl(2, 0.5), dl(3, 0.2))
     anns = AnnotationSet(boxes, 1)
-    grid = TileGrid.for_image(256, 64, 64, 64)
-    assert select_tiles_for_human(anns, 2, grid) == [1, 3]
-    assert select_tiles_for_human(anns, 0, grid) == []
-    assert select_tiles_for_human(anns, 99, grid) == [1, 3, 2, 0]
+    assert select_tiles_for_human(anns, 2) == [1, 3]
+    assert select_tiles_for_human(anns, 0) == []
+    assert select_tiles_for_human(anns, 99) == [1, 3, 2, 0]
 
 
 def test_indexer_against_brute_force():
@@ -154,7 +153,7 @@ def test_indexer_against_brute_force():
         )
         anns = AnnotationSet(boxes, 1)
         budget = r.randrange(0, 12)
-        assert select_tiles_for_human(anns, budget, grid) == brute_force_indexer(boxes, budget)
+        assert select_tiles_for_human(anns, budget) == brute_force_indexer(boxes, budget)
 
 
 def perfect_detector(grid, size, levels):
@@ -304,7 +303,7 @@ def test_index_charging_in_both_pipelines():
     free, charged = runs(rate, 30)
     assert free.plan == charged.plan and free.plan.lr < levels
     selected = select_tiles_for_human(
-        det.detect(all_idx, gt, free.plan.lr, 1), free.plan.human_budget, grid
+        det.detect(all_idx, gt, free.plan.lr, 1), free.plan.human_budget
     )
     k = len(selected)
     assert k > 0

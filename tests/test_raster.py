@@ -141,6 +141,18 @@ def test_scene_empty_and_invalid():
         generate_scene(1, 32, 32, 1, (8, 64))
 
 
+def test_scene_pixel_ceiling_is_checked_before_allocating(monkeypatch):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("pixels allocated before the ceiling check")
+
+    monkeypatch.setattr(raster, "MAX_PIXELS", 100)
+    assert generate_scene(1, 10, 10, 0, (2, 4))[0].width == 10
+    for name in ("arange", "empty", "zeros"):
+        monkeypatch.setattr(np, name, no_allocation)
+    with pytest.raises(ValueError, match="scene of 11x10 exceeds 100 pixels"):
+        generate_scene(1, 11, 10, 0, (2, 4))
+
+
 def test_scene_objects_distinct_from_background():
     img, gt = generate_scene(21, 128, 128, 3, (16, 24))
     for b in gt:
