@@ -236,6 +236,45 @@ def test_measure_matches_encode_on_odd_tilings():
     )
 
 
+def _criterion_1_fixed_cases():
+    """Criterion 1's two stated sizes, drawn as its test draws them.
+
+    That test draws its 998 random case shapes first, then one image per
+    case in order, so the fixed cases get the first two images.
+    """
+    rng = np.random.default_rng(1001)
+    for _ in range(998):
+        h = 13 + int((1024 - 13) * float(rng.random()) ** 8)
+        w = 13 + int((1024 - 13) * float(rng.random()) ** 8)
+        rng.choice([1, 3])
+        rng.integers(1, 6)
+        rng.integers(9, w + 17)
+        rng.integers(9, h + 17)
+    for h, w, c, levels, tw, th in ((13, 17, 1, 5, 5, 7), (1024, 1024, 3, 5, 256, 256)):
+        img = Image(rng.integers(0, 256, size=(h, w, c)).astype(np.uint8))
+        yield img, TileGrid.for_image(w, h, tw, th), levels
+
+
+def _criterion_2_input():
+    rng = np.random.default_rng(1002)
+    img = Image(rng.integers(0, 256, size=(240, 320, 3)).astype(np.uint8))
+    return img, TileGrid.for_image(320, 240, 48, 48), 5
+
+
+@pytest.mark.parametrize("case, size, sha256", [
+    (0, 535, "fb5c0b6516707760a0a358fa86daa22c29636ac72196fc511f0d9e01e677b7be"),
+    (1, 4_523_647, "710a608b8ff6c4782da3abf7c144937a5b2968b92601df31e341d805585c29fe"),
+    (2, 334_113, "97e74a91a3877c73b2f0ba3ea6b06289dc093f06ad5438393f0270e383821c30"),
+])
+def test_acceptance_inputs_encode_to_pinned_bytes(case, size, sha256):
+    # criteria 1 and 2 check round trips, which a coder that changed its
+    # bytes consistently on both sides would pass; these pins do not move
+    img, grid, levels = [*_criterion_1_fixed_cases(), _criterion_2_input()][case]
+    blob = write_codestream(encode(img, grid, levels))
+    assert len(blob) == size
+    assert hashlib.sha256(blob).hexdigest() == sha256
+
+
 def test_measure_validates_like_encode():
     img = Image(np.zeros((8, 8), dtype=np.uint8))
     grid = TileGrid.for_image(8, 8, 4, 4)
