@@ -65,7 +65,7 @@ def cmd_decode(args) -> int:
         else:
             tiles = _parse_tiles(args.tiles)
         stem, ext = os.path.splitext(args.output)
-        ext = ext or ".pgm"
+        ext = ext or (".ppm" if stream.components == 3 else ".pgm")
         for index, tile in cs_mod.decode(stream, tiles, resolution):
             path = _out_path(args, f"{stem}_t{index}{ext}")
             raster.save_image(tile, path)

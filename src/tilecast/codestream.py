@@ -16,9 +16,13 @@ as its own token stream. Tokens are base-128 varints (7 bits per byte,
 little-endian groups, high bit = continuation): a zero token starts a
 zero run and is followed by the run length (>= 1); any other token is
 the zigzag code of one nonzero coefficient (2c for c >= 0, -2c-1 for
-c < 0, always >= 1 for nonzero c). The decoder checks every run, and
-each segment's total, against the band sizes the header implies before
-it expands any run.
+c < 0, always >= 1 for nonzero c). The decoder checks each
+tile-component's segments in one pass, against the band sizes the
+header implies and before it expands any run: every run must end
+inside its band, and every segment boundary must fall where a token
+ends, not after a zero-run introducer, and close exactly on its last
+band's coefficient count. The encoder likewise codes a
+tile-component's segments in one pass.
 
 Because tiles, components and resolutions are byte-separable,
 ``extract`` builds sub-codestreams by copying segment bytes verbatim.
@@ -51,75 +55,116 @@ class CodestreamError(ValueError):
 # --- token primitives ---------------------------------------------------
 
 
+def _varint_plane(values: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """Varint bytes of ``values`` (all <= ``top``) as an (n, k) plane and a keep mask.
+
+    Row i holds token i's base-128 groups, continuation bits set; its
+    kept bytes, in row-major order, are the varint. The arithmetic runs
+    in uint32 when ``top`` fits, else in uint64.
+    """
+    dtype = np.uint32 if top < 1 << 32 else np.uint64
+    values = values.astype(dtype, copy=False)
+    k = max(1, -(-top.bit_length() // 7))
+    plane = np.empty((values.size, k), dtype=np.uint8)
+    keep = np.empty((values.size, k), dtype=bool)
+    keep[:, 0] = True
+    for j in range(k):
+        plane[:, j] = values >> dtype(7 * j)  # the cast keeps the low byte
+        if j:
+            keep[:, j] = values >= dtype(1 << 7 * j)
+    plane &= 0x7F
+    plane[:, :-1] |= keep[:, 1:].view(np.uint8) << 7
+    return plane, keep
+
+
 def encode_varints(values: np.ndarray) -> bytes:
     """Encode a uint64 array as concatenated base-128 varints."""
     values = np.asarray(values, dtype=np.uint64)
-    n = values.size
-    if n == 0:
+    if values.size == 0:
         return b""
-    nbytes = np.ones(n, dtype=np.int64)
-    rest = values >> np.uint64(7)
-    while rest.any():
-        nbytes += (rest > 0).astype(np.int64)
-        rest >>= np.uint64(7)
-    ends = np.cumsum(nbytes)
-    starts = ends - nbytes
-    out = np.zeros(int(ends[-1]), dtype=np.uint8)
-    max_len = int(nbytes.max())
-    for k in range(max_len):
-        sel = nbytes > k
-        chunk = ((values[sel] >> np.uint64(7 * k)) & np.uint64(0x7F)).astype(np.uint8)
-        cont = (nbytes[sel] - 1) > k
-        chunk[cont] |= 0x80
-        out[starts[sel] + k] = chunk
-    return out.tobytes()
+    plane, keep = _varint_plane(values, int(values.max()))
+    return plane[keep].tobytes()
+
+
+def _read_varints(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every varint in a uint8 array, and the offset each one starts at.
+
+    The values are uint32 when no varint is longer than 4 bytes, else
+    uint64; the buffer must end on a token.
+    """
+    if data.size == 0:
+        return np.empty(0, dtype=np.uint32), np.empty(0, dtype=np.intp)
+    cont = data >= 0x80
+    if cont[-1]:
+        raise CodestreamError("truncated varint at end of segment")
+    # follows[k - 1][p]: the k bytes before p all continue one varint, so
+    # p is byte k of a token that starts at p - k
+    follows = []
+    run = np.zeros(data.size, dtype=bool)
+    run[1:] = cont[:-1]
+    while run.any():
+        if len(follows) == 4:
+            raise CodestreamError("overlong varint (more than 5 bytes)")
+        follows.append(run)
+        k = len(follows) + 1
+        run = np.zeros(data.size, dtype=bool)
+        run[k:] = follows[-1][k:] & cont[:-k]
+    dtype = np.uint64 if len(follows) == 4 else np.uint32
+    starts = np.flatnonzero(np.concatenate(([True], ~cont[:-1])))
+    low = (data & 0x7F).astype(dtype)
+    values = low[starts]
+    for k, inside in enumerate(follows, start=1):
+        # an index past the end clips to the last byte, which is not inside a token that short
+        values |= np.take(low * inside, starts + k, mode="clip") << dtype(7 * k)
+    return values, starts
 
 
 def decode_varints(buf) -> np.ndarray:
     """Decode every varint in ``buf``; the buffer must end on a token."""
-    data = np.frombuffer(buf, dtype=np.uint8)
-    if data.size == 0:
-        return np.empty(0, dtype=np.uint64)
-    is_end = (data & 0x80) == 0
-    if not is_end[-1]:
-        raise CodestreamError("truncated varint at end of segment")
-    ends = np.flatnonzero(is_end)
-    starts = np.concatenate([[0], ends[:-1] + 1])
-    lengths = ends - starts + 1
-    max_len = int(lengths.max())
-    if max_len > 5:
-        raise CodestreamError("overlong varint (more than 5 bytes)")
-    values = np.zeros(ends.size, dtype=np.uint64)
-    for k in range(max_len):
-        sel = lengths > k
-        values[sel] |= (data[starts[sel] + k] & np.uint64(0x7F)).astype(
-            np.uint64
-        ) << np.uint64(7 * k)
-    return values
+    return _read_varints(np.frombuffer(buf, dtype=np.uint8))[0]
+
+
+def encode_bands(bands) -> tuple[bytes, list[int]]:
+    """Token streams of consecutive bands, written in one pass, and each one's length.
+
+    The bytes are those of ``encode_band`` on each band in turn: a zero
+    run stops at the end of its band.
+    """
+    sizes = [band.size for band in bands]
+    if not sum(sizes):
+        return b"", sizes
+    flat = np.concatenate([np.ravel(band) for band in bands]).astype(np.int64, copy=False)
+    zero = flat == 0
+    # a coefficient heads a token group unless it is a zero after a zero of its band
+    tail = np.zeros(flat.size, dtype=bool)
+    tail[1:] = zero[1:] & zero[:-1]
+    band_ends = np.cumsum(sizes)
+    tail[band_ends[band_ends < flat.size]] = False
+    heads = np.flatnonzero(~tail)
+    runs = zero[heads]
+    # a literal is one token, its zigzag code; a run is a zero then its length
+    last = np.cumsum(runs + 1) - 1
+    lit = flat[heads]
+    vals = np.where(runs, np.diff(heads, append=flat.size), (lit << 1) ^ (lit >> 63))
+    top = int(vals.max())
+    tokens = np.zeros(int(last[-1]) + 1, dtype=np.uint32 if top < 1 << 32 else np.uint64)
+    tokens[last] = vals
+    plane, keep = _varint_plane(tokens, top)
+    # each band's tokens start at the token of its first head
+    cuts = np.append(0, last + 1)[np.searchsorted(heads, np.append(0, band_ends))]
+    lengths = [int(np.count_nonzero(keep[a:b])) for a, b in zip(cuts, cuts[1:])]
+    return plane[keep].tobytes(), lengths
+
+
+def encode_band(band: np.ndarray) -> bytes:
+    """Token stream for one subband: zigzag literals and zero runs."""
+    return encode_bands([np.asarray(band)])[0]
 
 
 def _zero_runs(zero: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Start and length of every run of True in a flat boolean mask."""
     edges = np.flatnonzero(np.diff(zero, prepend=False, append=False))
     return edges[::2], edges[1::2] - edges[::2]
-
-
-def encode_band(band: np.ndarray) -> bytes:
-    """Token stream for one subband: zigzag literals and zero runs."""
-    flat = np.ascontiguousarray(band, dtype=np.int64).ravel()
-    if flat.size == 0:
-        return b""
-    zero = flat == 0
-    run_starts, run_lengths = _zero_runs(zero)
-    # tokens per coefficient: 1 for a literal, 2 opening a zero run, 0 inside one
-    width = (~zero).astype(np.int64)
-    width[run_starts] = 2
-    last = np.cumsum(width) - 1  # each coefficient's last token
-    tokens = np.zeros(int(last[-1]) + 1, dtype=np.uint64)
-    literals = flat[~zero]
-    tokens[last[~zero]] = ((literals << 1) ^ (literals >> 63)).astype(np.uint64)  # zigzag
-    tokens[last[run_starts]] = run_lengths
-    return encode_varints(tokens)
 
 
 def _varint_extra(values: np.ndarray, first: int) -> int:
@@ -151,12 +196,18 @@ def band_size(band: np.ndarray) -> int:
     return size + 2 * runs.size + _varint_extra(runs, 128)
 
 
-def decode_bands(buf, counts: list[int]) -> list[np.ndarray]:
+def decode_bands(buf, counts: list[int], segments=None) -> list[np.ndarray]:
     """Decode back-to-back band token streams with known coefficient counts.
 
-    Every run is checked against the band sizes before any is expanded.
+    ``segments`` lists the (byte length, band count) of each segment
+    ``buf`` holds, in order; without it ``buf`` is one segment. Every
+    segment must decode on its own: its bytes end on a token that is
+    not a zero-run introducer, and its tokens expand to exactly its
+    bands' coefficients. Every run is checked against the band sizes
+    before any is expanded.
     """
-    tokens = decode_varints(buf)
+    data = np.frombuffer(buf, dtype=np.uint8)
+    tokens, starts = _read_varints(data)
     is_zero = tokens == 0
     # every zero token starts a run, and the token after it is the run length
     is_runlen = np.zeros_like(is_zero)
@@ -165,22 +216,47 @@ def decode_bands(buf, counts: list[int]) -> list[np.ndarray]:
         raise CodestreamError("zero-length zero run")
     if tokens.size and is_zero[-1]:
         raise CodestreamError("dangling zero-run introducer")
-    codes = tokens[~is_runlen]  # literals, and 0 for each run
-    if np.any(codes >= _MAX_COEFF_TOKEN):
+    literal = ~(is_zero | is_runlen)
+    if np.any(literal & (tokens >= _MAX_COEFF_TOKEN)):
         raise CodestreamError("coefficient token out of range")
-    codes = codes.astype(np.int64)
-    width = np.ones(codes.size, dtype=np.int64)
-    width[codes == 0] = tokens[is_runlen]
-    ends = np.cumsum(width)
+    codes = tokens.astype(np.int64)
+    # coefficients each token expands to: a literal 1, a run's zero its
+    # length, the length itself none; ends[t] counts those of the first t
+    ends = np.zeros(codes.size + 1, dtype=np.int64)
+    np.cumsum(np.where(is_zero, np.append(codes[1:], 0), literal), out=ends[1:])
     bounds = np.cumsum([0, *counts])
     inner = bounds[bounds > 0]
     # each band must end where a literal or a run ends; the -1 stands past the last
     if np.any(np.append(ends, -1)[np.searchsorted(ends, inner)] != inner):
         raise CodestreamError("zero run crosses a band boundary or segment is short")
-    if ends.size and ends[-1] != bounds[-1]:
+    if ends[-1] != bounds[-1]:
         raise CodestreamError("trailing tokens after final band")
-    values = (codes >> 1) ^ -(codes & 1)  # undo the zigzag
-    return np.split(np.repeat(values, width), bounds[1:-1]) if counts else []
+    if segments is not None:
+        _check_segments(data, starts, is_zero, ends, bounds, segments)
+    values = (codes >> 1) ^ -(codes & 1)  # undo the zigzag; a zero stays zero
+    coeffs = np.repeat(values, np.diff(ends))
+    return [coeffs[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def _check_segments(data, starts, is_zero, ends, bounds, segments) -> None:
+    """Refuse a segment boundary that decoding each segment alone would refuse.
+
+    ``decode_bands`` has checked the buffer as one segment; each inner
+    boundary must also fall where a token ends, not after a zero-run
+    introducer, and close on its last band's coefficient count.
+    """
+    at_byte = np.cumsum([length for length, _ in segments])[:-1]
+    at_band = np.cumsum([n for _, n in segments])[:-1]
+    if np.any(data[at_byte[at_byte > 0] - 1] >= 0x80):
+        raise CodestreamError("truncated varint at end of segment")
+    at_token = np.searchsorted(starts, at_byte)
+    if np.any(is_zero[at_token[at_token > 0] - 1]):
+        raise CodestreamError("dangling zero-run introducer")
+    got, want = ends[at_token], bounds[at_band]
+    if np.any(got < want):
+        raise CodestreamError("zero run crosses a band boundary or segment is short")
+    if np.any(got > want):
+        raise CodestreamError("trailing tokens after final band")
 
 
 # --- container ----------------------------------------------------------
@@ -358,9 +434,11 @@ def encode(img: Image, grid: TileGrid, levels: int) -> Codestream:
     for index, comps in _tile_bands(img, grid, levels):
         comp_lengths = []
         for segs in comps:
-            coded = [b"".join(encode_band(band) for band in bands) for bands in segs]
-            comp_lengths.append(tuple(len(seg) for seg in coded))
-            chunks.extend(coded)
+            # a component's segments are adjacent on the wire: code them in one pass
+            coded, band_lengths = encode_bands([band for bands in segs for band in bands])
+            cuts = np.cumsum([0, *(len(bands) for bands in segs)])
+            comp_lengths.append(tuple(sum(band_lengths[a:b]) for a, b in zip(cuts, cuts[1:])))
+            chunks.append(coded)
         entries.append(TileEntry(index=index, seg_lengths=tuple(comp_lengths)))
     return Codestream(
         **_header(img, grid, levels), entries=tuple(entries), payload=b"".join(chunks)
@@ -412,15 +490,23 @@ def decode(
     out = []
     for index in indices:
         _, _, tw, th = tile_bounds(cs.grid, index, cs.width, cs.height)
-        shapes = _band_shapes(tw, th, cs.levels)
+        shapes = _band_shapes(tw, th, cs.levels)[:resolution]
+        flat_shapes = [shape for shp in shapes for shape in shp]
+        counts = [h * w for h, w in flat_shapes]
+        entry = cs.entry_for(index)
         planes = []
         for c in range(cs.components):
-            levels = []
-            for r, shp in enumerate(shapes[:resolution], start=1):
-                bands = decode_bands(cs.segment(index, c, r), [h * w for h, w in shp])
-                levels.append(tuple(b.reshape(s) for b, s in zip(bands, shp)))
-            (ll,), *details = levels
-            rec = wavelet.inverse_53(wavelet.CoefficientPyramid(ll=ll, details=tuple(details)))
+            # segments 1..resolution of a component are adjacent in the payload
+            lengths = entry.seg_lengths[c][:resolution]
+            pos = cs._offset_map[(index, c, 1)][0]
+            bands = decode_bands(
+                memoryview(cs.payload)[pos : pos + sum(lengths)],
+                counts,
+                segments=[(length, len(shp)) for length, shp in zip(lengths, shapes)],
+            )
+            ll, *details = [b.reshape(shape) for b, shape in zip(bands, flat_shapes)]
+            details = tuple(tuple(details[i : i + 3]) for i in range(0, len(details), 3))
+            rec = wavelet.inverse_53(wavelet.CoefficientPyramid(ll=ll, details=details))
             planes.append(np.clip(rec + 128, 0, 255).astype(np.uint8))
         out.append((index, Image(np.stack(planes, axis=-1))))
     return out

@@ -5,6 +5,9 @@ checked every run against the band sizes and expanded them in one
 ``np.repeat``: each band is cut from the token stream with its own
 ``searchsorted`` and expanded on its own. On any input both return the
 same bands or both raise ``CodestreamError``.
+``reference_decode_segments`` decodes a buffer of several segments one
+segment at a time, as ``decode`` did before it handed a tile-component's
+segments to one ``decode_bands`` call.
 """
 
 import numpy as np
@@ -57,4 +60,13 @@ def reference_decode_bands(buf, counts):
         produced = target
     if tok_pos != n:
         raise CodestreamError("trailing tokens after final band")
+    return bands
+
+
+def reference_decode_segments(buf, counts, segments):
+    """Decode each (byte length, band count) segment of ``buf`` on its own."""
+    bands, pos, first = [], 0, 0
+    for length, band_count in segments:
+        bands += reference_decode_bands(buf[pos : pos + length], counts[first : first + band_count])
+        pos, first = pos + length, first + band_count
     return bands

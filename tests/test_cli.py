@@ -64,6 +64,21 @@ def test_extract_then_decode_matches_direct(tmp_path, scene):
     assert (tmp_path / "part_t2.ppm").exists()
 
 
+@pytest.mark.parametrize("components, ext", [(3, ".ppm"), (1, ".pgm")])
+def test_tile_files_without_extension_get_the_image_type(tmp_path, components, ext):
+    rng = np.random.default_rng(3)
+    img = raster.Image(rng.integers(0, 256, size=(80, 100, components)).astype(np.uint8))
+    ipath, ssc, sub = tmp_path / "in.pnm", tmp_path / "a.ssc", tmp_path / "sub.ssc"
+    raster.save_image(img, ipath)
+    run("encode", ipath, "-o", ssc, "--tile-w", 32, "--tile-h", 32, "--levels", 3)
+    run("extract", ssc, "-o", sub, "--res", 3, "--tiles", "1,4")
+    assert run("decode", sub, "-o", tmp_path / "out") == 0
+    assert sorted(p for p in os.listdir(tmp_path) if p.startswith("out")) == [
+        f"out_t1{ext}", f"out_t4{ext}"]
+    tile = raster.load_image(tmp_path / f"out_t1{ext}")
+    assert tile == raster.Image(img.pixels[:32, 32:64])
+
+
 def test_info_lists_each_resolution(tmp_path, scene, capsys):
     _, _, ipath, _ = scene
     ssc = tmp_path / "a.ssc"

@@ -1,3 +1,5 @@
+import collections
+import dataclasses
 import hashlib
 import os
 import struct
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_tokens import reference_decode_bands
+from reference_tokens import reference_decode_bands, reference_decode_segments
 from tilecast import codestream as cs
 from tilecast import config, scenario
 from tilecast.codestream import (
@@ -177,6 +179,74 @@ def test_decode_bands_agrees_with_reference(stream):
     assert len(got) == len(want)
     for a, b in zip(got, want):
         assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def _coded_segments(rng):
+    """A buffer of 1-5 segments from ``encode_band``, its band counts and segment table.
+
+    Segments hold 0-3 bands and bands 0-40 coefficients, so both can be empty.
+    """
+    chunks, counts, segments = [], [], []
+    for _ in range(int(rng.integers(1, 6))):
+        band_count = int(rng.integers(0, 4))
+        seg = b""
+        for _ in range(band_count):
+            n = int(rng.integers(0, 41)) if rng.random() < 0.8 else 0
+            band = rng.integers(-300, 300, size=n) * (rng.random(n) < rng.random())
+            counts.append(n)
+            seg += encode_band(band)
+        chunks.append(seg)
+        segments.append([len(seg), band_count])
+    return bytearray(b"".join(chunks)), counts, segments
+
+
+def test_segmented_decode_agrees_with_reference():
+    # segment tables with bytes moved across a boundary, and flipped bytes
+    rng = np.random.default_rng(14)
+    outcomes = collections.Counter()
+    for _ in range(3000):
+        buf, counts, segments = _coded_segments(rng)
+        if len(segments) > 1 and rng.random() < 0.6:
+            i = int(rng.integers(0, len(segments) - 1))
+            shift = int(rng.choice([-2, -1, 1, 2]))
+            shift = min(max(shift, -segments[i][0]), segments[i + 1][0])
+            segments[i][0] += shift
+            segments[i + 1][0] -= shift
+        if buf and rng.random() < 0.3:
+            for _ in range(int(rng.integers(1, 3))):
+                buf[int(rng.integers(0, len(buf)))] = int(rng.integers(0, 256))
+        try:
+            want = reference_decode_segments(bytes(buf), counts, segments)
+        except CodestreamError:
+            with pytest.raises(CodestreamError):
+                decode_bands(bytes(buf), counts, segments)
+            outcomes["refused"] += 1
+            continue
+        got = decode_bands(bytes(buf), counts, segments)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        outcomes["accepted"] += 1
+    assert min(outcomes.values()) > 1000, outcomes
+
+
+def test_decode_refuses_a_byte_moved_between_segments():
+    rng = np.random.default_rng(15)
+    img = Image(rng.integers(0, 256, size=(40, 40, 1)).astype(np.uint8))
+    stream = encode(img, TileGrid.for_image(40, 40, 40, 40), 3)
+    (entry,) = stream.entries
+    lengths = list(entry.seg_lengths[0])
+    for r in range(len(lengths) - 1):
+        for moved in (-1, 1):
+            seg = list(lengths)
+            seg[r] -= moved
+            seg[r + 1] += moved
+            shifted = dataclasses.replace(
+                stream, entries=(dataclasses.replace(entry, seg_lengths=(tuple(seg),)),))
+            # the table still adds up, so the stream parses
+            back = parse_codestream(write_codestream(shifted))
+            with pytest.raises(CodestreamError):
+                decode(back, [0], 3)
 
 
 def test_band_size_edge_cases():

@@ -429,6 +429,7 @@ def test_run_grid_never_writes_codestream_bytes(monkeypatch, tmp_path):
     )
     cfg = cfg_mod.parse_config(str(cfg_path))
     with monkeypatch.context() as m:
+        m.setattr(cs_mod, "encode_bands", no_coding)
         m.setattr(cs_mod, "encode_band", no_coding)
         m.setattr(cs_mod, "encode_varints", no_coding)
         report = scenario.run_grid(cfg, str(tmp_path / "table"))
