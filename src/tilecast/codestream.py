@@ -100,15 +100,12 @@ def _read_varints(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # follows[k - 1][p]: the k bytes before p all continue one varint, so
     # p is byte k of a token that starts at p - k
     follows = []
-    run = np.zeros(data.size, dtype=bool)
-    run[1:] = cont[:-1]
+    run = np.concatenate(([False], cont[:-1]))
     while run.any():
         if len(follows) == 4:
             raise CodestreamError("overlong varint (more than 5 bytes)")
         follows.append(run)
-        k = len(follows) + 1
-        run = np.zeros(data.size, dtype=bool)
-        run[k:] = follows[-1][k:] & cont[:-k]
+        run = np.concatenate(([False], run[:-1] & cont[:-1]))
     dtype = np.uint64 if len(follows) == 4 else np.uint32
     starts = np.flatnonzero(np.concatenate(([True], ~cont[:-1])))
     low = (data & 0x7F).astype(dtype)
