@@ -4,7 +4,8 @@ This is the body ``tilecast.codestream.decode_bands`` had before it
 checked every run against the band sizes and expanded them in one
 ``np.repeat``: each band is cut from the token stream with its own
 ``searchsorted`` and expanded on its own. On any input both return the
-same bands or both raise ``CodestreamError``.
+same bands or both raise ``CodestreamError``. It reads tokens with
+``reference_varints``, a byte-at-a-time reader.
 ``reference_decode_segments`` decodes a buffer of several segments one
 segment at a time, as ``decode`` did before it handed a tile-component's
 segments to one ``decode_bands`` call.
@@ -12,11 +13,27 @@ segments to one ``decode_bands`` call.
 
 import numpy as np
 
-from tilecast.codestream import _MAX_COEFF_TOKEN, CodestreamError, decode_varints
+from tilecast.codestream import _MAX_COEFF_TOKEN, CodestreamError
+
+
+def reference_varints(buf):
+    """Read ``buf`` one byte at a time into varint tokens."""
+    values, value, shift = [], 0, 0
+    for byte in bytes(buf):
+        value |= (byte & 0x7F) << shift
+        shift += 7
+        if byte < 0x80:
+            values.append(value)
+            value, shift = 0, 0
+        elif shift == 35:
+            raise CodestreamError("overlong varint (more than 5 bytes)")
+    if shift:
+        raise CodestreamError("truncated varint at end of segment")
+    return np.array(values, dtype=np.uint64)
 
 
 def reference_decode_bands(buf, counts):
-    tokens = decode_varints(buf)
+    tokens = reference_varints(buf)
     n = tokens.size
     is_zero = tokens == 0
     preceded_by_zero = np.concatenate([[False], is_zero[:-1]])

@@ -9,7 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_tokens import reference_decode_bands, reference_decode_segments
+from reference_tokens import (
+    reference_decode_bands,
+    reference_decode_segments,
+    reference_varints,
+)
 from tilecast import codestream as cs
 from tilecast import config, scenario
 from tilecast.codestream import (
@@ -65,6 +69,21 @@ def test_varint_truncation_and_overlong():
         decode_varints(b"\x80")
     with pytest.raises(CodestreamError, match="overlong"):
         decode_varints(b"\x80\x80\x80\x80\x80\x01")
+
+
+@given(st.one_of(
+    st.binary(max_size=40),
+    st.lists(st.sampled_from([0x00, 0x01, 0x7F, 0x80, 0x81, 0xFF]), max_size=40).map(bytes),
+))
+@settings(max_examples=500)
+def test_decode_varints_agrees_with_reference(buf):
+    try:
+        want = reference_varints(buf)
+    except CodestreamError:
+        with pytest.raises(CodestreamError):
+            decode_varints(buf)
+        return
+    assert decode_varints(buf).tolist() == want.tolist()
 
 
 def test_band_coding_round_trip_and_runs():
