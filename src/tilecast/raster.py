@@ -17,6 +17,7 @@ import numpy as np
 from . import rng
 
 MAX_PIXELS = 1 << 26  # largest width * height generated, coded or parsed (8192^2)
+_NOISE_BLOCK = 1 << 16  # pixels hashed per pass in generate_scene
 
 
 class ImageIOError(ValueError):
@@ -280,11 +281,16 @@ def generate_scene(
             f"object size {hi} exceeds image dimensions {width}x{height}"
         )
 
-    base = rng.mix64(rng.stream_key(seed, rng.DOMAIN_PIXEL))
-    noise = rng.mix64_array(np.arange(height * width, dtype=np.uint64) ^ np.uint64(base))
+    base = np.uint64(rng.mix64(rng.stream_key(seed, rng.DOMAIN_PIXEL)))
     pix = np.empty((height * width, 3), dtype=np.uint8)
-    for c in range(3):  # channel c uses bit c of the per-pixel hash
-        np.multiply((noise >> np.uint64(c)) & np.uint64(1), 255, out=pix[:, c], casting="unsafe")
+    # hash a block of pixels at a time: the uint64 temporaries stay at
+    # 512 KiB each instead of 8 bytes per pixel of the whole scene
+    for a in range(0, height * width, _NOISE_BLOCK):
+        idx = np.arange(a, min(a + _NOISE_BLOCK, height * width), dtype=np.uint64)
+        noise = rng.mix64_array(idx ^ base)
+        for c in range(3):  # channel c uses bit c of the per-pixel hash
+            np.multiply((noise >> np.uint64(c)) & np.uint64(1), 255,
+                        out=pix[a : a + idx.size, c], casting="unsafe")
     pix = pix.reshape(height, width, 3)
 
     boxes = []

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tilecast import raster
+from tilecast import raster, rng
 from tilecast.raster import (
     GroundTruthBox,
     Image,
@@ -131,6 +131,16 @@ def test_scene_determinism_and_counts():
         assert b.w >= 1 and b.h >= 1
     img3, _ = generate_scene(8, 256, 256, 5)
     assert img1 != img3
+
+
+def test_scene_background_is_the_whole_scene_hash():
+    # more pixels than one hashing block, and a partial last block
+    w, h = 300, 260
+    img, _ = generate_scene(3, w, h, 0)
+    base = np.uint64(rng.mix64(rng.stream_key(3, rng.DOMAIN_PIXEL)))
+    noise = rng.mix64_array(np.arange(w * h, dtype=np.uint64) ^ base)
+    bits = (noise[:, None] >> np.arange(3, dtype=np.uint64)) & np.uint64(1)
+    assert np.array_equal(img.pixels.reshape(-1, 3), bits.astype(np.uint8) * 255)
 
 
 def test_scene_empty_and_invalid():
