@@ -158,20 +158,12 @@ def encode_band(band: np.ndarray) -> bytes:
     return encode_bands([np.asarray(band)])[0]
 
 
-def _zero_runs(zero: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Start and length of every run of True in a flat boolean mask."""
-    edges = np.flatnonzero(np.diff(zero, prepend=False, append=False))
-    return edges[::2], edges[1::2] - edges[::2]
-
-
 def _varint_extra(values: np.ndarray, first: int) -> int:
     """Continuation bytes over ``values``: one per threshold first * 128**k reached."""
+    top = int(values.max(initial=0))
     extra = 0
-    while first < 1 << 63:
-        count = int(np.count_nonzero(values >= first))
-        if not count:
-            break
-        extra += count
+    while first <= top:
+        extra += int(np.count_nonzero(values >= first))
         first <<= 7
     return extra
 
@@ -181,15 +173,26 @@ def band_size(band: np.ndarray) -> int:
 
     A nonzero coefficient costs the varint length of its zigzag code; a
     zero run costs its zero token plus the varint length of the run.
+    The arithmetic runs in the band's own width when that is signed.
     """
-    flat = np.ascontiguousarray(band, dtype=np.int64).ravel()
+    flat = np.ravel(band)
+    if flat.dtype.kind != "i":  # the sign shift below needs a signed width
+        flat = flat.astype(np.int64)
     if flat.size == 0:
         return 0
-    zero = flat == 0
     # zigzag(c) >> 1, so zigzag(c) >= 128**k exactly when this is >= 64 * 128**(k-1)
-    half = flat ^ (flat >> 63)
-    size = flat.size - int(np.count_nonzero(zero)) + _varint_extra(half, 64)
-    runs = _zero_runs(zero)[1]
+    half = flat >> 8 * flat.itemsize - 1
+    half ^= flat
+    zeros = np.flatnonzero(flat == 0)
+    size = flat.size - zeros.size + _varint_extra(half, 64)
+    if not zeros.size:
+        return size
+    # zeros[i] opens a run unless it directly follows zeros[i - 1]; the
+    # extra True at the end closes the last run
+    opens = np.ones(zeros.size + 1, dtype=bool)
+    np.not_equal(zeros[1:], zeros[:-1] + 1, out=opens[1:-1])
+    firsts = np.flatnonzero(opens)
+    runs = firsts[1:] - firsts[:-1]  # the length of each run
     return size + 2 * runs.size + _varint_extra(runs, 128)
 
 
@@ -381,7 +384,7 @@ def _tile_bands(img: Image, grid: TileGrid, levels: int):
         x, y, tw, th = tile_bounds(grid, index, img.width, img.height)
         comps = []
         for c in range(img.components):
-            samples = img.pixels[y : y + th, x : x + tw, c].astype(np.int64) - 128
+            samples = np.subtract(img.pixels[y : y + th, x : x + tw, c], 128, dtype=np.int32)
             pyr = wavelet.forward_53(samples, levels - 1)
             # deepest details first == resolution 2 first
             comps.append([(pyr.ll,), *pyr.details])

@@ -14,6 +14,18 @@ length: a neighbour past either end of a band is that band's edge
 sample (d[-1] = d[0], d[nd] = d[nd-1], x[2ns] = x[2ns-2]), so analysis
 and synthesis share two lifting terms and never branch on parity. The
 transform is exactly invertible on integer input.
+
+Analysis works at the narrowest width that stays exact. A 1-D pass over
+values of magnitude at most m gives values of magnitude at most 2m + 1
+(Taubman & Marcellin, *JPEG2000*, 2002), and no sum it forms exceeds
+twice that, so ``depth`` levels (2 * depth passes) over a grid peaking
+at p never form a magnitude of (p + 1) * 2**(2 * depth + 1) or more.
+When that bound is at most 2**31 the pyramid is lifted in int32: for
+DC-shifted 8-bit samples (p = 128) that holds up to depth 11, and at
+depth 7, the deepest a codestream holds, the bound is 129 * 2**15, about
+2**22. Otherwise it is lifted in int64, and a grid whose bound exceeds
+2**63 is refused. Synthesis runs in int64, since coefficients read from
+a stream carry no such bound.
 """
 
 from __future__ import annotations
@@ -52,11 +64,35 @@ class CoefficientPyramid:
         return len(self.details) + 1
 
 
-def _as_coeffs(a) -> np.ndarray:
-    arr = np.asarray(a, dtype=np.int64)
+def _integral_grid(a) -> np.ndarray:
+    """``a`` as a 2-D array of whole numbers; a float grid must hold integral values."""
+    arr = np.asarray(a)
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-D grid, got ndim={arr.ndim}")
+    if arr.dtype.kind == "f":
+        if not (np.isfinite(arr).all() and (arr == np.trunc(arr)).all()):
+            raise ValueError("grid holds a non-integral value")
+    elif arr.dtype.kind not in "biu":
+        raise ValueError(f"expected an integer grid, got dtype {arr.dtype}")
     return arr
+
+
+def _as_coeffs(a) -> np.ndarray:
+    return _integral_grid(a).astype(np.int64, copy=False)
+
+
+def _lifting_dtype(peak: int, depth: int) -> np.dtype:
+    """int32 or int64: the narrowest width exact for ``depth`` levels over |x| <= peak.
+
+    Every value the lifting forms has magnitude below
+    (peak + 1) * 2**(2 * depth + 1); see the module docstring.
+    """
+    bound = (peak + 1) << 2 * depth + 1
+    if bound <= 1 << 31:
+        return np.dtype(np.int32)
+    if bound <= 1 << 63:
+        return np.dtype(np.int64)
+    raise ValueError(f"values up to {peak} overflow int64 at depth {depth}")
 
 
 def _update_term(d: np.ndarray, ns: int) -> np.ndarray:
@@ -88,7 +124,7 @@ def _synthesize_last(s: np.ndarray, d: np.ndarray) -> np.ndarray:
     if nd == 0:
         return s.copy()
     even = s - _update_term(d, ns)
-    out = np.empty(s.shape[:-1] + (ns + nd,), dtype=np.int64)
+    out = np.empty(s.shape[:-1] + (ns + nd,), dtype=s.dtype)
     out[..., 0::2] = even
     out[..., 1::2] = d + _predict_term(even, nd)
     return out
@@ -123,13 +159,19 @@ def forward_53(samples, depth: int) -> CoefficientPyramid:
 
     ``depth`` 0 returns the input unchanged as a single LL band. Input
     is expected DC-shifted (e.g. 8-bit value - 128) when coding images,
-    but any integer grid is accepted.
+    but any integer grid is accepted, and so is a float grid of whole
+    numbers; a non-integral value raises ``ValueError``. The bands come
+    out in the working width: int32 when the grid's peak magnitude and
+    ``depth`` keep every lifted value inside it (see the module
+    docstring), else int64.
     """
-    cur = _as_coeffs(samples)
-    if cur.size == 0:
+    grid = _integral_grid(samples)
+    if grid.size == 0:
         raise ValueError("empty grid")
     if depth < 0:
         raise ValueError("depth must be >= 0")
+    peak = max(-int(grid.min()), int(grid.max()))
+    cur = grid.astype(_lifting_dtype(peak, depth), copy=False)
     collected = []
     for _ in range(depth):
         ll, hl, lh, hh = _analyze2d(cur)

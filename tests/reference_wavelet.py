@@ -73,3 +73,17 @@ def ll_chain(grid, steps):
     for _ in range(steps):
         cur, _, _, _ = analyze_2d(cur)
     return cur
+
+
+def synthesize_2d(ll, hl, lh, hh):
+    """Invert analyze_2d: columns, then rows. Every band needs a row and a column."""
+
+    def column_pass(top, bot):
+        cols = [
+            synthesize_1d([r[c] for r in top], [r[c] for r in bot])
+            for c in range(len(top[0]))
+        ]
+        return [[col[r] for col in cols] for r in range(len(top) + len(bot))]
+
+    lows, highs = column_pass(ll, lh), column_pass(hl, hh)
+    return [synthesize_1d(s, d) for s, d in zip(lows, highs)]

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_wavelet as ref
 from reference_tokens import (
     reference_decode_bands,
     reference_decode_segments,
@@ -148,6 +149,8 @@ def bands(draw, literals=_LITERALS):
 @settings(max_examples=300)
 def test_band_size_equals_encoded_length(band):
     assert band_size(band) == len(encode_band(band))
+    if band.size and -(2**31) <= band.min() and band.max() < 2**31:
+        assert band_size(band.astype(np.int32)) == band_size(band)
 
 
 @given(st.lists(bands(_LITERALS.filter(lambda c: c < 2**31)), max_size=4))
@@ -268,6 +271,31 @@ def test_decode_refuses_a_byte_moved_between_segments():
                 decode(back, [0], 3)
 
 
+def test_edge_literals_decode_like_the_reference_synthesis():
+    # a parseable stream may carry literals up to +-2**31 (_MAX_COEFF_TOKEN),
+    # so synthesis must run wider than int32 however the encoder lifts
+    rng = np.random.default_rng(16)
+    w, h, levels = 11, 9, 3
+    stream = encode(Image(np.zeros((h, w, 1), dtype=np.uint8)), TileGrid.for_image(w, h, w, h), levels)
+    values = [-(2**31), -(2**31) + 1, 2**31 - 2, 2**31 - 1, -1, 0, 1]
+    segs = [[rng.choice(values, size=shape) for shape in seg] for seg in cs._band_shapes(w, h, levels)]
+    coded = [b"".join(encode_band(band) for band in seg) for seg in segs]
+    (entry,) = stream.entries
+    edged = dataclasses.replace(
+        stream,
+        entries=(dataclasses.replace(entry, seg_lengths=(tuple(map(len, coded)),)),),
+        payload=b"".join(coded),
+    )
+    back = parse_codestream(write_codestream(edged))
+    (want,), *details = [[band.tolist() for band in seg] for seg in segs]
+    for resolution in range(1, levels + 1):
+        if resolution > 1:
+            want = ref.synthesize_2d(want, *details[resolution - 2])
+        ((_, tile),) = decode(back, [0], resolution)
+        assert tile.pixels[..., 0].tolist() == np.clip(np.array(want) + 128, 0, 255).tolist()
+    assert max(abs(v) for row in want for v in row) > 2**32
+
+
 def test_band_size_edge_cases():
     for band in (
         np.empty(0, dtype=np.int64),
@@ -278,6 +306,8 @@ def test_band_size_edge_cases():
         np.array([-(2**31)]),
         np.array([2**31]),
         np.arange(-300, 300).reshape(20, 30),
+        np.array([-(2**31), 2**31 - 1, 0, 0, -64, 63, 64, -65, 0], dtype=np.int32),
+        np.array([0, 200, 255, 0, 0, 7], dtype=np.uint8),
     ):
         assert band_size(band) == len(encode_band(band))
 

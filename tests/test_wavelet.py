@@ -146,6 +146,8 @@ def test_every_small_shape_matches_scalar_reference():
             pyr = forward_53(g, 1)
             bands = [pyr.ll.tolist(), *map(_rows, pyr.details[0])]
             assert bands == list(ref.analyze_2d(g.tolist()))
+            if h > 1 and w > 1:
+                assert ref.synthesize_2d(*bands) == g.tolist()
             for depth in range((max(h, w) - 1).bit_length() + 1):
                 assert forward_53(g, depth).ll.tolist() == ref.ll_chain(g.tolist(), depth)
     for n in range(1, 13):
@@ -158,3 +160,75 @@ def test_every_small_shape_matches_scalar_reference():
         column = CoefficientPyramid(s[:, None], ((no_cols[:ns], d[:, None], no_cols[:nd]),))
         assert inverse_53(row).tolist() == [expected]
         assert inverse_53(column).tolist() == [[v] for v in expected]
+
+
+def test_non_integral_input_is_refused():
+    # the lifting used to truncate these to [[0, 1], [2, -3]] without a word
+    for bad in ([[0.5, 1.7], [2.2, -3.9]], [[1.0, np.nan]], [[np.inf, 0.0]]):
+        with pytest.raises(ValueError, match="non-integral"):
+            forward_53(bad, 1)
+    with pytest.raises(ValueError, match="non-integral"):
+        inverse_53(CoefficientPyramid(ll=np.array([[0.5]]), details=()))
+    with pytest.raises(ValueError, match="integer grid"):
+        forward_53(np.array([["a", "b"]]), 1)
+    whole = [[1.0, -2.0, 3.0], [4.0, 5.0, -6.0]]
+    assert inverse_53(forward_53(whole, 1)).tolist() == whole
+
+
+def _extreme_patterns(h, w):
+    """Grids of -128 and 127 whose signs alternate along rows, columns, both or at random."""
+    r, c = np.indices((h, w))
+    signs = [r % 2, c % 2, (r + c) % 2, (r // 2 + c // 3) % 2]
+    rng = np.random.default_rng(h * w)
+    signs += [rng.integers(0, 2, size=(h, w)) for _ in range(4)]
+    return [np.where(s == 1, 127, -128) for s in signs] + [np.full((h, w), -128)]
+
+
+def _checked_pass(a):
+    """One lifting pass in int64, checked against the bound the working width relies on."""
+    low, high = wavelet._analyze_last(a)
+    peak = int(abs(a).max())
+    assert int(abs(low).max()) <= 2 * peak + 1
+    if high.size:
+        assert int(abs(high).max()) <= 2 * peak + 1
+        edged = np.concatenate([high[..., :1], high, high[..., -1:]], axis=-1)
+        sums = edged[..., :-1] + edged[..., 1:] + 2  # every d[k-1] + d[k] + 2
+        assert int(abs(sums).max()) < 1 << 22
+    return low, high
+
+
+def test_int32_lifting_bound_on_extreme_8bit_input():
+    depth = 7  # a codestream's deepest split
+    assert wavelet._lifting_dtype(128, depth) == np.int32
+    assert wavelet._lifting_dtype(128, 11) == np.int32
+    assert wavelet._lifting_dtype(128, 12) == np.int64
+    for h, w in ((128, 128), (129, 128), (130, 131), (255, 133)):
+        for g in _extreme_patterns(h, w):
+            cur = g.astype(np.int64)
+            levels = []
+            for _ in range(depth):
+                low, high = _checked_pass(cur)
+                ll_t, lh_t = _checked_pass(low.T)
+                hl_t, hh_t = _checked_pass(high.T)
+                levels.append((hl_t.T, lh_t.T, hh_t.T))
+                cur = ll_t.T
+            pyr = forward_53(g, depth)
+            assert pyr.ll.dtype == np.int32
+            assert np.array_equal(pyr.ll, cur)
+            for got, want in zip(pyr.details, reversed(levels)):
+                for band, wanted in zip(got, want):
+                    assert band.dtype == np.int32 and np.array_equal(band, wanted)
+                    assert int(abs(band).max(initial=0)) < 1 << 22
+            assert np.array_equal(inverse_53(pyr), g)
+
+
+def test_wide_input_lifts_in_int64():
+    rng = np.random.default_rng(40)
+    g = rng.choice([-(2**40), 2**40, 3, -7], size=(37, 50))
+    pyr = forward_53(g, 7)
+    assert pyr.ll.dtype == np.int64
+    assert np.array_equal(inverse_53(pyr), g)
+    # past int64 the lifting would wrap, so the grid is refused
+    with pytest.raises(ValueError, match="overflow int64"):
+        forward_53(np.full((4, 4), 2**50), 7)
+    assert forward_53(np.full((4, 4), 2**50), 1).ll.dtype == np.int64
