@@ -193,6 +193,7 @@ def _checked_pass(a):
         assert int(abs(high).max()) <= 2 * peak + 1
         edged = np.concatenate([high[..., :1], high, high[..., -1:]], axis=-1)
         sums = edged[..., :-1] + edged[..., 1:] + 2  # every d[k-1] + d[k] + 2
+        assert int(abs(sums).max()) <= 2 * (2 * peak + 1)
         assert int(abs(sums).max()) < 1 << 22
     return low, high
 
