@@ -160,8 +160,9 @@ def forward_53(samples, depth: int) -> CoefficientPyramid:
     ``depth`` 0 returns the input unchanged as a single LL band. Input
     is expected DC-shifted (e.g. 8-bit value - 128) when coding images,
     but any integer grid is accepted, and so is a float grid of whole
-    numbers; a non-integral value raises ``ValueError``. The bands come
-    out in the working width: int32 when the grid's peak magnitude and
+    numbers; a non-integral value raises ``ValueError``, and so does a
+    grid too large for exact lifting in int64. The bands come out in
+    the working width: int32 when the grid's peak magnitude and
     ``depth`` keep every lifted value inside it (see the module
     docstring), else int64.
     """
