@@ -185,14 +185,12 @@ def band_size(band: np.ndarray) -> int:
     half ^= flat
     zeros = np.flatnonzero(flat == 0)
     size = flat.size - zeros.size + _varint_extra(half, 64)
-    if not zeros.size:
-        return size
     # zeros[i] opens a run unless it directly follows zeros[i - 1]; the
     # extra True at the end closes the last run
     opens = np.ones(zeros.size + 1, dtype=bool)
     np.not_equal(zeros[1:], zeros[:-1] + 1, out=opens[1:-1])
     firsts = np.flatnonzero(opens)
-    runs = firsts[1:] - firsts[:-1]  # the length of each run
+    runs = firsts[1:] - firsts[:-1]
     return size + 2 * runs.size + _varint_extra(runs, 128)
 
 
