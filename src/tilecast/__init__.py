@@ -63,7 +63,7 @@ from .raster import (
     tile_bounds,
 )
 from .scenario import GridCell, GridReport, run_grid
-from .wavelet import CoefficientPyramid, forward_53, inverse_53, reconstruct_at
+from .wavelet import CoefficientPyramid, forward_53, inverse_53
 
 __version__ = "0.1.0"
 
@@ -83,5 +83,5 @@ __all__ = [
     "generate_scene", "load_ground_truth", "load_image",
     "save_ground_truth", "save_image", "tile_bounds",
     "GridCell", "GridReport", "run_grid",
-    "CoefficientPyramid", "forward_53", "inverse_53", "reconstruct_at",
+    "CoefficientPyramid", "forward_53", "inverse_53",
 ]

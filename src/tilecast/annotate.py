@@ -56,14 +56,9 @@ class DetectionBox:
 
 @dataclass(frozen=True)
 class AnnotationSet:
-    """Detections plus the resolution level the DL boxes were made at.
-
-    ``provenance`` 0 marks externally loaded sets with unknown level.
-    Human boxes always carry confidence 1.0.
-    """
+    """Detections; human boxes always carry confidence 1.0."""
 
     boxes: tuple[DetectionBox, ...] = field(default_factory=tuple)
-    provenance: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "boxes", tuple(self.boxes))
@@ -72,7 +67,7 @@ class AnnotationSet:
         return len(self.boxes)
 
     def merged_with(self, other: "AnnotationSet") -> "AnnotationSet":
-        return AnnotationSet(self.boxes + other.boxes, provenance=self.provenance)
+        return AnnotationSet(self.boxes + other.boxes)
 
 
 @dataclass(frozen=True)
@@ -227,7 +222,7 @@ def oracle_detect(
                         source=SOURCE_DL,
                     )
                 )
-    return AnnotationSet(tuple(boxes), provenance=resolution)
+    return AnnotationSet(tuple(boxes))
 
 
 def human_annotate(
@@ -264,7 +259,7 @@ def human_annotate(
                     )
                 )
                 break
-    return AnnotationSet(tuple(boxes), provenance=0)
+    return AnnotationSet(tuple(boxes))
 
 
 _DETECTIONS_HEADER = ["tile_index", "class_id", "x", "y", "w", "h", "confidence", "source"]
@@ -308,7 +303,7 @@ def file_detect(path, grid: TileGrid) -> AnnotationSet:
             )
         except ValueError as exc:
             raise ValueError(f"{path}: line {lineno}: {exc}") from None
-    return AnnotationSet(tuple(boxes), provenance=0)
+    return AnnotationSet(tuple(boxes))
 
 
 def save_detections(path, anns: AnnotationSet) -> None:
@@ -350,4 +345,4 @@ class FileDetector:
     def detect(self, tiles, gt, resolution, seed) -> AnnotationSet:
         tile_set = set(tiles)
         kept = tuple(b for b in self.annotations.boxes if b.tile_index in tile_set)
-        return AnnotationSet(kept, provenance=resolution)
+        return AnnotationSet(kept)

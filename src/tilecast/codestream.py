@@ -16,16 +16,18 @@ as its own token stream. Tokens are base-128 varints (7 bits per byte,
 little-endian groups, high bit = continuation): a zero token starts a
 zero run and is followed by the run length (>= 1); any other token is
 the zigzag code of one nonzero coefficient (2c for c >= 0, -2c-1 for
-c < 0, always >= 1 for nonzero c). The decoder checks each
-tile-component's segments in one pass, against the band sizes the
-header implies and before it expands any run: every run must end
-inside its band, and every segment boundary must fall where a token
-ends, not after a zero-run introducer, and close exactly on its last
-band's coefficient count. The encoder likewise codes a
-tile-component's segments in one pass.
+c < 0, always >= 1 for nonzero c). A tile-component's segments
+1..r are adjacent in the payload, and that run is the unit of reading:
+``Codestream.segments`` returns it, the encoder codes it in one pass,
+and the decoder checks it in one pass, against the band sizes the
+header implies and before it expands any run. Every run must end
+inside its band, and every segment end, the last one included, obeys
+one rule: it falls where a token ends, not after a zero-run
+introducer, and closes exactly on its last band's coefficient count.
 
 Because tiles, components and resolutions are byte-separable,
-``extract`` builds sub-codestreams by copying segment bytes verbatim.
+``extract`` builds sub-codestreams by copying each tile-component's
+run of segments 1..r verbatim.
 ``measure`` gives the header and table ``encode`` would write (a
 ``CodestreamTable``) by counting token bytes instead of writing them.
 """
@@ -36,6 +38,7 @@ import dataclasses
 import struct
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -90,13 +93,11 @@ def _read_varints(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every varint in a uint8 array, and the offset each one starts at.
 
     The values are uint32 when no varint is longer than 4 bytes, else
-    uint64; the buffer must end on a token.
+    uint64. The caller has checked that the buffer ends on a token.
     """
     if data.size == 0:
         return np.empty(0, dtype=np.uint32), np.empty(0, dtype=np.intp)
     cont = data >= 0x80
-    if cont[-1]:
-        raise CodestreamError("truncated varint at end of segment")
     # follows[k - 1][p]: the k bytes before p all continue one varint, so
     # p is byte k of a token that starts at p - k
     follows = []
@@ -118,7 +119,10 @@ def _read_varints(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def decode_varints(buf) -> np.ndarray:
     """Decode every varint in ``buf``; the buffer must end on a token."""
-    return _read_varints(np.frombuffer(buf, dtype=np.uint8))[0]
+    data = np.frombuffer(buf, dtype=np.uint8)
+    if data.size and data[-1] >= 0x80:
+        raise CodestreamError("truncated varint at end of segment")
+    return _read_varints(data)[0]
 
 
 def encode_bands(bands) -> tuple[bytes, list[int]]:
@@ -142,7 +146,10 @@ def encode_bands(bands) -> tuple[bytes, list[int]]:
     # a literal is one token, its zigzag code; a run is a zero then its length
     last = np.cumsum(runs + 1) - 1
     lit = flat[heads]
-    vals = np.where(runs, np.diff(heads, append=flat.size), (lit << 1) ^ (lit >> 63))
+    spans = np.empty_like(heads)  # coefficients from each head to the next
+    np.subtract(heads[1:], heads[:-1], out=spans[:-1])
+    spans[-1] = flat.size - heads[-1]
+    vals = np.where(runs, spans, (lit << 1) ^ (lit >> 63))
     top = int(vals.max())
     tokens = np.zeros(int(last[-1]) + 1, dtype=np.uint32 if top < 1 << 32 else np.uint64)
     tokens[last] = vals
@@ -198,21 +205,33 @@ def decode_bands(buf, counts: list[int], segments=None) -> list[np.ndarray]:
     """Decode back-to-back band token streams with known coefficient counts.
 
     ``segments`` lists the (byte length, band count) of each segment
-    ``buf`` holds, in order; without it ``buf`` is one segment. Every
-    segment must decode on its own: its bytes end on a token that is
-    not a zero-run introducer, and its tokens expand to exactly its
-    bands' coefficients. Every run is checked against the band sizes
-    before any is expanded.
+    ``buf`` holds, in order; without it ``buf`` is one segment. The
+    table must cover ``buf`` and ``counts`` exactly. Every segment end,
+    the last one included, obeys one rule, so each segment decodes on
+    its own: its bytes end on a token that is not a zero-run
+    introducer, and its tokens expand to exactly its bands'
+    coefficients. Every run is checked against the band sizes before
+    any is expanded.
     """
     data = np.frombuffer(buf, dtype=np.uint8)
+    if segments is None:
+        segments = [(data.size, len(counts))]
+    # byte and band position of every segment end, after a leading 0
+    at_byte, at_band = np.cumsum([(0, 0), *segments], axis=0).T
+    covered = (at_byte[-1], at_band[-1]) == (data.size, len(counts))
+    if not covered or min(map(min, segments), default=0) < 0:
+        raise CodestreamError("segment table does not cover the buffer and band counts")
+    if np.any(data[at_byte[at_byte > 0] - 1] >= 0x80):
+        raise CodestreamError("truncated varint at end of segment")
     tokens, starts = _read_varints(data)
+    at_token = np.searchsorted(starts, at_byte)
     is_zero = tokens == 0
     # every zero token starts a run, and the token after it is the run length
     is_runlen = np.zeros_like(is_zero)
     is_runlen[1:] = is_zero[:-1]
     if np.any(is_zero & is_runlen):
         raise CodestreamError("zero-length zero run")
-    if tokens.size and is_zero[-1]:
+    if np.any(is_zero[at_token[at_token > 0] - 1]):
         raise CodestreamError("dangling zero-run introducer")
     literal = ~(is_zero | is_runlen)
     if np.any(literal & (tokens >= _MAX_COEFF_TOKEN)):
@@ -227,34 +246,14 @@ def decode_bands(buf, counts: list[int], segments=None) -> list[np.ndarray]:
     # each band must end where a literal or a run ends; the -1 stands past the last
     if np.any(np.append(ends, -1)[np.searchsorted(ends, inner)] != inner):
         raise CodestreamError("zero run crosses a band boundary or segment is short")
-    if ends[-1] != bounds[-1]:
-        raise CodestreamError("trailing tokens after final band")
-    if segments is not None:
-        _check_segments(data, starts, is_zero, ends, bounds, segments)
-    values = (codes >> 1) ^ -(codes & 1)  # undo the zigzag; a zero stays zero
-    coeffs = np.repeat(values, np.diff(ends))
-    return [coeffs[a:b] for a, b in zip(bounds, bounds[1:])]
-
-
-def _check_segments(data, starts, is_zero, ends, bounds, segments) -> None:
-    """Refuse a segment boundary that decoding each segment alone would refuse.
-
-    ``decode_bands`` has checked the buffer as one segment; each inner
-    boundary must also fall where a token ends, not after a zero-run
-    introducer, and close on its last band's coefficient count.
-    """
-    at_byte = np.cumsum([length for length, _ in segments])[:-1]
-    at_band = np.cumsum([n for _, n in segments])[:-1]
-    if np.any(data[at_byte[at_byte > 0] - 1] >= 0x80):
-        raise CodestreamError("truncated varint at end of segment")
-    at_token = np.searchsorted(starts, at_byte)
-    if np.any(is_zero[at_token[at_token > 0] - 1]):
-        raise CodestreamError("dangling zero-run introducer")
     got, want = ends[at_token], bounds[at_band]
     if np.any(got < want):
         raise CodestreamError("zero run crosses a band boundary or segment is short")
     if np.any(got > want):
         raise CodestreamError("trailing tokens after final band")
+    values = (codes >> 1) ^ -(codes & 1)  # undo the zigzag; a zero stays zero
+    coeffs = np.repeat(values, np.diff(ends))
+    return [coeffs[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 # --- container ----------------------------------------------------------
@@ -313,20 +312,16 @@ class Codestream(CodestreamTable):
 
     payload: bytes
 
-    @cached_property
-    def _offset_map(self) -> dict[tuple[int, int, int], tuple[int, int]]:
-        m = {}
-        pos = 0
-        for e in self.entries:
-            for c, comp in enumerate(e.seg_lengths):
-                for r, length in enumerate(comp, start=1):
-                    m[(e.index, c, r)] = (pos, length)
-                    pos += length
-        return m
+    def segments(self, index: int, component: int, resolution: int) -> memoryview:
+        """Segments 1..resolution of a tile-component: one run of the payload."""
+        comps = self.entry_for(index).seg_lengths
+        pos = self._tile_starts[index] + sum(map(sum, comps[:component]))
+        return memoryview(self.payload)[pos : pos + sum(comps[component][:resolution])]
 
-    def segment(self, index: int, component: int, resolution: int) -> bytes:
-        pos, length = self._offset_map[(index, component, resolution)]
-        return self.payload[pos : pos + length]
+    @cached_property
+    def _tile_starts(self) -> dict[int, int]:
+        sizes = (e.total(self.max_resolution) for e in self.entries)
+        return {e.index: pos for e, pos in zip(self.entries, accumulate(sizes, initial=0))}
 
 
 def _low_sizes(n: int, levels: int) -> list[int]:
@@ -479,9 +474,9 @@ def decode(
 ) -> list[tuple[int, Image]]:
     """Decode tiles at a resolution level into 8-bit image tiles.
 
-    Each tile is the wavelet reconstruction at that level, DC-unshifted
-    and clamped to [0, 255]; its dimensions follow the dyadic rule
-    applied to the tile's clipped bounds.
+    Each tile is ``inverse_53`` of its pyramid cut to that level,
+    DC-unshifted and clamped to [0, 255]; its dimensions follow the
+    dyadic rule applied to the tile's clipped bounds.
     """
     indices = _check_indices(cs, indices)
     _check_resolution(cs, resolution)
@@ -494,13 +489,10 @@ def decode(
         entry = cs.entry_for(index)
         planes = []
         for c in range(cs.components):
-            # segments 1..resolution of a component are adjacent in the payload
-            lengths = entry.seg_lengths[c][:resolution]
-            pos = cs._offset_map[(index, c, 1)][0]
             bands = decode_bands(
-                memoryview(cs.payload)[pos : pos + sum(lengths)],
+                cs.segments(index, c, resolution),
                 counts,
-                segments=[(length, len(shp)) for length, shp in zip(lengths, shapes)],
+                segments=[(n, len(shp)) for n, shp in zip(entry.seg_lengths[c], shapes)],
             )
             ll, *details = [b.reshape(shape) for b, shape in zip(bands, flat_shapes)]
             details = tuple(tuple(details[i : i + 3]) for i in range(0, len(details), 3))
@@ -513,8 +505,9 @@ def decode(
 def extract(cs: Codestream, indices, resolution: int) -> Codestream:
     """Sub-codestream restricted to given tiles and resolution.
 
-    Segment bytes are copied verbatim; decoding the result equals
-    decoding the same tiles from the source.
+    Each tile-component's segments 1..resolution are copied verbatim as
+    one slice; decoding the result equals decoding the same tiles from
+    the source.
     """
     indices = _check_indices(cs, indices)
     if not indices:
@@ -523,13 +516,9 @@ def extract(cs: Codestream, indices, resolution: int) -> Codestream:
     entries = []
     chunks = []
     for index in sorted(indices):
-        src = cs.entry_for(index)
-        comp_lengths = []
-        for c in range(cs.components):
-            comp_lengths.append(tuple(src.seg_lengths[c][:resolution]))
-            for r in range(1, resolution + 1):
-                chunks.append(cs.segment(index, c, r))
-        entries.append(TileEntry(index=index, seg_lengths=tuple(comp_lengths)))
+        comps = cs.entry_for(index).seg_lengths
+        entries.append(TileEntry(index, tuple(comp[:resolution] for comp in comps)))
+        chunks += (cs.segments(index, c, resolution) for c in range(cs.components))
     return dataclasses.replace(
         cs, max_resolution=resolution, entries=tuple(entries), payload=b"".join(chunks)
     )

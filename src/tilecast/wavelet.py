@@ -13,7 +13,9 @@ dimensions are handled without padding. One boundary rule serves every
 length: a neighbour past either end of a band is that band's edge
 sample (d[-1] = d[0], d[nd] = d[nd-1], x[2ns] = x[2ns-2]), so analysis
 and synthesis share two lifting terms and never branch on parity. The
-transform is exactly invertible on integer input.
+transform is exactly invertible on integer input, and one synthesis
+serves every resolution: ``inverse_53`` of a pyramid cut to its first
+r - 1 detail levels is the image at resolution level r.
 
 Analysis works at the narrowest width that stays exact. A 1-D pass over
 values of magnitude at most m gives values of magnitude at most 2m + 1
@@ -182,22 +184,14 @@ def forward_53(samples, depth: int) -> CoefficientPyramid:
 
 
 def inverse_53(pyramid: CoefficientPyramid) -> np.ndarray:
-    """Full synthesis; exact inverse of forward_53."""
-    return reconstruct_at(pyramid, pyramid.levels)
+    """Synthesize a pyramid; the exact inverse of forward_53.
 
-
-def reconstruct_at(pyramid: CoefficientPyramid, resolution: int) -> np.ndarray:
-    """Synthesize the LL image at a resolution level in 1..levels.
-
-    Level 1 is the deepest LL band itself; level ``levels`` is the full
-    reconstruction. Each step up doubles (odd dims: ceil-doubles) the
-    grid.
+    A pyramid cut to its first ``r - 1`` detail levels synthesizes the
+    image at resolution level ``r``: the deepest LL band alone is level
+    1, and each detail level merged doubles (odd dims: ceil-doubles)
+    the grid.
     """
-    if not 1 <= resolution <= pyramid.levels:
-        raise ValueError(
-            f"resolution {resolution} out of range 1..{pyramid.levels}"
-        )
     cur = _as_coeffs(pyramid.ll)
-    for hl, lh, hh in pyramid.details[: resolution - 1]:
+    for hl, lh, hh in pyramid.details:
         cur = _synthesize2d(cur, _as_coeffs(hl), _as_coeffs(lh), _as_coeffs(hh))
     return cur

@@ -175,7 +175,7 @@ def test_criterion_4_indexer_oracle():
             )
             for _ in range(n)
         )
-        anns = AnnotationSet(boxes, 1)
+        anns = AnnotationSet(boxes)
         budget = r.randrange(0, 14)
         order = sorted(
             range(len(boxes)), key=lambda i: (boxes[i].confidence, boxes[i].tile_index, i)
@@ -419,9 +419,9 @@ def test_criterion_7_metric_fixtures():
     # recall fixtures including the strict > 0.1 boundary
     gt = [GroundTruthBox(0, 0, 0, 0, 1, 10)]
     boundary = AnnotationSet(
-        (DetectionBox(0, 0, 0.0, 0.0, 1.0, 1.0, 0.9, "DL"),), 1
+        (DetectionBox(0, 0, 0.0, 0.0, 1.0, 1.0, 0.9, "DL"),)
     )  # IoU exactly 0.1
-    above = AnnotationSet((DetectionBox(0, 0, 0.0, 0.0, 1.0, 2.0, 0.9, "DL"),), 1)
+    above = AnnotationSet((DetectionBox(0, 0, 0.0, 0.0, 1.0, 2.0, 0.9, "DL"),))
     boundary_ok = tc.recall(boundary, gt) == 0.0 and tc.recall(above, gt) == 1.0
     report(
         7,

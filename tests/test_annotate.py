@@ -47,7 +47,6 @@ def test_perfect_model_detects_everything_exactly():
         assert (b.x, b.y, b.w, b.h) == (g.x, g.y, g.w, g.h)
         assert b.confidence == 0.8
         assert b.source == "DL"
-    assert anns.provenance == 5
 
 
 def test_zero_probability_detects_nothing():
@@ -166,7 +165,7 @@ def test_human_annotate_recall_on_chosen_tiles_is_total():
 
 def test_annotation_set_validates_human_confidence():
     with pytest.raises(ValueError, match="confidence 1.0"):
-        AnnotationSet((DetectionBox(0, 0, 1, 1, 2, 2, 0.5, "HUM"),), 1)
+        AnnotationSet((DetectionBox(0, 0, 1, 1, 2, 2, 0.5, "HUM"),))
 
 
 def test_file_detect_round_trip_and_errors(tmp_path):

@@ -252,6 +252,34 @@ def test_segmented_decode_agrees_with_reference():
     assert min(outcomes.values()) > 1000, outcomes
 
 
+def test_decode_bands_refuses_a_segment_table_that_does_not_cover_the_buffer():
+    head = encode_band(np.array([3, 0, 0, -1]))
+    buf = head + encode_band(np.array([5]))
+    n, m = len(head), len(buf) - len(head)
+    bands = decode_bands(buf, [4, 1], [(n, 1), (m, 1)])
+    assert [b.tolist() for b in bands] == [[3, 0, 0, -1], [5]]
+    for counts, table in (
+        ([4, 1], [(n, 1)]),  # the last segment left out
+        ([4], [(n, 1)]),  # the bytes of a band the counts leave out
+        ([4, 1, 0], [(n, 1), (m, 1)]),  # a band no segment holds
+        ([4, 1], [(n, 1), (m + 1, 2), (-1, -1)]),  # adds up only through a negative entry
+    ):
+        with pytest.raises(CodestreamError, match="segment table does not cover"):
+            decode_bands(buf, counts, table)
+
+
+def test_decode_bands_applies_one_rule_to_every_segment_end():
+    head = encode_band(np.array([3, 0, 0, -1]))
+    n = len(head)
+    faults = ((b"\x80", "truncated varint"), (b"\x00", "dangling"), (b"\x02", "trailing tokens"))
+    for fault, message in faults:
+        # the same fault at the end of the first segment and at the end of the last
+        with pytest.raises(CodestreamError, match=message):
+            decode_bands(head + fault + head, [4, 4], [(n + 1, 1), (n, 1)])
+        with pytest.raises(CodestreamError, match=message):
+            decode_bands(head + head + fault, [4, 4], [(n, 1), (n + 1, 1)])
+
+
 def test_decode_refuses_a_byte_moved_between_segments():
     rng = np.random.default_rng(15)
     img = Image(rng.integers(0, 256, size=(40, 40, 1)).astype(np.uint8))
@@ -481,6 +509,24 @@ def test_extract_identity_and_transparency():
         got = decode(sub, subset, r)
         want = decode(stream, subset, r)
         assert [(i, t) for i, t in got] == [(i, t) for i, t in want]
+
+
+def test_extract_from_an_extracted_stream():
+    # a sub-stream holds max_resolution < levels segments per tile-component,
+    # and reading it again must still find each tile-component's run
+    rng = np.random.default_rng(17)
+    img = Image(rng.integers(0, 256, size=(70, 90, 3)).astype(np.uint8))
+    stream = encode(img, TileGrid.for_image(90, 70, 32, 32), 4)
+    subset = [1, 2, 4, 7]
+    sub = extract(stream, subset, 3)
+    assert sub.max_resolution == 3 < sub.levels
+    for picked in (subset, [2, 7]):
+        for r in range(1, 4):
+            again = extract(sub, picked, r)
+            assert parse_codestream(write_codestream(again)) == again
+            want = decode(stream, picked, r)
+            assert decode(sub, picked, r) == want
+            assert decode(again, picked, r) == want
 
 
 def test_extract_validation():

@@ -77,10 +77,10 @@ def test_iou_matches_pixel_oracle():
 
 def test_recall_basics():
     gt = [GroundTruthBox(0, 0, 0, 0, 10, 10), GroundTruthBox(1, 0, 50, 50, 10, 10)]
-    exact = AnnotationSet((dl(0, 0, 0, 10, 10, 0.9), dl(0, 50, 50, 10, 10, 0.8)), 1)
+    exact = AnnotationSet((dl(0, 0, 0, 10, 10, 0.9), dl(0, 50, 50, 10, 10, 0.8)))
     assert recall(exact, gt) == 1.0
-    assert recall(AnnotationSet((), 1), gt) == 0.0
-    assert recall(AnnotationSet((), 1), []) == 1.0
+    assert recall(AnnotationSet(()), gt) == 0.0
+    assert recall(AnnotationSet(()), []) == 1.0
 
 
 def test_recall_two_of_three():
@@ -90,8 +90,7 @@ def test_recall_two_of_three():
         GroundTruthBox(2, 0, 60, 60, 10, 10),
     ]
     anns = AnnotationSet(
-        (dl(0, 2, 2, 10, 10, 0.9), dl(0, 31, 29, 10, 10, 0.7), dl(0, 200, 200, 5, 5, 0.99)),
-        1,
+        (dl(0, 2, 2, 10, 10, 0.9), dl(0, 31, 29, 10, 10, 0.7), dl(0, 200, 200, 5, 5, 0.99))
     )
     assert recall(anns, gt) == pytest.approx(2 / 3)
 
@@ -99,16 +98,16 @@ def test_recall_two_of_three():
 def test_recall_strict_threshold_boundary():
     # IoU exactly 0.1: (0,0,1,1) vs (0,0,1,10) -> 1/10; must NOT match
     gt = [GroundTruthBox(0, 0, 0, 0, 1, 10)]
-    at_boundary = AnnotationSet((dl(0, 0, 0, 1, 1, 0.9),), 1)
+    at_boundary = AnnotationSet((dl(0, 0, 0, 1, 1, 0.9),))
     assert recall(at_boundary, gt) == 0.0
     # nudge above the threshold
     gt2 = [GroundTruthBox(0, 0, 0, 0, 1, 9)]
-    assert recall(AnnotationSet((dl(0, 0, 0, 1, 1, 0.9),), 1), gt2) == 1.0
+    assert recall(AnnotationSet((dl(0, 0, 0, 1, 1, 0.9),)), gt2) == 1.0
 
 
 def test_recall_one_to_one_matching():
     gt = [GroundTruthBox(0, 0, 0, 0, 10, 10)]
-    dupes = AnnotationSet((dl(0, 0, 0, 10, 10, 0.9), dl(0, 1, 0, 10, 10, 0.8)), 1)
+    dupes = AnnotationSet((dl(0, 0, 0, 10, 10, 0.9), dl(0, 1, 0, 10, 10, 0.8)))
     assert recall(dupes, gt) == 1.0  # second detection cannot double-count
 
 
@@ -141,7 +140,7 @@ def test_greedy_matcher_validity_on_small_instances():
             dl(0, r.randrange(0, 30), r.randrange(0, 30), r.randrange(2, 8), r.randrange(2, 8), round(r.random(), 3))
             for _ in range(r.randrange(0, 5))
         )
-        anns = AnnotationSet(boxes, 1)
+        anns = AnnotationSet(boxes)
         got = recall(anns, gt)
         again = recall(anns, gt)
         assert got == again
@@ -164,13 +163,13 @@ def test_recall_monotone_and_invariant_to_noise_boxes():
             for i in range(len(gt))
             if r.random() < 0.6
         )
-        base = recall(AnnotationSet(hits, 1), gt)
+        base = recall(AnnotationSet(hits), gt)
         # adding an exact true positive never lowers recall
         extra_tp = hits + (dl(0, 40 * (len(gt) - 1), 0, 10, 10, round(r.random(), 2)),)
-        assert recall(AnnotationSet(extra_tp, 1), gt) >= base
+        assert recall(AnnotationSet(extra_tp), gt) >= base
         # boxes below the IoU threshold against every GT change nothing
         noise = hits + (dl(0, 1000, 1000, 5, 5, round(r.random(), 2)),)
-        assert recall(AnnotationSet(noise, 1), gt) == base
+        assert recall(AnnotationSet(noise), gt) == base
 
 
 def test_iou_matrix_bit_identical_to_iou():
@@ -207,7 +206,7 @@ def test_recall_equals_reference_randomized():
                 boxes.append(hum(0, x, y, w, h))
             else:
                 boxes.append(dl(0, x, y, w, h, r.choice([1.0, 0.4, round(r.random(), 1)])))
-        anns = AnnotationSet(tuple(boxes), 1)
+        anns = AnnotationSet(tuple(boxes))
         thr = r.choice([0.1, 0.3, 1.0])
         assert recall(anns, gt, thr) == reference_recall(anns, gt, thr)
 
@@ -216,15 +215,15 @@ def test_recall_tie_takes_first_ground_truth():
     # the first detection overlaps both ground-truth boxes equally (IoU 1/3);
     # it takes the first, so the second, which meets only that one, misses
     gt = [GroundTruthBox(0, 0, 0, 0, 10, 10), GroundTruthBox(1, 0, 10, 0, 10, 10)]
-    anns = AnnotationSet((dl(0, 5, 0, 10, 10, 0.9), dl(0, 0, 0, 10, 10, 0.8)), 1)
+    anns = AnnotationSet((dl(0, 5, 0, 10, 10, 0.9), dl(0, 0, 0, 10, 10, 0.8)))
     assert recall(anns, gt) == reference_recall(anns, gt) == 0.5
-    assert recall(AnnotationSet(anns.boxes, 1), gt[::-1]) == 1.0
+    assert recall(AnnotationSet(anns.boxes), gt[::-1]) == 1.0
 
 
 def test_recall_by_step():
     gt = [GroundTruthBox(0, 0, 0, 0, 10, 10), GroundTruthBox(1, 0, 50, 50, 10, 10)]
     anns = AnnotationSet(
-        (dl(0, 0, 0, 10, 10, 0.9), hum(1, 0, 0, 10, 10), hum(1, 50, 50, 10, 10)), 1)
+        (dl(0, 0, 0, 10, 10, 0.9), hum(1, 0, 0, 10, 10), hum(1, 50, 50, 10, 10)))
     assert recall_by_step(anns, [0, 2, 1], 3, gt) == [0.5, 1.0, 1.0, 1.0]
     assert recall_by_step(anns, [0, 2, 1], 1, []) == [1.0, 1.0]
     with pytest.raises(ValueError, match="one step per box"):
@@ -235,7 +234,7 @@ def test_recall_by_step():
 
 def test_recall_refuses_too_many_pairs_before_allocating(monkeypatch):
     monkeypatch.setattr(metrics, "MAX_IOU_PAIRS", 6, raising=False)
-    anns = AnnotationSet(tuple(dl(0, 10 * i, 0, 10, 10, 0.5) for i in range(3)), 1)
+    anns = AnnotationSet(tuple(dl(0, 10 * i, 0, 10, 10, 0.5) for i in range(3)))
     gt = [GroundTruthBox(i, 0, 10 * i, 0, 10, 10) for i in range(3)]
     assert recall_by_step(anns, [0, 0, 0], 0, gt[:2]) == [1.0]
 
@@ -249,7 +248,7 @@ def test_recall_refuses_too_many_pairs_before_allocating(monkeypatch):
 
 def test_human_boxes_match_first():
     gt = [GroundTruthBox(0, 0, 0, 0, 10, 10)]
-    anns = AnnotationSet((dl(0, 0, 0, 10, 10, 1.0), hum(0, 0, 0, 10, 10)), 1)
+    anns = AnnotationSet((dl(0, 0, 0, 10, 10, 1.0), hum(0, 0, 0, 10, 10)))
     assert recall(anns, gt) == 1.0
 
 

@@ -137,7 +137,7 @@ def test_compute_budget_equals_plan_from_size_of():
 
 def test_indexer_hand_example():
     boxes = (dl(0, 0.9), dl(1, 0.2), dl(2, 0.5), dl(3, 0.2))
-    anns = AnnotationSet(boxes, 1)
+    anns = AnnotationSet(boxes)
     assert select_tiles_for_human(anns, 2) == [1, 3]
     assert select_tiles_for_human(anns, 0) == []
     assert select_tiles_for_human(anns, 99) == [1, 3, 2, 0]
@@ -151,7 +151,7 @@ def test_indexer_against_brute_force():
         boxes = tuple(
             dl(r.randrange(0, grid.tile_count), round(r.random(), 2), i) for i, n2 in enumerate(range(n))
         )
-        anns = AnnotationSet(boxes, 1)
+        anns = AnnotationSet(boxes)
         budget = r.randrange(0, 12)
         assert select_tiles_for_human(anns, budget) == brute_force_indexer(boxes, budget)
 
@@ -369,7 +369,7 @@ def _random_timeline_case(r, grid):
         gt[0] = GroundTruthBox(g.object_id, 0, g.x, g.y, 10, g.h)
         boxes.append(DetectionBox(0, 0, float(g.x), float(g.y), 1.0, float(g.h), 0.9, "DL"))
     selected = r.sample(range(grid.tile_count), r.randrange(0, grid.tile_count + 1))
-    return gt, AnnotationSet(tuple(boxes), 3), selected
+    return gt, AnnotationSet(tuple(boxes)), selected
 
 
 def test_human_timeline_recalls_equal_reference():
@@ -382,7 +382,7 @@ def test_human_timeline_recalls_equal_reference():
     # a detection tied between two ground-truth boxes across a tile edge (IoU 1/3 each)
     tie_gt = [GroundTruthBox(0, 0, 6, 0, 10, 10), GroundTruthBox(1, 0, 16, 0, 10, 10)]
     tie_dl = AnnotationSet((DetectionBox(0, 0, 11.0, 0.0, 10.0, 10.0, 1.0, "DL"),
-                            DetectionBox(0, 0, 6.0, 0.0, 10.0, 10.0, 0.5, "DL")), 3)
+                            DetectionBox(0, 0, 6.0, 0.0, 10.0, 10.0, 0.5, "DL")))
     cases += [(tie_gt, tie_dl, sel) for sel in ([], [1], [0], [1, 0])]
     for gt, dl_anns, selected in cases:
         for thr in (0.1, 0.5):

@@ -7,7 +7,6 @@ from tilecast.wavelet import (
     PyramidShapeError,
     forward_53,
     inverse_53,
-    reconstruct_at,
 )
 
 import reference_wavelet as ref
@@ -84,17 +83,22 @@ def test_coefficients_fit_int16_for_8bit_input():
                     assert abs(b).max() < bound
 
 
-def test_reconstruct_at_dimensions():
+def _truncated(pyr, resolution):
+    """The pyramid cut to the detail levels that resolution ``resolution`` needs."""
+    return CoefficientPyramid(ll=pyr.ll, details=pyr.details[: resolution - 1])
+
+
+def test_truncated_pyramid_dimensions():
     g = np.random.default_rng(0).integers(0, 256, size=(16, 16)) - 128
     pyr = forward_53(g, 4)  # 5 resolution levels
-    assert reconstruct_at(pyr, 5).shape == (16, 16)
-    assert reconstruct_at(pyr, 3).shape == (4, 4)
-    assert reconstruct_at(pyr, 1).shape == (1, 1)
-    assert np.array_equal(reconstruct_at(pyr, 1), pyr.ll)
-    assert np.array_equal(reconstruct_at(pyr, 5), inverse_53(pyr))
+    assert inverse_53(_truncated(pyr, 5)).shape == (16, 16)
+    assert inverse_53(_truncated(pyr, 3)).shape == (4, 4)
+    assert inverse_53(_truncated(pyr, 1)).shape == (1, 1)
+    assert np.array_equal(inverse_53(_truncated(pyr, 1)), pyr.ll)
+    assert np.array_equal(inverse_53(_truncated(pyr, 5)), inverse_53(pyr))
 
 
-def test_reconstruct_at_matches_downsample_chain_oracle():
+def test_truncated_pyramid_matches_downsample_chain_oracle():
     # the low-resolution image equals iterated single-level LL bands
     # computed by the scalar reference
     rng = np.random.default_rng(5)
@@ -106,15 +110,7 @@ def test_reconstruct_at_matches_downsample_chain_oracle():
         pyr = forward_53(g, depth)
         for res in range(1, depth + 2):
             expected = ref.ll_chain(g.tolist(), depth + 1 - res)
-            assert reconstruct_at(pyr, res).tolist() == expected
-
-
-def test_reconstruct_at_range_errors():
-    pyr = forward_53(np.ones((8, 8)), 2)
-    with pytest.raises(ValueError):
-        reconstruct_at(pyr, 0)
-    with pytest.raises(ValueError):
-        reconstruct_at(pyr, 4)
+            assert inverse_53(_truncated(pyr, res)).tolist() == expected
 
 
 def test_band_shape_mismatch_raises():
