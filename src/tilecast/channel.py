@@ -7,6 +7,7 @@ values are converted at the configuration boundary, never here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 LABEL_LR_ALL = "LR-all"
@@ -26,10 +27,14 @@ class ChannelSpec:
     charge_index_bytes: bool = False
 
     def __post_init__(self):
-        if self.data_rate <= 0:
-            raise ValueError("data_rate must be > 0")
-        if self.t_tr_limit <= 0:
-            raise ValueError("t_tr_limit must be > 0")
+        for name in ("data_rate", "t_tr_limit"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            if value <= 0:
+                raise ValueError(f"{name} must be > 0")
+        if not math.isfinite(self.data_rate * self.t_tr_limit):
+            raise ValueError("data_rate * t_tr_limit overflows a float")
 
 
 @dataclass(frozen=True)

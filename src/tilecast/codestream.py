@@ -30,6 +30,10 @@ Because tiles, components and resolutions are byte-separable,
 run of segments 1..r verbatim.
 ``measure`` gives the header and table ``encode`` would write (a
 ``CodestreamTable``) by counting token bytes instead of writing them.
+It walks the tiles as ``encode`` does: where ``encode`` codes a
+tile-component's bands in one ``encode_bands`` pass, ``measure`` counts
+them in one ``band_sizes`` pass, and both sum the band lengths into
+segments the same way.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ import dataclasses
 import struct
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, islice, pairwise
 
 import numpy as np
 
@@ -165,40 +169,64 @@ def encode_band(band: np.ndarray) -> bytes:
     return encode_bands([np.asarray(band)])[0]
 
 
-def _varint_extra(values: np.ndarray, first: int) -> int:
-    """Continuation bytes over ``values``: one per threshold first * 128**k reached."""
-    top = int(values.max(initial=0))
-    extra = 0
-    while first <= top:
-        extra += int(np.count_nonzero(values >= first))
-        first <<= 7
-    return extra
-
-
-def band_size(band: np.ndarray) -> int:
-    """Bytes ``encode_band(band)`` writes, counted without writing them.
+def band_sizes(bands) -> list[int]:
+    """Bytes ``encode_bands(bands)`` writes for each band, counted without writing them.
 
     A nonzero coefficient costs the varint length of its zigzag code; a
-    zero run costs its zero token plus the varint length of the run.
-    The arithmetic runs in the band's own width when that is signed.
+    zero run costs its zero token plus the varint length of the run. A
+    run stops at the end of its band, so a band's first coefficient, if
+    zero, opens one. Each kind of byte is counted in one pass over all
+    the bands and split at the band cuts: zeros and runs by the
+    positions where they fall, literals' continuation bytes by slice.
+    The arithmetic runs in the widest of the bands' own widths when
+    they are signed; an unsigned band is widened to int64.
     """
-    flat = np.ravel(band)
-    if flat.dtype.kind != "i":  # the sign shift below needs a signed width
-        flat = flat.astype(np.int64)
-    if flat.size == 0:
-        return 0
+    flats = [np.ravel(band) for band in bands]
+    flats = [f if f.dtype.kind == "i" else f.astype(np.int64) for f in flats]
+    cuts = np.cumsum([0, *(f.size for f in flats)])
+    if not cuts[-1]:
+        return [0] * len(flats)
+    flat = np.concatenate(flats)
+    spans = list(pairwise(cuts.tolist()))
+
+    def per_band(positions: np.ndarray) -> np.ndarray:
+        return np.diff(np.searchsorted(positions, cuts))
+
+    zeros = np.flatnonzero(flat == 0)
+    sizes = np.diff(cuts) - per_band(zeros)
     # zigzag(c) >> 1, so zigzag(c) >= 128**k exactly when this is >= 64 * 128**(k-1)
     half = flat >> 8 * flat.itemsize - 1
     half ^= flat
-    zeros = np.flatnonzero(flat == 0)
-    size = flat.size - zeros.size + _varint_extra(half, 64)
-    # zeros[i] opens a run unless it directly follows zeros[i - 1]; the
-    # extra True at the end closes the last run
+    first, top = 64, int(half.max())
+    while first <= top:
+        # many literals pass the first threshold: count them in place, not by position
+        over = half >= first
+        sizes += [np.count_nonzero(over[a:b]) for a, b in spans]
+        first <<= 7
+    # zeros[i] opens a run unless it directly follows zeros[i - 1] in its
+    # band. The first zero at or after a band's start opens one either
+    # way: it is the band's first coefficient or follows a nonzero. The
+    # extra True at the end closes the last run.
     opens = np.ones(zeros.size + 1, dtype=bool)
     np.not_equal(zeros[1:], zeros[:-1] + 1, out=opens[1:-1])
+    opens[np.searchsorted(zeros, cuts[:-1])] = True
     firsts = np.flatnonzero(opens)
     runs = firsts[1:] - firsts[:-1]
-    return size + 2 * runs.size + _varint_extra(runs, 128)
+    starts = zeros[firsts[:-1]]
+    sizes += 2 * per_band(starts)
+    first, top = 128, int(runs.max(initial=0))
+    while first <= top:
+        sizes += per_band(starts[runs >= first])
+        first <<= 7
+    return sizes.tolist()
+
+
+def band_size(band: np.ndarray) -> int:
+    """Bytes ``encode_band(band)`` writes: the one-band case of ``band_sizes``.
+
+    ``measure`` sizes a whole tile-component with one ``band_sizes`` call.
+    """
+    return band_sizes([np.asarray(band)])[0]
 
 
 def decode_bands(buf, counts: list[int], segments=None) -> list[np.ndarray]:
@@ -420,6 +448,12 @@ def _header(img: Image, grid: TileGrid, levels: int) -> dict:
     )
 
 
+def _segment_sums(segs, band_lengths: list[int]) -> tuple[int, ...]:
+    """A tile-component's segment lengths from its bands' lengths, in wire order."""
+    lengths = iter(band_lengths)
+    return tuple(sum(islice(lengths, len(bands))) for bands in segs)
+
+
 def encode(img: Image, grid: TileGrid, levels: int) -> Codestream:
     """Encode every tile of an image into a full codestream."""
     entries = []
@@ -429,8 +463,7 @@ def encode(img: Image, grid: TileGrid, levels: int) -> Codestream:
         for segs in comps:
             # a component's segments are adjacent on the wire: code them in one pass
             coded, band_lengths = encode_bands([band for bands in segs for band in bands])
-            cuts = np.cumsum([0, *(len(bands) for bands in segs)])
-            comp_lengths.append(tuple(sum(band_lengths[a:b]) for a, b in zip(cuts, cuts[1:])))
+            comp_lengths.append(_segment_sums(segs, band_lengths))
             chunks.append(coded)
         entries.append(TileEntry(index=index, seg_lengths=tuple(comp_lengths)))
     return Codestream(
@@ -439,12 +472,17 @@ def encode(img: Image, grid: TileGrid, levels: int) -> Codestream:
 
 
 def measure(img: Image, grid: TileGrid, levels: int) -> CodestreamTable:
-    """The table ``encode`` would write, sized by ``band_size``, with no payload."""
+    """The table ``encode`` would write, with no payload.
+
+    It walks the tiles as ``encode`` does and sizes each
+    tile-component's segments with one ``band_sizes`` call, the
+    counting twin of the ``encode_bands`` call that ``encode`` makes.
+    """
     entries = [
         TileEntry(
             index=index,
             seg_lengths=tuple(
-                tuple(sum(band_size(band) for band in bands) for bands in segs)
+                _segment_sums(segs, band_sizes([band for bands in segs for band in bands]))
                 for segs in comps
             ),
         )

@@ -17,6 +17,14 @@ transform is exactly invertible on integer input, and one synthesis
 serves every resolution: ``inverse_53`` of a pyramid cut to its first
 r - 1 detail levels is the image at resolution level r.
 
+The two terms lift along axis 0 of the array they are given, and no
+pass makes a transposed copy. The column pass slices whole rows
+(``low[0::2]``, ``d[:1]``, ...), each of them contiguous, so its bands
+come out C-contiguous as they are computed. The row pass works on the
+grid's transpose, a view: it gathers each row's even and odd samples
+once, in memory order, and its bands transpose back to C order.
+Synthesis runs the same terms the same way.
+
 Analysis works at the narrowest width that stays exact. A 1-D pass over
 values of magnitude at most m gives values of magnitude at most 2m + 1
 (Taubman & Marcellin, *JPEG2000*, 2002), and no sum it forms exceeds
@@ -98,45 +106,58 @@ def _lifting_dtype(peak: int, depth: int) -> np.dtype:
 
 
 def _update_term(d: np.ndarray, ns: int) -> np.ndarray:
-    """floor((d[k-1] + d[k] + 2) / 4) for k in 0..ns-1, d mirrored at both ends."""
-    edged = np.concatenate([d[..., :1], d, d[..., -1:]], axis=-1)
-    return (edged[..., :ns] + edged[..., 1 : ns + 1] + 2) >> 2
+    """floor((d[k-1] + d[k] + 2) / 4) for k in 0..ns-1 along axis 0, d mirrored at both ends."""
+    edged = np.concatenate([d[:1], d, d[-1:]])
+    return (edged[:ns] + edged[1 : ns + 1] + 2) >> 2
 
 
 def _predict_term(even: np.ndarray, nd: int) -> np.ndarray:
-    """floor((even[k] + even[k+1]) / 2) for k in 0..nd-1, even mirrored at the end."""
-    following = np.concatenate([even[..., 1:], even[..., -1:]], axis=-1)
-    return (even[..., :nd] + following[..., :nd]) >> 1
+    """floor((even[k] + even[k+1]) / 2) for k in 0..nd-1 along axis 0, even mirrored at the end."""
+    following = np.concatenate([even[1:], even[-1:]])
+    return (even[:nd] + following[:nd]) >> 1
 
 
-def _analyze_last(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One lifting pass along the last axis: returns (low, high)."""
-    even = np.ascontiguousarray(a[..., 0::2])
-    odd = np.ascontiguousarray(a[..., 1::2])
-    ns, nd = even.shape[-1], odd.shape[-1]
+def _analyze(a: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """One lifting pass along ``axis`` (0 or 1) of a 2-D grid: returns (low, high).
+
+    The terms lift along axis 0 of the view they get, so a row pass
+    works on ``a.T``, a view, and its bands transpose back to C order.
+    A row's even samples sit two apart and are gathered once, in
+    memory order; a column pass uses its even and odd rows in place,
+    since each row is contiguous.
+    """
+    view = a.T if axis else a
+    even, odd = view[0::2], view[1::2]
+    if axis:
+        even, odd = even.copy(order="F"), odd.copy(order="F")
+    ns, nd = len(even), len(odd)
+    if nd:
+        odd = odd - _predict_term(even, nd)
+        even = even + _update_term(odd, ns)
+    return (even.T, odd.T) if axis else (even, odd)
+
+
+def _synthesize(s: np.ndarray, d: np.ndarray, axis: int) -> np.ndarray:
+    """Invert _analyze: interleave (low, high) back into samples along ``axis``."""
+    if axis:
+        s, d = s.T, d.T
+    ns, nd = len(s), len(d)
     if nd == 0:
-        return even, odd
-    d = odd - _predict_term(even, nd)
-    return even + _update_term(d, ns), d
-
-
-def _synthesize_last(s: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Invert _analyze_last: interleave (low, high) back into samples."""
-    ns, nd = s.shape[-1], d.shape[-1]
-    if nd == 0:
-        return s.copy()
-    even = s - _update_term(d, ns)
-    out = np.empty(s.shape[:-1] + (ns + nd,), dtype=s.dtype)
-    out[..., 0::2] = even
-    out[..., 1::2] = d + _predict_term(even, nd)
-    return out
+        out = s.copy()
+    else:
+        even = s - _update_term(d, ns)
+        out = np.empty((ns + nd, even.shape[1]), dtype=even.dtype, order="F" if axis else "C")
+        out[0::2] = even
+        out[1::2] = d + _predict_term(even, nd)
+    return out.T if axis else out
 
 
 def _analyze2d(a: np.ndarray) -> tuple[Band, Band, Band, Band]:
-    low, high = _analyze_last(a)
-    ll_t, lh_t = _analyze_last(low.T)
-    hl_t, hh_t = _analyze_last(high.T)
-    return ll_t.T.copy(), hl_t.T.copy(), lh_t.T.copy(), hh_t.T.copy()
+    # rows, then columns: the rounding makes the two orders differ
+    low, high = _analyze(a, 1)
+    ll, lh = _analyze(low, 0)
+    hl, hh = _analyze(high, 0)
+    return ll, hl, lh, hh
 
 
 def _synthesize2d(ll: Band, hl: Band, lh: Band, hh: Band) -> np.ndarray:
@@ -146,9 +167,7 @@ def _synthesize2d(ll: Band, hl: Band, lh: Band, hh: Band) -> np.ndarray:
         raise PyramidShapeError(
             f"inconsistent band shapes: LL{ll.shape} HL{hl.shape} LH{lh.shape} HH{hh.shape}"
         )
-    low = _synthesize_last(ll.T, lh.T).T
-    high = _synthesize_last(hl.T, hh.T).T
-    return _synthesize_last(low, high)
+    return _synthesize(_synthesize(ll, lh, 0), _synthesize(hl, hh, 0), 1)
 
 
 def split_dims(n: int) -> tuple[int, int]:

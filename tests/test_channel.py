@@ -62,3 +62,22 @@ def test_validation():
         ChannelSpec(1, 0)
     with pytest.raises(ValueError):
         transmit(-1, ChannelSpec(1, 1), "x")
+
+
+@pytest.mark.parametrize("rate, limit, field", [
+    (float("nan"), 10, "data_rate"),
+    (float("inf"), 10, "data_rate"),
+    (-float("inf"), 10, "data_rate"),
+    (16_000, float("nan"), "t_tr_limit"),
+    (16_000, float("inf"), "t_tr_limit"),
+])
+def test_non_finite_link_parameters_are_refused(rate, limit, field):
+    # these used to reach bandwidth_budget and fail there in int()
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        ChannelSpec(rate, limit)
+
+
+def test_overflowing_budget_is_refused():
+    with pytest.raises(ValueError, match="overflows"):
+        ChannelSpec(1e300, 1e300)
+    assert bandwidth_budget(ChannelSpec(1e300, 1e8)) > 10**307

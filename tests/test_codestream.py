@@ -6,7 +6,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_wavelet as ref
@@ -22,11 +22,13 @@ from tilecast.codestream import (
     CodestreamError,
     CodestreamTable,
     band_size,
+    band_sizes,
     decode,
     decode_bands,
     decode_varints,
     encode,
     encode_band,
+    encode_bands,
     encode_varints,
     extract,
     measure,
@@ -161,6 +163,35 @@ def test_band_round_trip_over_several_bands(band_list):
     assert len(got) == len(band_list)
     for out, band in zip(got, band_list):
         assert out.dtype == np.int64 and np.array_equal(out, band)
+
+
+# literals either side of the 1-, 2- and 3-byte zigzag steps, in each band width
+_STEP_LITERALS = st.sampled_from([1, -1, 63, -63, 64, -64, -65, 8191, -8191, 8192, -8192, -8193])
+_TYPED_LITERALS = {
+    np.int64: st.one_of(_STEP_LITERALS, _LITERALS),
+    np.int32: st.one_of(_STEP_LITERALS, st.integers(-(2**31), 2**31 - 1).filter(bool)),
+    np.uint8: st.one_of(st.sampled_from([1, 63, 64, 127, 128, 255]), st.integers(1, 255)),
+}
+
+
+@st.composite
+def typed_bands(draw):
+    """A band of int64, int32 or uint8 coefficients: zero runs and literals at the varint steps."""
+    dtype = draw(st.sampled_from(list(_TYPED_LITERALS)))
+    return draw(bands(_TYPED_LITERALS[dtype])).astype(dtype)
+
+
+@given(st.lists(typed_bands(), max_size=6))
+@example([np.zeros(3, dtype=np.int64), np.zeros(2, dtype=np.int32)])
+@example([np.array([5, 0], dtype=np.uint8), np.empty(0, dtype=np.int32),
+          np.zeros(128, dtype=np.int64)])
+@example([np.zeros(16384, dtype=np.int32), np.zeros(127, dtype=np.int32),
+          np.array([0, 64, -8192])])
+@settings(max_examples=150)
+def test_band_sizes_equal_encode_bands_lengths(band_list):
+    # a zero run stops at each band's end, so bands that end and start
+    # with zeros are where one count over all the bands can go wrong
+    assert band_sizes(band_list) == encode_bands(band_list)[1]
 
 
 # short token streams: zeros (run starts or zero-length runs), small
@@ -381,6 +412,21 @@ def test_measure_matches_encode_on_odd_tilings():
     assert digest.hexdigest() == (
         "c32aa6f07a5d034b6048ebdae0e0041996324c5b453af21335e6fdc936529e61"
     )
+
+
+def test_measure_matches_encode_at_deep_levels():
+    # levels 6-8 split small odd tiles down to one sample and leave empty
+    # bands; on the flat image every detail band is a single zero run, so
+    # runs meet every band boundary
+    rng = np.random.default_rng(13)
+    for levels in (6, 7, 8):
+        for comps in (1, 3):
+            h, w = int(rng.integers(20, 45)), int(rng.integers(20, 45))
+            noisy = Image(rng.integers(0, 256, size=(h, w, comps)).astype(np.uint8))
+            flat = Image(np.full((h, w, comps), 77, dtype=np.uint8))
+            for img in (noisy, flat):
+                for tw, th in ((5, 7), (13, 3), (w, h)):
+                    _assert_measure_matches_encode(img, TileGrid.for_image(w, h, tw, th), levels)
 
 
 def _criterion_1_fixed_cases():

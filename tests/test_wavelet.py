@@ -70,6 +70,17 @@ def test_perfect_reconstruction_many_shapes():
         assert np.array_equal(inverse_53(forward_53(g, depth)), g)
 
 
+def test_bands_come_out_c_contiguous():
+    # the column pass lifts whole rows, so no band is a transposed view
+    rng = np.random.default_rng(9)
+    for h, w in ((1, 1), (1, 9), (9, 1), (2, 2), (16, 16), (17, 31), (40, 1), (1, 64), (33, 2)):
+        g = rng.integers(-128, 128, size=(h, w))
+        for depth in range(4):
+            pyr = forward_53(g, depth)
+            bands = [pyr.ll, *(band for level in pyr.details for band in level)]
+            assert all(band.flags.c_contiguous for band in bands), (h, w, depth)
+
+
 def test_coefficients_fit_int16_for_8bit_input():
     rng = np.random.default_rng(11)
     bound = 2**15
@@ -180,15 +191,16 @@ def _extreme_patterns(h, w):
     return [np.where(s == 1, 127, -128) for s in signs] + [np.full((h, w), -128)]
 
 
-def _checked_pass(a):
-    """One lifting pass in int64, checked against the bound the working width relies on."""
-    low, high = wavelet._analyze_last(a)
+def _checked_pass(a, axis):
+    """One int64 lifting pass along ``axis``, checked against the bound int32 relies on."""
+    low, high = wavelet._analyze(a, axis)
     peak = int(abs(a).max())
     assert int(abs(low).max()) <= 2 * peak + 1
     if high.size:
         assert int(abs(high).max()) <= 2 * peak + 1
-        edged = np.concatenate([high[..., :1], high, high[..., -1:]], axis=-1)
-        sums = edged[..., :-1] + edged[..., 1:] + 2  # every d[k-1] + d[k] + 2
+        d = high.T if axis else high  # the lifting axis first
+        edged = np.concatenate([d[:1], d, d[-1:]])
+        sums = edged[:-1] + edged[1:] + 2  # every d[k-1] + d[k] + 2
         assert int(abs(sums).max()) <= 2 * (2 * peak + 1)
         assert int(abs(sums).max()) < 1 << 22
     return low, high
@@ -204,11 +216,12 @@ def test_int32_lifting_bound_on_extreme_8bit_input():
             cur = g.astype(np.int64)
             levels = []
             for _ in range(depth):
-                low, high = _checked_pass(cur)
-                ll_t, lh_t = _checked_pass(low.T)
-                hl_t, hh_t = _checked_pass(high.T)
-                levels.append((hl_t.T, lh_t.T, hh_t.T))
-                cur = ll_t.T
+                # the passes forward_53 runs: rows (the last axis), then columns (axis 0)
+                low, high = _checked_pass(cur, 1)
+                ll, lh = _checked_pass(low, 0)
+                hl, hh = _checked_pass(high, 0)
+                levels.append((hl, lh, hh))
+                cur = ll
             pyr = forward_53(g, depth)
             assert pyr.ll.dtype == np.int32
             assert np.array_equal(pyr.ll, cur)
