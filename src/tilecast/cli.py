@@ -59,7 +59,7 @@ def cmd_decode(args) -> int:
         if not args.quiet:
             print(f"{args.output}: {img.width}x{img.height}x{img.components} at R={resolution}")
     else:
-        # partial codestreams decode tile by tile
+        # a partial codestream has no mosaic: write each decoded tile to its own file
         if args.tiles is None:
             tiles = [e.index for e in stream.entries]
         else:

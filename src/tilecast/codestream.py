@@ -18,22 +18,27 @@ zero run and is followed by the run length (>= 1); any other token is
 the zigzag code of one nonzero coefficient (2c for c >= 0, -2c-1 for
 c < 0, always >= 1 for nonzero c). A tile-component's segments
 1..r are adjacent in the payload, and that run is the unit of reading:
-``Codestream.segments`` returns it, the encoder codes it in one pass,
-and the decoder checks it in one pass, against the band sizes the
-header implies and before it expands any run. Every run must end
-inside its band, and every segment end, the last one included, obeys
-one rule: it falls where a token ends, not after a zero-run
-introducer, and closes exactly on its last band's coefficient count.
+``Codestream.segments`` returns it, and ``extract`` builds
+sub-codestreams by copying each tile-component's run verbatim, since
+tiles, components and resolutions are byte-separable.
 
-Because tiles, components and resolutions are byte-separable,
-``extract`` builds sub-codestreams by copying each tile-component's
-run of segments 1..r verbatim.
-``measure`` gives the header and table ``encode`` would write (a
-``CodestreamTable``) by counting token bytes instead of writing them.
-It walks the tiles as ``encode`` does: where ``encode`` codes a
-tile-component's bands in one ``encode_bands`` pass, ``measure`` counts
-them in one ``band_sizes`` pass, and both sum the band lengths into
-segments the same way.
+The unit of a token pass is a batch: consecutive tile-components in
+wire order, closed once it holds 2^16 coefficients (one 256x256
+tile-component, which is always coded alone). Bands are coded
+independently and runs stop at band ends, so a batch writes exactly the
+bytes its tile-components would write one at a time, and small tiles
+share the fixed cost of a pass. The bound keeps a pass's arrays to at
+most 2^16 coefficients plus one tile-component, however many tiles an
+image has. The encoder codes a batch in one ``encode_bands`` pass. ``measure`` gives
+the header and table ``encode`` would write (a ``CodestreamTable``) by
+walking the same batches and counting their token bytes with one
+``band_sizes`` pass each. The decoder joins a batch's runs and checks
+them in one ``decode_bands`` pass, against the band sizes the header
+implies and before it expands any run. Every run must end inside its
+band, and every segment end, the last one included, obeys one rule: it
+falls where a token ends, not after a zero-run introducer, and closes
+exactly on its last band's coefficient count. A fault anywhere in a
+batch is therefore refused before anything is allocated for it.
 """
 
 from __future__ import annotations
@@ -53,6 +58,7 @@ MAGIC = b"SSC1"
 MAX_LEVELS = 8
 _HEADER = struct.Struct(">4sIIHHBBBI")
 _MAX_COEFF_TOKEN = 1 << 32  # zigzag codes beyond this are corrupt input
+_BATCH_COEFFS = 1 << 16  # one 256x256 tile-component: a token pass closes here
 
 
 class CodestreamError(ValueError):
@@ -224,7 +230,7 @@ def band_sizes(bands) -> list[int]:
 def band_size(band: np.ndarray) -> int:
     """Bytes ``encode_band(band)`` writes: the one-band case of ``band_sizes``.
 
-    ``measure`` sizes a whole tile-component with one ``band_sizes`` call.
+    ``measure`` sizes a whole batch of tile-components with one ``band_sizes`` call.
     """
     return band_sizes([np.asarray(band)])[0]
 
@@ -448,47 +454,83 @@ def _header(img: Image, grid: TileGrid, levels: int) -> dict:
     )
 
 
-def _segment_sums(segs, band_lengths: list[int]) -> tuple[int, ...]:
-    """A tile-component's segment lengths from its bands' lengths, in wire order."""
+def _segment_sums(segs, band_lengths) -> tuple[int, ...]:
+    """A tile-component's segment lengths from its bands' lengths, in wire order.
+
+    ``band_lengths`` may be an iterator shared by consecutive
+    tile-components: each takes as many lengths as it has bands.
+    """
     lengths = iter(band_lengths)
     return tuple(sum(islice(lengths, len(bands))) for bands in segs)
 
 
-def encode(img: Image, grid: TileGrid, levels: int) -> Codestream:
-    """Encode every tile of an image into a full codestream."""
-    entries = []
-    chunks = []
-    for index, comps in _tile_bands(img, grid, levels):
-        comp_lengths = []
-        for segs in comps:
-            # a component's segments are adjacent on the wire: code them in one pass
-            coded, band_lengths = encode_bands([band for bands in segs for band in bands])
-            comp_lengths.append(_segment_sums(segs, band_lengths))
-            chunks.append(coded)
-        entries.append(TileEntry(index=index, seg_lengths=tuple(comp_lengths)))
-    return Codestream(
-        **_header(img, grid, levels), entries=tuple(entries), payload=b"".join(chunks)
+def _batches(units, coefficients):
+    """Split tile-components, in order, into the batches that share one token pass.
+
+    A batch closes once it holds ``_BATCH_COEFFS``, and a
+    tile-component that fills one by itself gets a batch of its own, so
+    no pass covers more than ``_BATCH_COEFFS`` plus one
+    tile-component's coefficients.
+    """
+    batch, held = [], 0
+    for unit in units:
+        n = coefficients(unit)
+        if batch and n >= _BATCH_COEFFS:
+            yield batch
+            batch, held = [], 0
+        batch.append(unit)
+        held += n
+        if held >= _BATCH_COEFFS:
+            yield batch
+            batch, held = [], 0
+    if batch:
+        yield batch
+
+
+def _coded_entries(img: Image, grid: TileGrid, levels: int, coder) -> tuple[TileEntry, ...]:
+    """The table of ``img``, its tile-components coded by ``coder`` in batches.
+
+    ``coder(bands)`` codes one batch's bands, in wire order, in one pass
+    and returns each band's length in bytes; the lengths are split back
+    into each tile-component's segments.
+    """
+    units = (
+        (index, segs) for index, comps in _tile_bands(img, grid, levels) for segs in comps
     )
+    seg_lengths: dict[int, list] = {}
+    for batch in _batches(units, lambda unit: sum(b.size for bands in unit[1] for b in bands)):
+        lengths = iter(coder([band for _, segs in batch for bands in segs for band in bands]))
+        for index, segs in batch:
+            seg_lengths.setdefault(index, []).append(_segment_sums(segs, lengths))
+    return tuple(TileEntry(index, tuple(comps)) for index, comps in seg_lengths.items())
+
+
+def encode(img: Image, grid: TileGrid, levels: int) -> Codestream:
+    """Encode every tile of an image into a full codestream.
+
+    Consecutive tile-components are adjacent on the wire, so each batch
+    of them is written by one ``encode_bands`` pass.
+    """
+    chunks = []
+
+    def coder(bands):
+        coded, band_lengths = encode_bands(bands)
+        chunks.append(coded)
+        return band_lengths
+
+    entries = _coded_entries(img, grid, levels, coder)
+    return Codestream(**_header(img, grid, levels), entries=entries, payload=b"".join(chunks))
 
 
 def measure(img: Image, grid: TileGrid, levels: int) -> CodestreamTable:
     """The table ``encode`` would write, with no payload.
 
-    It walks the tiles as ``encode`` does and sizes each
-    tile-component's segments with one ``band_sizes`` call, the
-    counting twin of the ``encode_bands`` call that ``encode`` makes.
+    It walks the tile-components in the same batches as ``encode`` and
+    sizes each batch with one ``band_sizes`` call, the counting twin of
+    the ``encode_bands`` call that ``encode`` makes.
     """
-    entries = [
-        TileEntry(
-            index=index,
-            seg_lengths=tuple(
-                _segment_sums(segs, band_sizes([band for bands in segs for band in bands]))
-                for segs in comps
-            ),
-        )
-        for index, comps in _tile_bands(img, grid, levels)
-    ]
-    return CodestreamTable(**_header(img, grid, levels), entries=tuple(entries))
+    entries = _coded_entries(img, grid, levels, band_sizes)
+    return CodestreamTable(**_header(img, grid, levels), entries=entries)
 
 
 def _check_indices(cs: CodestreamTable, indices) -> list[int]:
@@ -512,32 +554,36 @@ def decode(
 ) -> list[tuple[int, Image]]:
     """Decode tiles at a resolution level into 8-bit image tiles.
 
-    Each tile is ``inverse_53`` of its pyramid cut to that level,
-    DC-unshifted and clamped to [0, 255]; its dimensions follow the
-    dyadic rule applied to the tile's clipped bounds.
+    The tiles' components are read in wire order, in the batches
+    ``encode`` uses: each batch's runs of segments are joined and decoded
+    by one ``decode_bands`` call, which checks the whole batch before it
+    expands any run. Each tile is then ``inverse_53`` of its pyramid cut
+    to that level, DC-unshifted and clamped to [0, 255]; its dimensions
+    follow the dyadic rule applied to the tile's clipped bounds. Tiles
+    come back in the order of ``indices``.
     """
     indices = _check_indices(cs, indices)
     _check_resolution(cs, resolution)
-    out = []
-    for index in indices:
+    units = []  # (tile index, component, band shapes per segment)
+    for index in sorted(indices):
         _, _, tw, th = tile_bounds(cs.grid, index, cs.width, cs.height)
         shapes = _band_shapes(tw, th, cs.levels)[:resolution]
-        flat_shapes = [shape for shp in shapes for shape in shp]
-        counts = [h * w for h, w in flat_shapes]
-        entry = cs.entry_for(index)
-        planes = []
-        for c in range(cs.components):
-            bands = decode_bands(
-                cs.segments(index, c, resolution),
-                counts,
-                segments=[(n, len(shp)) for n, shp in zip(entry.seg_lengths[c], shapes)],
-            )
-            ll, *details = [b.reshape(shape) for b, shape in zip(bands, flat_shapes)]
+        units += ((index, c, shapes) for c in range(cs.components))
+    planes: dict[int, list] = {}
+    for batch in _batches(units, lambda unit: sum(h * w for shp in unit[2] for h, w in shp)):
+        runs, counts, segments = [], [], []
+        for index, c, shapes in batch:
+            runs.append(cs.segments(index, c, resolution))
+            counts += (h * w for shp in shapes for h, w in shp)
+            lengths = cs.entry_for(index).seg_lengths[c]
+            segments += ((n, len(shp)) for n, shp in zip(lengths, shapes))
+        bands = iter(decode_bands(b"".join(runs), counts, segments))
+        for index, _, shapes in batch:
+            ll, *details = [next(bands).reshape(shape) for shp in shapes for shape in shp]
             details = tuple(tuple(details[i : i + 3]) for i in range(0, len(details), 3))
             rec = wavelet.inverse_53(wavelet.CoefficientPyramid(ll=ll, details=details))
-            planes.append(np.clip(rec + 128, 0, 255).astype(np.uint8))
-        out.append((index, Image(np.stack(planes, axis=-1))))
-    return out
+            planes.setdefault(index, []).append(np.clip(rec + 128, 0, 255).astype(np.uint8))
+    return [(index, Image(np.stack(planes[index], axis=-1))) for index in indices]
 
 
 def extract(cs: Codestream, indices, resolution: int) -> Codestream:

@@ -1,5 +1,7 @@
 import hashlib
 import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -77,6 +79,30 @@ def test_tile_files_without_extension_get_the_image_type(tmp_path, components, e
         f"out_t1{ext}", f"out_t4{ext}"]
     tile = raster.load_image(tmp_path / f"out_t1{ext}")
     assert tile == raster.Image(img.pixels[:32, 32:64])
+
+
+def test_python_dash_m_runs_the_cli(tmp_path, scene):
+    # a checkout with src/ on the path and no install runs the README's commands
+    _, _, ipath, _ = scene
+    ssc = tmp_path / "a.ssc"
+    run("encode", ipath, "-o", ssc, "--tile-w", 32, "--tile-h", 32, "--levels", 2)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+    def tilecast(*argv):
+        return subprocess.run([sys.executable, "-m", "tilecast", *map(str, argv)],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    helped = tilecast("--help")
+    assert helped.returncode == 0, helped.stderr
+    assert "extract" in helped.stdout and "gen-scene" in helped.stdout
+    info = tilecast("info", ssc)
+    assert info.returncode == 0, info.stderr
+    assert [line.split(":")[0] for line in info.stdout.splitlines() if line.startswith("R=")] == [
+        "R=1", "R=2"]
+    missing = tilecast("info", tmp_path / "missing.ssc")
+    assert missing.returncode == 1 and missing.stderr.startswith("error:")
 
 
 def test_info_lists_each_resolution(tmp_path, scene, capsys):

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import os
 import struct
+from itertools import accumulate, pairwise
 
 import numpy as np
 import pytest
@@ -720,3 +721,223 @@ def test_encode_input_validation():
     two = Image(np.zeros((8, 8, 2), dtype=np.uint8))
     with pytest.raises(ValueError, match="component"):
         encode(two, TileGrid.for_image(8, 8, 8, 8), 2)
+
+
+# --- batches of tile-components --------------------------------------------
+
+
+def _per_tile_component_encode(img, grid, levels):
+    """The payload and table of one ``encode_bands`` call per tile-component."""
+    chunks, entries = [], []
+    for index, comps in cs._tile_bands(img, grid, levels):
+        seg_lengths = []
+        for segs in comps:
+            coded, band_lengths = encode_bands([band for bands in segs for band in bands])
+            chunks.append(coded)
+            lengths = iter(band_lengths)
+            seg_lengths.append(tuple(sum(next(lengths) for _ in bands) for bands in segs))
+        entries.append(cs.TileEntry(index, tuple(seg_lengths)))
+    return b"".join(chunks), tuple(entries)
+
+
+def _check_batched_coding(img, grid, levels):
+    payload, entries = _per_tile_component_encode(img, grid, levels)
+    stream = encode(img, grid, levels)
+    assert stream.payload == payload
+    assert stream.entries == entries
+    _assert_measure_matches_encode(img, grid, levels)
+    # unsorted and non-contiguous, with the last (clipped) tile in it
+    subset = list(range(grid.tile_count - 1, -1, -2))
+    for resolution in range(1, levels + 1):
+        want = [decode(stream, [index], resolution)[0] for index in subset]
+        assert decode(stream, subset, resolution) == want
+    assert cs.assemble(stream, levels) == img
+
+
+def _noisy_image(rng, h, w, c):
+    pixels = rng.integers(0, 256, size=(h, w, c)).astype(np.uint8)
+    pixels[: h // 3, : w // 2] = 77  # flat: zero runs that meet band ends
+    return Image(pixels)
+
+
+@pytest.mark.parametrize("side", [200, 255, 256, 257])
+def test_batches_write_what_one_pass_per_tile_component_writes(side):
+    # 200^2 is 40,000 coefficients, so a batch of 3-component tiles closes
+    # inside a tile; 256^2 fills a batch alone and 255^2 just misses it
+    rng = np.random.default_rng(side)
+    img = _noisy_image(rng, side + 5, side + 37, 3)
+    _check_batched_coding(img, TileGrid.for_image(img.width, img.height, side, side), 5)
+
+
+def test_batches_of_many_small_tiles(monkeypatch):
+    rng = np.random.default_rng(18)
+    # at the real bound: about 67,000 coefficients of 3-9 px tiles, so one batch closes
+    img = _noisy_image(rng, 259, 261, 1)
+    for (tw, th), levels in (((3, 9), 1), ((9, 7), 5)):
+        grid = TileGrid.for_image(img.width, img.height, tw, th)
+        payload, entries = _per_tile_component_encode(img, grid, levels)
+        stream = encode(img, grid, levels)
+        assert (stream.payload, stream.entries) == (payload, entries)
+        assert measure(img, grid, levels).entries == entries
+        assert cs.assemble(stream, levels) == img
+    # with the bound lowered, batches close at every kind of place in a small image
+    small = _noisy_image(rng, 31, 40, 1)
+    for bound in (1, 97, 600):
+        monkeypatch.setattr(cs, "_BATCH_COEFFS", bound)
+        for levels in range(1, 6):
+            tw, th = int(rng.integers(3, 10)), int(rng.integers(3, 10))
+            _check_batched_coding(small, TileGrid.for_image(40, 31, tw, th), levels)
+
+
+def _coefficients_per_call(run):
+    """Coefficients each ``encode_bands``, ``band_sizes`` or ``decode_bands`` call covers."""
+    calls = []
+
+    def spy(name, count):
+        fn = getattr(cs, name)
+
+        def spied(*args):
+            calls.append((name, count(*args)))
+            return fn(*args)
+
+        return spied
+
+    with pytest.MonkeyPatch.context() as m:
+        for name in ("encode_bands", "band_sizes"):
+            m.setattr(cs, name, spy(name, lambda bands: sum(band.size for band in bands)))
+        m.setattr(cs, "decode_bands", spy("decode_bands", lambda buf, counts, segs: sum(counts)))
+        run()
+    return calls
+
+
+def test_no_pass_covers_more_than_the_bound_plus_one_tile_component():
+    rng = np.random.default_rng(19)
+    img = _noisy_image(rng, 430, 520, 3)  # 200^2 tiles, clipped to 120 and 30 at the edges
+    grid = TileGrid.for_image(520, 430, 200, 200)
+    stream = encode(img, grid, 4)
+
+    def run():
+        encode(img, grid, 4)
+        measure(img, grid, 4)
+        cs.assemble(stream, 4)
+        for resolution in range(1, 5):
+            decode(stream, [7, 0, 4, 2], resolution)
+
+    calls = _coefficients_per_call(run)
+    assert {name for name, _ in calls} == {"encode_bands", "band_sizes", "decode_bands"}
+    assert max(n for _, n in calls) <= (1 << 16) + 200 * 200
+    # tile-components share passes: 27 of them are coded in far fewer calls
+    assert sum(name == "encode_bands" for name, _ in calls) < 27 / 2
+
+
+def test_a_256_square_tile_component_is_coded_alone():
+    # in wire order a 44 px wide edge tile comes before each 256^2 tile of
+    # the next row, and must not share its pass
+    rng = np.random.default_rng(20)
+    for components in (1, 3):
+        img = _noisy_image(rng, 600, 300, components)
+        grid = TileGrid.for_image(300, 600, 256, 256)
+        stream = encode(img, grid, 5)
+
+        def run():
+            encode(img, grid, 5)
+            measure(img, grid, 5)
+            cs.assemble(stream, 5)
+            decode(stream, [2, 1, 0], 5)
+
+        calls = _coefficients_per_call(run)
+        alone = collections.Counter(name for name, n in calls if n == 256 * 256)
+        # tiles 0 and 2 are 256^2: coded, sized, assembled and decoded once each
+        assert alone == {name: 2 * components for name in ("encode_bands", "band_sizes")} | {
+            "decode_bands": 4 * components}
+        assert max(n for _, n in calls) <= (1 << 16) + 256 * 256
+
+
+def _with_segments(stream, replace):
+    """``stream`` with some tile-components' segments replaced, parsed back from bytes.
+
+    ``replace`` maps (tile index, component) to the new segments' bytes.
+    """
+    entries, chunks = [], []
+    for e in stream.entries:
+        comps = []
+        for c, lengths in enumerate(e.seg_lengths):
+            run = bytes(stream.segments(e.index, c, stream.max_resolution))
+            segs = [run[a:b] for a, b in pairwise(accumulate(lengths, initial=0))]
+            segs = replace.get((e.index, c), segs)
+            comps.append(tuple(map(len, segs)))
+            chunks += segs
+        entries.append(cs.TileEntry(e.index, tuple(comps)))
+    changed = dataclasses.replace(stream, entries=tuple(entries), payload=b"".join(chunks))
+    return parse_codestream(write_codestream(changed))
+
+
+def _fault_stream():
+    rng = np.random.default_rng(21)
+    img = _noisy_image(rng, 14, 13, 3)
+    return encode(img, TileGrid.for_image(13, 14, 5, 4), 3)
+
+
+FAULT_STREAM = _fault_stream()
+
+
+def test_a_fault_anywhere_in_a_batch_is_refused():
+    stream = FAULT_STREAM
+    last = stream.tile_count - 1
+    assert stream.width * stream.height * stream.components < cs._BATCH_COEFFS  # one batch
+    for index, c in ((0, 0), (last // 2, 1), (last, 2)):  # first, a middle, the last
+        _, _, tw, th = cs.tile_bounds(stream.grid, index, stream.width, stream.height)
+        top = [np.ones(h * w, dtype=np.int64) for h, w in cs._band_shapes(tw, th, 3)[-1]]
+        coded = b"".join(map(encode_band, top))
+        crossing = encode_varints(np.array([0, top[0].size + 1], dtype=np.uint64)) + (
+            b"\x02" * (top[1].size - 1) + encode_band(top[2]))
+        faults = {
+            "truncated varint": coded[:-1] + b"\x82",
+            "crosses a band": crossing,
+            "short": coded[:-1],
+        }
+        run = bytes(stream.segments(index, c, 3))
+        low, mid, _ = stream.entry_for(index).seg_lengths[c]
+        for message, top_segment in faults.items():
+            bad = _with_segments(
+                stream, {(index, c): [run[:low], run[low : low + mid], top_segment]})
+            with pytest.raises(CodestreamError, match=message):
+                cs.assemble(bad, 3)
+            with pytest.raises(CodestreamError, match=message):
+                decode(bad, [index, *(i for i in (last, last // 2, 0) if i != index)], 3)
+            # below the top resolution the fault is never read
+            assert decode(bad, [index], 2) == decode(stream, [index], 2)
+
+
+def _reference_assemble(stream):
+    """Full-resolution mosaic, one ``reference_decode_segments`` call per tile-component."""
+    canvas = np.zeros((stream.height, stream.width, stream.components), dtype=np.uint8)
+    for e in stream.entries:
+        x, y, tw, th = cs.tile_bounds(stream.grid, e.index, stream.width, stream.height)
+        shapes = cs._band_shapes(tw, th, stream.levels)
+        flat = [shape for seg in shapes for shape in seg]
+        for c, lengths in enumerate(e.seg_lengths):
+            bands = reference_decode_segments(
+                stream.segments(e.index, c, stream.levels), [h * w for h, w in flat],
+                [(n, len(seg)) for n, seg in zip(lengths, shapes)])
+            ll, *details = [band.reshape(shape) for band, shape in zip(bands, flat)]
+            pyramid = cs.wavelet.CoefficientPyramid(
+                ll=ll, details=tuple(tuple(details[i : i + 3]) for i in range(0, len(details), 3)))
+            canvas[y : y + th, x : x + tw, c] = np.clip(cs.wavelet.inverse_53(pyramid) + 128, 0, 255)
+    return Image(canvas)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_batched_assemble_agrees_with_a_per_tile_component_reference(data):
+    payload = bytearray(FAULT_STREAM.payload)
+    pos = data.draw(st.integers(0, len(payload) - 1))
+    payload[pos] = data.draw(st.integers(0, 255))
+    stream = dataclasses.replace(FAULT_STREAM, payload=bytes(payload))
+    try:
+        want = _reference_assemble(stream)
+    except CodestreamError:
+        with pytest.raises(CodestreamError):
+            cs.assemble(stream, stream.levels)
+        return
+    assert cs.assemble(stream, stream.levels) == want
