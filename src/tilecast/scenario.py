@@ -104,7 +104,12 @@ def run_grid(
     threads: int = 1,
     save_cell_detections: bool = False,
 ) -> GridReport:
-    """Execute the full scenario grid and emit all report files."""
+    """Execute the full scenario grid and emit all report files.
+
+    ``threads`` cells run at once; it must be at least 1.
+    """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     img, gt = load_scene(cfg)
     grid = TileGrid.for_image(img.width, img.height, cfg.tile_w, cfg.tile_h)
     table = cs_mod.measure(img, grid, cfg.levels)

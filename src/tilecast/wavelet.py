@@ -17,13 +17,21 @@ transform is exactly invertible on integer input, and one synthesis
 serves every resolution: ``inverse_53`` of a pyramid cut to its first
 r - 1 detail levels is the image at resolution level r.
 
+Both directions take a stack ``(n, h, w)`` of same-shape grids as well
+as one grid, and lift each grid of a stack on its own over the last two
+axes, so a stack's bands are exactly its members' bands, one above the
+other. A caller with many small grids of one shape (the tiles of a
+codestream) pays each pass's fixed cost once for all of them.
+
 The two terms lift along axis 0 of the array they are given, and no
-pass makes a transposed copy. The column pass slices whole rows
-(``low[0::2]``, ``d[:1]``, ...), each of them contiguous, so its bands
-come out C-contiguous as they are computed. The row pass works on the
-grid's transpose, a view: it gathers each row's even and odd samples
-once, in memory order, and its bands transpose back to C order.
-Synthesis runs the same terms the same way.
+pass makes a transposed copy: each pass swaps its lifting axis to the
+front, a view, and back. The column pass slices whole rows
+(``low[0::2]``, ``d[:1]``, ...), each of them contiguous. The row pass
+gathers each row's even and odd samples once, in memory order. Either
+way the bands swap back to C order, and every band a pass returns is
+C-contiguous, a stack's members included. Synthesis runs the same terms
+the same way and writes each pass into a C-ordered array through the
+same swapped view.
 
 Analysis works at the narrowest width that stays exact. A 1-D pass over
 values of magnitude at most m gives values of magnitude at most 2m + 1
@@ -34,8 +42,9 @@ When that bound is at most 2**31 the pyramid is lifted in int32: for
 DC-shifted 8-bit samples (p = 128) that holds up to depth 11, and at
 depth 7, the deepest a codestream holds, the bound is 129 * 2**15, about
 2**22. Otherwise it is lifted in int64, and a grid whose bound exceeds
-2**63 is refused. Synthesis runs in int64, since coefficients read from
-a stream carry no such bound.
+2**63 is refused. A stack takes one width, from its largest peak.
+Synthesis runs in int64, since coefficients read from a stream carry
+no such bound.
 """
 
 from __future__ import annotations
@@ -54,11 +63,12 @@ class PyramidShapeError(ValueError):
 
 @dataclass(frozen=True)
 class CoefficientPyramid:
-    """Wavelet coefficients of one grid.
+    """Wavelet coefficients of one grid, or of a stack of same-shape grids.
 
     ``ll`` is the deepest low-pass band. ``details[i]`` holds the
     (HL, LH, HH) bands at depth ``depth - i``, i.e. synthesis order:
     merging ``ll`` with ``details[0]`` yields the LL band one level up.
+    The bands of a stack carry a leading axis, one entry per grid.
     """
 
     ll: Band
@@ -75,10 +85,10 @@ class CoefficientPyramid:
 
 
 def _integral_grid(a) -> np.ndarray:
-    """``a`` as a 2-D array of whole numbers; a float grid must hold integral values."""
+    """``a`` as a grid, or a stack of grids, of whole numbers; floats must be integral."""
     arr = np.asarray(a)
-    if arr.ndim != 2:
-        raise ValueError(f"expected a 2-D grid, got ndim={arr.ndim}")
+    if arr.ndim not in (2, 3):
+        raise ValueError(f"expected a 2-D grid or a 3-D stack of grids, got ndim={arr.ndim}")
     if arr.dtype.kind == "f":
         if not (np.isfinite(arr).all() and (arr == np.trunc(arr)).all()):
             raise ValueError("grid holds a non-integral value")
@@ -118,15 +128,19 @@ def _predict_term(even: np.ndarray, nd: int) -> np.ndarray:
 
 
 def _analyze(a: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
-    """One lifting pass along ``axis`` (0 or 1) of a 2-D grid: returns (low, high).
+    """One lifting pass along ``axis`` (0 or 1) of each grid: returns (low, high).
 
-    The terms lift along axis 0 of the view they get, so a row pass
-    works on ``a.T``, a view, and its bands transpose back to C order.
-    A row's even samples sit two apart and are gathered once, in
-    memory order; a column pass uses its even and odd rows in place,
-    since each row is contiguous.
+    ``a`` is one grid or a stack of them; ``axis`` counts within a
+    grid. The terms lift along axis 0 of the view they get, so the
+    lifting axis is swapped to the front, a view, and back. A row's
+    even samples sit two apart and are gathered once, in memory order;
+    a column pass uses its even and odd rows in place, since each row
+    is contiguous. The terms mostly keep their operands' memory order,
+    but numpy picks another for some small shapes, so the bands are
+    made C-contiguous on the way out (a no-op when they already are).
     """
-    view = a.T if axis else a
+    lift = a.ndim - 2 + axis
+    view = a.swapaxes(0, lift)
     even, odd = view[0::2], view[1::2]
     if axis:
         even, odd = even.copy(order="F"), odd.copy(order="F")
@@ -134,22 +148,24 @@ def _analyze(a: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
     if nd:
         odd = odd - _predict_term(even, nd)
         even = even + _update_term(odd, ns)
-    return (even.T, odd.T) if axis else (even, odd)
+    low, high = even.swapaxes(0, lift), odd.swapaxes(0, lift)
+    return np.ascontiguousarray(low), np.ascontiguousarray(high)
 
 
 def _synthesize(s: np.ndarray, d: np.ndarray, axis: int) -> np.ndarray:
     """Invert _analyze: interleave (low, high) back into samples along ``axis``."""
-    if axis:
-        s, d = s.T, d.T
+    lift = s.ndim - 2 + axis
+    shape = list(s.shape)
+    shape[lift] += d.shape[lift]
+    s, d = s.swapaxes(0, lift), d.swapaxes(0, lift)
     ns, nd = len(s), len(d)
-    if nd == 0:
-        out = s.copy()
-    else:
-        even = s - _update_term(d, ns)
-        out = np.empty((ns + nd, even.shape[1]), dtype=even.dtype, order="F" if axis else "C")
-        out[0::2] = even
-        out[1::2] = d + _predict_term(even, nd)
-    return out.T if axis else out
+    even = s - _update_term(d, ns) if nd else s
+    out = np.empty(shape, dtype=even.dtype)
+    samples = out.swapaxes(0, lift)
+    samples[0::2] = even
+    if nd:
+        samples[1::2] = d + _predict_term(even, nd)
+    return out
 
 
 def _analyze2d(a: np.ndarray) -> tuple[Band, Band, Band, Band]:
@@ -161,9 +177,15 @@ def _analyze2d(a: np.ndarray) -> tuple[Band, Band, Band, Band]:
 
 
 def _synthesize2d(ll: Band, hl: Band, lh: Band, hh: Band) -> np.ndarray:
-    a, b = ll.shape
-    c, d = hh.shape
-    if hl.shape != (a, d) or lh.shape != (c, b) or not (0 <= a - c <= 1) or not (0 <= b - d <= 1):
+    *stack, a, b = ll.shape
+    c, d = hh.shape[-2:]
+    if (
+        hl.shape != (*stack, a, d)
+        or lh.shape != (*stack, c, b)
+        or hh.shape != (*stack, c, d)
+        or not (0 <= a - c <= 1)
+        or not (0 <= b - d <= 1)
+    ):
         raise PyramidShapeError(
             f"inconsistent band shapes: LL{ll.shape} HL{hl.shape} LH{lh.shape} HH{hh.shape}"
         )
@@ -178,13 +200,17 @@ def split_dims(n: int) -> tuple[int, int]:
 def forward_53(samples, depth: int) -> CoefficientPyramid:
     """Decompose a 2-D integer grid ``depth`` times, recursing on LL.
 
-    ``depth`` 0 returns the input unchanged as a single LL band. Input
-    is expected DC-shifted (e.g. 8-bit value - 128) when coding images,
-    but any integer grid is accepted, and so is a float grid of whole
-    numbers; a non-integral value raises ``ValueError``, and so does a
-    grid too large for exact lifting in int64. The bands come out in
-    the working width: int32 when the grid's peak magnitude and
-    ``depth`` keep every lifted value inside it (see the module
+    ``samples`` may also be a stack ``(n, h, w)`` of same-shape grids:
+    each is lifted on its own over the last two axes, and every band
+    keeps the leading stack axis, so member ``k`` of each band is that
+    band of ``forward_53(samples[k], depth)``. ``depth`` 0 returns the
+    input unchanged as a single LL band. Input is expected DC-shifted
+    (e.g. 8-bit value - 128) when coding images, but any integer grid
+    is accepted, and so is a float grid of whole numbers; a
+    non-integral value raises ``ValueError``, and so does a grid too
+    large for exact lifting in int64. The bands come out in the
+    working width: int32 when the peak magnitude of the whole input
+    and ``depth`` keep every lifted value inside it (see the module
     docstring), else int64.
     """
     grid = _integral_grid(samples)
@@ -208,7 +234,9 @@ def inverse_53(pyramid: CoefficientPyramid) -> np.ndarray:
     A pyramid cut to its first ``r - 1`` detail levels synthesizes the
     image at resolution level ``r``: the deepest LL band alone is level
     1, and each detail level merged doubles (odd dims: ceil-doubles)
-    the grid.
+    the grid. A pyramid of stacked bands, each ``(n, h, w)`` with the
+    same ``n``, synthesizes a stack of ``n`` grids, each as it would be
+    alone; stack lengths that disagree raise ``PyramidShapeError``.
     """
     cur = _as_coeffs(pyramid.ll)
     for hl, lh, hh in pyramid.details:

@@ -231,6 +231,20 @@ def test_run_deterministic_across_runs_and_threads(tmp_path):
     assert outs[0] == outs[1] == outs[2]
 
 
+@pytest.mark.parametrize("threads", [0, -3])
+def test_run_refuses_fewer_than_one_thread(tmp_path, capsys, monkeypatch, threads):
+    # it used to run serially without a word; now it stops before the scene is made
+    def no_scene(cfg):
+        raise AssertionError("the scene was loaded")
+
+    monkeypatch.setattr(scenario, "load_scene", no_scene)
+    out = tmp_path / "out"
+    argv = ["--quiet", "--out-dir", str(out), "run", write_cfg(tmp_path), "--threads", str(threads)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: threads must be >= 1, got {threads}"]
+    assert not out.exists()
+
+
 def test_run_grid_matches_timeline_files(tmp_path):
     cfg = write_cfg(tmp_path)
     out = tmp_path / "out"

@@ -727,11 +727,15 @@ def test_encode_input_validation():
 
 
 def _per_tile_component_encode(img, grid, levels):
-    """The payload and table of one ``encode_bands`` call per tile-component."""
+    """The payload and table of one 2-D lift and one ``encode_bands`` call per tile-component."""
     chunks, entries = [], []
-    for index, comps in cs._tile_bands(img, grid, levels):
+    for index in range(grid.tile_count):
+        x, y, tw, th = cs.tile_bounds(grid, index, img.width, img.height)
         seg_lengths = []
-        for segs in comps:
+        for c in range(img.components):
+            samples = img.pixels[y : y + th, x : x + tw, c].astype(np.int64) - 128
+            pyr = cs.wavelet.forward_53(samples, levels - 1)
+            segs = [(pyr.ll,), *pyr.details]
             coded, band_lengths = encode_bands([band for bands in segs for band in bands])
             chunks.append(coded)
             lengths = iter(band_lengths)
@@ -789,25 +793,42 @@ def test_batches_of_many_small_tiles(monkeypatch):
             _check_batched_coding(small, TileGrid.for_image(40, 31, tw, th), levels)
 
 
-def _coefficients_per_call(run):
-    """Coefficients each ``encode_bands``, ``band_sizes`` or ``decode_bands`` call covers."""
+_LIFTS = ("forward_53", "inverse_53")
+
+
+def _calls(run):
+    """(name, what it covered) of each token pass and lift ``run`` makes, in order.
+
+    A pass (``encode_bands``, ``band_sizes``, ``decode_bands``) covers
+    its coefficient count. A lift covers a stack shape: the samples a
+    ``forward_53`` call lifts, or the grids an ``inverse_53`` call gives back.
+    """
     calls = []
 
-    def spy(name, count):
-        fn = getattr(cs, name)
+    def spy(owner, name, covered):
+        fn = getattr(owner, name)
 
         def spied(*args):
-            calls.append((name, count(*args)))
-            return fn(*args)
+            out = fn(*args)
+            calls.append((name, covered(out, *args)))
+            return out
 
         return spied
 
     with pytest.MonkeyPatch.context() as m:
         for name in ("encode_bands", "band_sizes"):
-            m.setattr(cs, name, spy(name, lambda bands: sum(band.size for band in bands)))
-        m.setattr(cs, "decode_bands", spy("decode_bands", lambda buf, counts, segs: sum(counts)))
+            m.setattr(cs, name, spy(cs, name, lambda _, bands: sum(band.size for band in bands)))
+        m.setattr(cs, "decode_bands", spy(cs, "decode_bands", lambda _, buf, counts, segs: sum(counts)))
+        m.setattr(cs.wavelet, "forward_53",
+                  spy(cs.wavelet, "forward_53", lambda _, samples, depth: samples.shape))
+        m.setattr(cs.wavelet, "inverse_53", spy(cs.wavelet, "inverse_53", lambda out, _: out.shape))
         run()
     return calls
+
+
+def _coefficients_per_call(run):
+    """Coefficients each ``encode_bands``, ``band_sizes`` or ``decode_bands`` call covers."""
+    return [(name, n) for name, n in _calls(run) if name not in _LIFTS]
 
 
 def test_no_pass_covers_more_than_the_bound_plus_one_tile_component():
@@ -851,6 +872,71 @@ def test_a_256_square_tile_component_is_coded_alone():
         assert alone == {name: 2 * components for name in ("encode_bands", "band_sizes")} | {
             "decode_bands": 4 * components}
         assert max(n for _, n in calls) <= (1 << 16) + 256 * 256
+
+
+def _stacks_per_batch(calls, lifts_follow_their_pass):
+    """[(batch coefficients, [stack shapes])], one per pass, from ``_calls``.
+
+    ``encode`` and ``measure`` lift a batch and then code it; ``decode``
+    decodes a batch and then lifts it.
+    """
+    batches, pending = [], []
+    for name, value in calls:
+        if name in _LIFTS:
+            (batches[-1][1] if lifts_follow_their_pass else pending).append(value)
+        else:
+            batches.append((value, [] if lifts_follow_their_pass else pending))
+            pending = []
+    assert not pending
+    return batches
+
+
+def _check_call_shape(batches, tile_components, tile_shapes_distinct=True):
+    """One lift per tile shape in each batch, and every tile-component lifted once.
+
+    The stacks of a batch together hold exactly its coefficients, so no
+    stack holds more than its batch.
+    """
+    for coefficients, stacks in batches:
+        tile_shapes = [shape[1:] for shape in stacks]
+        if tile_shapes_distinct:
+            assert len(set(tile_shapes)) == len(tile_shapes), tile_shapes
+        assert sum(np.prod(shape) for shape in stacks) == coefficients
+    assert sum(shape[0] for _, stacks in batches for shape in stacks) == tile_components
+
+
+def test_a_batch_lifts_one_stack_per_tile_shape():
+    rng = np.random.default_rng(22)
+    cases = [  # 3-9 px tiles, clipped at both edges, and 256^2 RGB tiles
+        (_noisy_image(rng, 259, 261, 1), 7, 9, 5),
+        (_noisy_image(rng, 259, 261, 1), 3, 4, 3),
+        (_noisy_image(rng, 600, 300, 3), 256, 256, 5),
+    ]
+    for img, tw, th, levels in cases:
+        grid = TileGrid.for_image(img.width, img.height, tw, th)
+        stream = encode(img, grid, levels)
+        everything = grid.tile_count * img.components
+        lifts = []
+        for run in (lambda: encode(img, grid, levels), lambda: measure(img, grid, levels)):
+            batches = _stacks_per_batch(_calls(run), lifts_follow_their_pass=False)
+            _check_call_shape(batches, everything)
+            lifts += [shape for _, stacks in batches for shape in stacks]
+        subset = list(range(grid.tile_count - 1, -1, -3))
+        for resolution in range(1, levels + 1):
+            for indices in (subset, range(grid.tile_count)):
+                calls = _calls(lambda: decode(stream, indices, resolution))
+                batches = _stacks_per_batch(calls, lifts_follow_their_pass=True)
+                # below full resolution two tile sizes can halve to one shape
+                _check_call_shape(batches, len(indices) * img.components, resolution == levels)
+                lifts += [shape for _, stacks in batches for shape in stacks]
+        # a 256^2 tile-component fills a batch, so it is always a stack of one:
+        # tiles 0 and 2 are 256^2, lifted by encode, measure and the two
+        # full-resolution decodes (the subset holds tile 2)
+        full = [shape for shape in lifts if shape[1:] == (256, 256)]
+        assert all(shape[0] == 1 for shape in full)
+        assert len(full) == (6 + 6 + 3 + 6 if tw == 256 else 0)
+        if tw < 10:
+            assert len(lifts) < everything / 10
 
 
 def _with_segments(stream, replace):

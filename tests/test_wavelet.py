@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tilecast import wavelet
 from tilecast.wavelet import (
@@ -71,14 +73,19 @@ def test_perfect_reconstruction_many_shapes():
 
 
 def test_bands_come_out_c_contiguous():
-    # the column pass lifts whole rows, so no band is a transposed view
+    # the column pass lifts whole rows, so no band is a transposed view,
+    # and each member of a stack's band is one contiguous block
     rng = np.random.default_rng(9)
-    for h, w in ((1, 1), (1, 9), (9, 1), (2, 2), (16, 16), (17, 31), (40, 1), (1, 64), (33, 2)):
-        g = rng.integers(-128, 128, size=(h, w))
-        for depth in range(4):
-            pyr = forward_53(g, depth)
-            bands = [pyr.ll, *(band for level in pyr.details for band in level)]
-            assert all(band.flags.c_contiguous for band in bands), (h, w, depth)
+    shapes = ((1, 1), (1, 9), (9, 1), (2, 2), (5, 2), (5, 4), (16, 16), (17, 31), (40, 1),
+              (1, 64), (33, 2))
+    for h, w in shapes:
+        for lead in ((), (1,), (3,), (7,)):
+            g = rng.integers(-128, 128, size=(*lead, h, w))
+            for depth in range(4):
+                pyr = forward_53(g, depth)
+                bands = [pyr.ll, *(band for level in pyr.details for band in level)]
+                members = [member for band in bands for member in band] if lead else []
+                assert all(a.flags.c_contiguous for a in bands + members), (lead, h, w, depth)
 
 
 def test_coefficients_fit_int16_for_8bit_input():
@@ -242,3 +249,58 @@ def test_wide_input_lifts_in_int64():
     with pytest.raises(ValueError, match="overflow int64"):
         forward_53(np.full((4, 4), 2**50), 7)
     assert forward_53(np.full((4, 4), 2**50), 1).ll.dtype == np.int64
+
+
+@st.composite
+def stacks(draw):
+    """A stack of 1-9 same-shape grids, 1-40 a side, a depth 0-7, and the width it lifts in."""
+    n, h, w = draw(st.integers(1, 9)), draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    depth = draw(st.integers(0, 7))
+    # 8-bit samples lift in int32 at every depth; 2**40 forces int64
+    peak = draw(st.sampled_from([128, 2**40]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grids = rng.integers(-peak, peak, size=(n, h, w))
+    grids[rng.integers(n), rng.integers(h), rng.integers(w)] = -peak  # the stack reaches its peak
+    return grids, depth, np.int32 if peak == 128 else np.int64
+
+
+def _bands(pyr):
+    return [pyr.ll, *(band for level in pyr.details for band in level)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(stacks())
+def test_a_stack_lifts_as_its_members_do(case):
+    grids, depth, width = case
+    pyr = forward_53(grids, depth)
+    assert all(band.dtype == width for band in _bands(pyr))
+    alone = [forward_53(grid, depth) for grid in grids]
+    for k, member in enumerate(alone):
+        for band, wanted in zip(_bands(pyr), _bands(member), strict=True):
+            assert np.array_equal(band[k], wanted)
+    assert np.array_equal(inverse_53(pyr), grids)
+    for resolution in range(1, depth + 2):
+        got = inverse_53(_truncated(pyr, resolution))
+        assert len(got) == len(grids)
+        for k, member in enumerate(alone):
+            assert np.array_equal(got[k], inverse_53(_truncated(member, resolution)))
+
+
+def test_stack_lengths_that_disagree_are_refused():
+    pyr = forward_53(np.arange(3 * 64).reshape(3, 8, 8), 2)
+    hl, lh, hh = pyr.details[1]
+    for bad in (
+        CoefficientPyramid(ll=pyr.ll[:2], details=pyr.details),
+        CoefficientPyramid(ll=pyr.ll, details=(pyr.details[0], (hl, lh[:2], hh))),
+        CoefficientPyramid(ll=pyr.ll, details=(pyr.details[0], (hl, lh, hh[0]))),
+    ):
+        with pytest.raises(PyramidShapeError):
+            inverse_53(bad)
+
+
+def test_grids_of_other_dimensions_are_refused():
+    for bad in (np.arange(8), np.arange(16).reshape(1, 2, 2, 4)):
+        with pytest.raises(ValueError, match="ndim"):
+            forward_53(bad, 1)
+        with pytest.raises(ValueError, match="ndim"):
+            inverse_53(CoefficientPyramid(ll=bad, details=()))
