@@ -233,7 +233,7 @@ def test_run_deterministic_across_runs_and_threads(tmp_path):
 
 @pytest.mark.parametrize("threads", [0, -3])
 def test_run_refuses_fewer_than_one_thread(tmp_path, capsys, monkeypatch, threads):
-    # it used to run serially without a word; now it stops before the scene is made
+    # refused before the scene is made, so nothing runs
     def no_scene(cfg):
         raise AssertionError("the scene was loaded")
 

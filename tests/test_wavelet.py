@@ -83,7 +83,7 @@ def test_bands_come_out_c_contiguous():
             g = rng.integers(-128, 128, size=(*lead, h, w))
             for depth in range(4):
                 pyr = forward_53(g, depth)
-                bands = [pyr.ll, *(band for level in pyr.details for band in level)]
+                bands = _bands(pyr)
                 members = [member for band in bands for member in band] if lead else []
                 assert all(a.flags.c_contiguous for a in bands + members), (lead, h, w, depth)
 
