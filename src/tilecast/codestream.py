@@ -36,14 +36,18 @@ stack of one and no stack outgrows its batch. The encoder codes a batch
 in one ``encode_bands`` pass. ``measure`` gives the header and table
 ``encode`` would write (a ``CodestreamTable``) by walking the same
 batches and counting their token bytes with one ``band_sizes`` pass
-each. The decoder joins a batch's runs and checks them in one
-``decode_bands`` pass, against the band sizes the header implies and
-before it expands any run, and synthesizes the batch one stack per tile
-size. Every run must end inside its band, and every segment end, the
-last one included, obeys one rule: it falls where a token ends, not
-after a zero-run introducer, and closes exactly on its last band's
-coefficient count. A fault anywhere in a batch is therefore refused
-before anything is allocated for it.
+each. The decoder walks the requested tiles' components in batches of
+the same bound, counted at the decoded resolution. It joins a batch's
+runs and checks them in one ``decode_bands`` pass, against the band
+sizes the header implies and before it expands any run, and synthesizes
+the batch one stack per tile size. ``decode`` and ``assemble`` share
+that walk and write each synthesized plane once, into its tile or
+straight into the canvas, so decoding holds the output plus one batch.
+Every run must end inside its band, and every segment end, the last one
+included, obeys one rule: it falls where a token ends, not after a
+zero-run introducer, and closes exactly on its last band's coefficient
+count. A fault anywhere in a batch is therefore refused before anything
+is allocated for it.
 """
 
 from __future__ import annotations
@@ -232,14 +236,6 @@ def band_sizes(bands) -> list[int]:
     return sizes.tolist()
 
 
-def band_size(band: np.ndarray) -> int:
-    """Bytes ``encode_band(band)`` writes: the one-band case of ``band_sizes``.
-
-    ``measure`` sizes a whole batch of tile-components with one ``band_sizes`` call.
-    """
-    return band_sizes([np.asarray(band)])[0]
-
-
 def decode_bands(buf, counts: list[int], segments=None) -> list[np.ndarray]:
     """Decode back-to-back band token streams with known coefficient counts.
 
@@ -382,23 +378,23 @@ def _band_shapes(tile_w: int, tile_h: int, levels: int):
     return segs
 
 
+def _reduced(cs: CodestreamTable, resolution: int, *lengths: int) -> list[int]:
+    """Each axis length, in samples, after the splits that leave ``resolution``."""
+    return [_low_sizes(n, cs.levels)[cs.levels - resolution] for n in lengths]
+
+
 def resolution_size(cs: CodestreamTable, resolution: int) -> tuple[int, int]:
     """Width and height of ``assemble(cs, resolution)``.
 
-    Every tile is halved on its own, so the image is the sum of the
-    reduced tile sizes along one tile row and one tile column.
+    Every tile is halved on its own. All but the last in a row or column
+    are whole, so a tile's offset is its column (row) times the whole
+    tile's reduced width (height); the image ends with the last tile.
     """
     _check_resolution(cs, resolution)
-    grid, depth = cs.grid, cs.levels - resolution
-    widths = (tile_bounds(grid, col, cs.width, cs.height)[2] for col in range(grid.tiles_x))
-    heights = (
-        tile_bounds(grid, row * grid.tiles_x, cs.width, cs.height)[3]
-        for row in range(grid.tiles_y)
-    )
-    return (
-        sum(_low_sizes(w, cs.levels)[depth] for w in widths),
-        sum(_low_sizes(h, cs.levels)[depth] for h in heights),
-    )
+    grid = cs.grid
+    _, _, w, h = tile_bounds(grid, grid.tile_count - 1, cs.width, cs.height)
+    tw, th, last_w, last_h = _reduced(cs, resolution, cs.tile_w, cs.tile_h, w, h)
+    return (grid.tiles_x - 1) * tw + last_w, (grid.tiles_y - 1) * th + last_h
 
 
 def _tile_components(img: Image, grid: TileGrid, levels: int):
@@ -588,22 +584,19 @@ def _check_resolution(cs: CodestreamTable, resolution: int) -> None:
         )
 
 
-def decode(
-    cs: Codestream, indices, resolution: int
-) -> list[tuple[int, Image]]:
-    """Decode tiles at a resolution level into 8-bit image tiles.
+def _planes(cs: Codestream, indices, resolution: int):
+    """Yield (tile index, component, 8-bit plane) of checked tiles at a resolution level.
 
-    The tiles' components are read in wire order, in the batches
-    ``encode`` uses: each batch's runs of segments are joined and decoded
-    by one ``decode_bands`` call, which checks the whole batch before it
+    The given tiles' components are read in wire order, in batches that
+    ``_batches`` closes on their coefficient count at that level: the
+    batches ``encode`` uses only when every tile is read at full
+    resolution. Each batch's runs of segments are decoded by one
+    ``decode_bands`` call, which checks the whole batch before it
     expands any run. A tile-component is then ``inverse_53`` of its
-    pyramid cut to that level, DC-unshifted and clamped to [0, 255]; the
-    tile-components of one size in a batch are synthesized and clamped
-    as one stack. A tile's dimensions follow the dyadic rule applied to
-    its clipped bounds. Tiles come back in the order of ``indices``.
+    pyramid cut to that level, DC-unshifted and clamped to [0, 255], as
+    one stack per tile size in a batch. A plane is a view of its stack,
+    and a tile's planes come in component order.
     """
-    indices = _check_indices(cs, indices)
-    _check_resolution(cs, resolution)
     units = []  # (tile index, component, tile size)
     shapes = {}  # tile size -> band shapes per segment
     for index in sorted(indices):
@@ -613,7 +606,6 @@ def decode(
         units += ((index, c, size) for c in range(cs.components))
     band_counts = {size: [h * w for shp in segs for h, w in shp] for size, segs in shapes.items()}
     nbands = 3 * resolution - 2  # per tile-component
-    planes = {}  # (tile index, component) -> 8-bit plane
     for batch in _batches(units, lambda unit: sum(band_counts[unit[2]])):
         runs, counts, segments = [], [], []
         for index, c, size in batch:
@@ -631,11 +623,25 @@ def decode(
             rec = wavelet.inverse_53(wavelet.CoefficientPyramid(ll=ll, details=details))
             rec = np.clip(rec + 128, 0, 255).astype(np.uint8)
             for k, pos in enumerate(group):
-                planes[batch[pos][:2]] = rec[k]
-    return [
-        (index, Image(np.stack([planes[index, c] for c in range(cs.components)], axis=-1)))
-        for index in indices
-    ]
+                yield *batch[pos][:2], rec[k]
+
+
+def decode(cs: Codestream, indices, resolution: int) -> list[tuple[int, Image]]:
+    """Decode tiles at a resolution level into 8-bit image tiles.
+
+    Each plane ``_planes`` synthesizes is written once, into its tile's
+    array, so the peak is the tiles plus one batch. A tile's size is the
+    dyadic rule applied to its clipped bounds; tiles come back in the
+    order of ``indices``.
+    """
+    indices = _check_indices(cs, indices)
+    _check_resolution(cs, resolution)
+    tiles = {}
+    for index, c, plane in _planes(cs, indices, resolution):
+        if c == 0:
+            tiles[index] = np.empty((*plane.shape, cs.components), dtype=np.uint8)
+        tiles[index][:, :, c] = plane
+    return [(index, Image(tiles[index])) for index in indices]
 
 
 def extract(cs: Codestream, indices, resolution: int) -> Codestream:
@@ -768,25 +774,19 @@ def parse_codestream(src) -> Codestream:
 def assemble(cs: Codestream, resolution: int) -> Image:
     """Decode all tiles at a resolution and mosaic them into one image.
 
-    Tiles are placed at the cumulative extents of the per-row/column
-    tile dimensions at that resolution; at full resolution this
-    reproduces the source image exactly.
+    Each plane ``_planes`` synthesizes is written once, straight into
+    the canvas at the offset ``resolution_size`` states, so the peak is
+    the canvas plus one batch. The tiles cover the canvas exactly, so it
+    starts empty. At full resolution this reproduces the source image.
     """
     grid = cs.grid
-    indices = [e.index for e in cs.entries]
-    if len(indices) != grid.tile_count:
+    if len(cs.entries) != grid.tile_count:
         raise CodestreamError("assemble requires a codestream holding every tile")
-    tiles = dict(decode(cs, indices, resolution))
-    col_w = [tiles[col].width for col in range(grid.tiles_x)]
-    row_h = [tiles[row * grid.tiles_x].height for row in range(grid.tiles_y)]
-    x_off = np.concatenate([[0], np.cumsum(col_w)])
-    y_off = np.concatenate([[0], np.cumsum(row_h)])
-    canvas = np.zeros((int(y_off[-1]), int(x_off[-1]), cs.components), dtype=np.uint8)
-    for index, tile in tiles.items():
+    width, height = resolution_size(cs, resolution)
+    tw, th = _reduced(cs, resolution, cs.tile_w, cs.tile_h)
+    canvas = np.empty((height, width, cs.components), dtype=np.uint8)
+    for index, c, plane in _planes(cs, range(grid.tile_count), resolution):
         row, col = divmod(index, grid.tiles_x)
-        canvas[
-            y_off[row] : y_off[row] + tile.height,
-            x_off[col] : x_off[col] + tile.width,
-            :,
-        ] = tile.pixels
+        h, w = plane.shape
+        canvas[row * th : row * th + h, col * tw : col * tw + w, c] = plane
     return Image(canvas)

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import os
 import struct
+import tracemalloc
 from itertools import accumulate, pairwise
 
 import numpy as np
@@ -22,7 +23,6 @@ from tilecast.codestream import (
     Codestream,
     CodestreamError,
     CodestreamTable,
-    band_size,
     band_sizes,
     decode,
     decode_bands,
@@ -151,9 +151,9 @@ def bands(draw, literals=_LITERALS):
 @given(bands())
 @settings(max_examples=300)
 def test_band_size_equals_encoded_length(band):
-    assert band_size(band) == len(encode_band(band))
+    assert band_sizes([band])[0] == len(encode_band(band))
     if band.size and -(2**31) <= band.min() and band.max() < 2**31:
-        assert band_size(band.astype(np.int32)) == band_size(band)
+        assert band_sizes([band.astype(np.int32)])[0] == band_sizes([band])[0]
 
 
 @given(st.lists(bands(_LITERALS.filter(lambda c: c < 2**31)), max_size=4))
@@ -369,7 +369,7 @@ def test_band_size_edge_cases():
         np.array([-(2**31), 2**31 - 1, 0, 0, -64, 63, 64, -65, 0], dtype=np.int32),
         np.array([0, 200, 255, 0, 0, 7], dtype=np.uint8),
     ):
-        assert band_size(band) == len(encode_band(band))
+        assert band_sizes([band])[0] == len(encode_band(band))
 
 
 def _assert_measure_matches_encode(img, grid, levels):
@@ -517,6 +517,39 @@ def test_lossless_round_trip_including_edge_tiles():
         grid = TileGrid.for_image(img.width, img.height, tw, th)
         stream = encode(img, grid, levels)
         assert cs.assemble(stream, levels) == img
+        # at every resolution the mosaic is the decoded tiles, row by row
+        for r in range(1, levels + 1):
+            tiles = [tile.pixels for _, tile in decode(stream, range(grid.tile_count), r)]
+            n = grid.tiles_x
+            rows = [np.concatenate(tiles[i : i + n], axis=1) for i in range(0, len(tiles), n)]
+            mosaic = cs.assemble(stream, r)
+            assert (mosaic.width, mosaic.height) == cs.resolution_size(stream, r)
+            assert mosaic == Image(np.concatenate(rows))
+
+
+def _traced_excess(run, output_bytes):
+    """``tracemalloc`` peak of ``run()`` less ``output_bytes`` of what it returns."""
+    tracemalloc.start()
+    try:
+        out = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - output_bytes(out)
+
+
+def test_decoding_holds_the_output_plus_one_batch():
+    # below ~1.5 Mpx RGB one batch's working set (~4.4 MB) outweighs the
+    # output, so only a large image shows whether the output is held twice
+    img, _ = generate_scene(3, 2048, 2048, 40)
+    stream = encode(img, TileGrid.for_image(2048, 2048, 256, 256), 5)
+    assembled = _traced_excess(lambda: cs.assemble(stream, 5), lambda out: out.pixels.nbytes)
+    decoded = _traced_excess(
+        lambda: decode(stream, range(stream.tile_count), 5),
+        lambda out: sum(tile.pixels.nbytes for _, tile in out),
+    )
+    assert assembled <= 8_000_000
+    assert decoded <= 8_000_000
 
 
 def test_decode_dimensions_follow_dyadic_rule():
