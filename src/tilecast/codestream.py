@@ -22,6 +22,14 @@ c < 0, always >= 1 for nonzero c). A tile-component's segments
 sub-codestreams by copying each tile-component's run verbatim, since
 tiles, components and resolutions are byte-separable.
 
+Every header and table, however made, passes the checks of
+``CodestreamTable``'s constructor: the header rules, at least one tile,
+tile indices strictly increasing inside the grid, and one non-negative
+length per component and resolution. ``parse_codestream`` checks the
+payload's length against the table, and reads header, table and
+payload once each, in order, each only once the source holds it, so a
+file's payload is held once.
+
 The unit of a token pass is a batch: consecutive tile-components in
 wire order, closed once it holds 2^16 coefficients (one 256x256
 tile-component, which is always coded alone). Bands are coded
@@ -53,6 +61,7 @@ is allocated for it.
 from __future__ import annotations
 
 import dataclasses
+import io
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -321,6 +330,25 @@ class CodestreamTable:
     components: int
     max_resolution: int
     entries: tuple[TileEntry, ...]
+
+    def __post_init__(self):
+        _check_header(self.width, self.height, self.tile_w, self.tile_h, self.levels,
+                      self.components, self.max_resolution)
+        if not self.entries:
+            raise CodestreamError("a codestream holds at least one tile")
+        # indices that rise and stay below the grid's count also bound the table's length
+        count, prev, shape = self.grid.tile_count, -1, [self.max_resolution] * self.components
+        for e in self.entries:
+            if not (isinstance(e.index, int) and 0 <= e.index < count):
+                raise CodestreamError(f"tile index {e.index!r} out of range 0..{count - 1}")
+            if e.index <= prev:
+                raise CodestreamError("tile indices not strictly increasing")
+            prev = e.index
+            if [len(comp) for comp in e.seg_lengths] != shape or not all(
+                isinstance(n, int) and n >= 0 for comp in e.seg_lengths for n in comp
+            ):
+                raise CodestreamError(f"tile {e.index}: segment lengths are not "
+                                      f"{self.components}x{self.max_resolution} non-negative ints")
 
     @property
     def tile_count(self) -> int:
@@ -597,10 +625,11 @@ def _planes(cs: Codestream, indices, resolution: int):
     one stack per tile size in a batch. A plane is a view of its stack,
     and a tile's planes come in component order.
     """
+    grid = cs.grid
     units = []  # (tile index, component, tile size)
     shapes = {}  # tile size -> band shapes per segment
     for index in sorted(indices):
-        size = tile_bounds(cs.grid, index, cs.width, cs.height)[2:]
+        size = tile_bounds(grid, index, cs.width, cs.height)[2:]
         if size not in shapes:
             shapes[size] = _band_shapes(*size, cs.levels)[:resolution]
         units += ((index, c, size) for c in range(cs.components))
@@ -652,8 +681,6 @@ def extract(cs: Codestream, indices, resolution: int) -> Codestream:
     the source.
     """
     indices = _check_indices(cs, indices)
-    if not indices:
-        raise CodestreamError("extract requires at least one tile index")
     _check_resolution(cs, resolution)
     entries = []
     chunks = []
@@ -708,67 +735,43 @@ def write_codestream(cs: Codestream, path=None) -> bytes:
 
 
 def parse_codestream(src) -> Codestream:
-    """Parse .ssc bytes (or a file path) with full table validation."""
-    if isinstance(src, (bytes, bytearray, memoryview)):
-        data = bytes(src)
-    else:
-        with open(src, "rb") as fh:
-            data = fh.read()
-    if len(data) >= 4 and data[:4] != MAGIC:
-        raise CodestreamError("bad magic (not an SSC1 stream)")
-    if len(data) < _HEADER.size:
-        raise CodestreamError("truncated header")
-    _, width, height, tile_w, tile_h, levels, components, max_res, tile_count = (
-        _HEADER.unpack_from(data)
-    )
-    _check_header(width, height, tile_w, tile_h, levels, components, max_res)
-    grid = TileGrid.for_image(width, height, tile_w, tile_h)
-    if tile_count < 1 or tile_count > grid.tile_count:
-        raise CodestreamError(
-            f"tile_count {tile_count} outside 1..{grid.tile_count}"
-        )
+    """Parse .ssc bytes (or a file path) in one sequential read.
 
-    row_words = 1 + components * max_res
-    table_bytes = tile_count * row_words * 4
-    pos = _HEADER.size
-    if len(data) < pos + table_bytes:
-        raise CodestreamError("truncated table")
-    entries = []
-    prev_index = -1
-    payload_len = 0
-    for _ in range(tile_count):
-        row = struct.unpack_from(f">{row_words}I", data, pos)
-        pos += row_words * 4
-        index = row[0]
-        if index >= grid.tile_count:
-            raise CodestreamError(f"tile index {index} out of range")
-        if index <= prev_index:
-            raise CodestreamError("tile indices not strictly increasing")
-        prev_index = index
-        lengths = row[1:]
-        comp_lengths = tuple(
-            tuple(lengths[c * max_res : (c + 1) * max_res]) for c in range(components)
+    The payload is one ``read`` of its declared length, not a read to
+    the end, which a buffered file would join onto the table bytes it
+    already holds: a second copy. A source that cannot report its size,
+    such as a pipe, is read whole first.
+    """
+    fh = io.BytesIO(src) if isinstance(src, (bytes, bytearray, memoryview)) else open(src, "rb")
+    with fh:
+        if not fh.seekable():
+            fh = io.BytesIO(fh.read())
+        left = fh.seek(0, io.SEEK_END)
+        fh.seek(0)
+        head = fh.read(_HEADER.size)
+        if len(head) >= 4 and head[:4] != MAGIC:
+            raise CodestreamError("bad magic (not an SSC1 stream)")
+        if len(head) < _HEADER.size:
+            raise CodestreamError("truncated header")
+        _, *fields, components, max_res, tile_count = _HEADER.unpack(head)
+        _check_header(*fields, components, max_res)
+        row_words = 1 + components * max_res
+        table_words = tile_count * row_words
+        left -= _HEADER.size + 4 * table_words
+        if left < 0:
+            raise CodestreamError("truncated table")
+        words = struct.unpack(f">{table_words}I", fh.read(4 * table_words))
+        entries = tuple(
+            TileEntry(words[i], tuple(words[i + 1 + c * max_res : i + 1 + (c + 1) * max_res]
+                                      for c in range(components)))
+            for i in range(0, len(words), row_words)
         )
-        payload_len += sum(lengths)
-        entries.append(TileEntry(index=index, seg_lengths=comp_lengths))
-    remaining = len(data) - pos
-    if remaining < payload_len:
-        raise CodestreamError(
-            f"payload shorter than declared ({remaining} < {payload_len})"
-        )
-    if remaining > payload_len:
-        raise CodestreamError("trailing data after payload")
-    return Codestream(
-        width=width,
-        height=height,
-        tile_w=tile_w,
-        tile_h=tile_h,
-        levels=levels,
-        components=components,
-        max_resolution=max_res,
-        entries=tuple(entries),
-        payload=data[pos:],
-    )
+        payload_len = sum(e.total(max_res) for e in entries)
+        if left < payload_len:
+            raise CodestreamError(f"payload shorter than declared ({left} < {payload_len})")
+        if left > payload_len:
+            raise CodestreamError("trailing data after payload")
+        return Codestream(*fields, components, max_res, entries, fh.read(payload_len))
 
 
 def assemble(cs: Codestream, resolution: int) -> Image:

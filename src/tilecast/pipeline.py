@@ -123,10 +123,7 @@ def compute_budget(
     all tiles and each tile's full-resolution size.
     """
     tile_count = cs.grid.tile_count
-    if (
-        sorted(e.index for e in cs.entries) != list(range(tile_count))
-        or cs.max_resolution != cs.levels
-    ):
+    if cs.tile_count != tile_count or cs.max_resolution != cs.levels:
         raise ValueError("compute_budget requires a full codestream")
     level_bytes = [0] * cs.levels
     tile_sizes = []

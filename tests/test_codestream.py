@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import os
 import struct
+import threading
 import tracemalloc
 from itertools import accumulate, pairwise
 
@@ -666,29 +667,30 @@ def test_parse_diagnostics():
 def test_parse_rejects_non_increasing_indices():
     img = Image(np.zeros((64, 64), dtype=np.uint8))
     grid = TileGrid.for_image(64, 64, 32, 32)
-    stream = encode(img, grid, 1)
-    swapped = Codestream(
-        width=stream.width,
-        height=stream.height,
-        tile_w=stream.tile_w,
-        tile_h=stream.tile_h,
-        levels=stream.levels,
-        components=stream.components,
-        max_resolution=stream.max_resolution,
-        entries=tuple(reversed(stream.entries)),
-        payload=stream.payload,
-    )
+    blob = bytearray(write_codestream(encode(img, grid, 1)))
+    # no Codestream holds such a table, so swap the first two serialized rows
+    row, at = 4 * 2, cs._HEADER.size  # a tile index and one segment length
+    blob[at : at + 2 * row] = blob[at + row : at + 2 * row] + blob[at : at + row]
     with pytest.raises(CodestreamError, match="strictly increasing"):
-        parse_codestream(write_codestream(swapped))
+        parse_codestream(bytes(blob))
 
 
-def test_parser_totality_fuzz():
+def _parsed(src):
+    """``parse_codestream(src)``, or the message of the ``CodestreamError`` it raises."""
+    try:
+        return parse_codestream(src)
+    except CodestreamError as err:
+        return str(err)
+
+
+def test_parser_totality_fuzz(tmp_path):
     # random mutations of a valid stream either parse+decode or raise
-    # CodestreamError; nothing else escapes
+    # CodestreamError; nothing else escapes, and bytes and a file agree
     rng = np.random.default_rng(123)
     img = Image(rng.integers(0, 256, size=(50, 70, 1)).astype(np.uint8))
     grid = TileGrid.for_image(70, 50, 32, 32)
     blob = bytearray(write_codestream(encode(img, grid, 3)))
+    path = tmp_path / "mutated.ssc"
     for trial in range(400):
         mutated = bytearray(blob)
         for _ in range(int(rng.integers(1, 6))):
@@ -696,12 +698,178 @@ def test_parser_totality_fuzz():
             mutated[pos] = int(rng.integers(0, 256))
         if rng.random() < 0.3:
             mutated = mutated[: int(rng.integers(0, len(mutated)))]
-        try:
-            stream = parse_codestream(bytes(mutated))
-            indices = [e.index for e in stream.entries]
-            decode(stream, indices, stream.max_resolution)
-        except CodestreamError:
-            pass
+        path.write_bytes(mutated)
+        stream = _parsed(bytes(mutated))
+        assert _parsed(path) == stream
+        if isinstance(stream, Codestream):
+            try:
+                decode(stream, [e.index for e in stream.entries], stream.max_resolution)
+            except CodestreamError:
+                pass
+
+
+def test_parse_reads_a_pipe_whole(tmp_path):
+    # a pipe cannot report its size, so it is read whole before parsing
+    rng = np.random.default_rng(22)
+    img = Image(rng.integers(0, 256, size=(30, 40, 3)).astype(np.uint8))
+    blob = write_codestream(encode(img, TileGrid.for_image(40, 30, 16, 16), 3))
+    fifo = tmp_path / "stream.ssc"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(blob,), daemon=True)
+    writer.start()
+    try:
+        assert parse_codestream(fifo) == parse_codestream(blob)
+    finally:
+        writer.join(timeout=10)
+
+
+# --- one checked way into a codestream --------------------------------------
+
+
+def _small_stream():
+    """A 64x64 one-component stream of four 32x32 tiles at 2 levels."""
+    rng = np.random.default_rng(23)
+    img = Image(rng.integers(0, 256, size=(64, 64, 1)).astype(np.uint8))
+    return encode(img, TileGrid.for_image(64, 64, 32, 32), 2)
+
+
+def _bad_tables(stream):
+    """(entries, message) of tables that no codestream with ``stream``'s header may hold."""
+    e0, e1, *rest = stream.entries
+    (low, high), = e0.seg_lengths
+    return [
+        ((e0, e1, *rest[:-1], dataclasses.replace(rest[-1], index=99)), "tile index 99 out of range"),
+        ((dataclasses.replace(e0, index=-1), e1, *rest), "tile index -1 out of range"),
+        ((e0, dataclasses.replace(e1, index=e0.index), *rest), "strictly increasing"),
+        ((e1, e0, *rest), "strictly increasing"),
+        ((dataclasses.replace(e0, seg_lengths=((low,),)), e1, *rest), "not 1x2 non-negative"),
+        ((dataclasses.replace(e0, seg_lengths=((low, high), (low, high))), e1, *rest), "not 1x2"),
+        ((dataclasses.replace(e0, seg_lengths=((low, -1),)), e1, *rest), "not 1x2 non-negative"),
+        ((dataclasses.replace(e0, seg_lengths=((low, 1.5),)), e1, *rest), "not 1x2 non-negative"),
+        ((), "at least one tile"),
+    ]
+
+
+def test_direct_construction_refuses_a_bad_table():
+    stream = _small_stream()
+    header = {f.name: getattr(stream, f.name) for f in dataclasses.fields(CodestreamTable)}
+    del header["entries"]
+    for entries, message in _bad_tables(stream):
+        with pytest.raises(CodestreamError, match=message):
+            CodestreamTable(**header, entries=entries)
+        with pytest.raises(CodestreamError, match=message):
+            Codestream(**header, entries=entries, payload=stream.payload)
+    with pytest.raises(CodestreamError, match="levels 9"):
+        CodestreamTable(**{**header, "levels": 9}, entries=stream.entries)
+
+
+def test_replace_refuses_a_bad_table():
+    stream = _small_stream()
+    for entries, message in _bad_tables(stream):
+        with pytest.raises(CodestreamError, match=message):
+            dataclasses.replace(stream, entries=entries)
+    # a header the table no longer fits
+    with pytest.raises(CodestreamError, match="not 1x1"):
+        dataclasses.replace(stream, max_resolution=1)
+    with pytest.raises(CodestreamError, match="tile index 2 out of range"):
+        dataclasses.replace(stream, height=32)
+
+
+def test_an_unchecked_table_reaches_no_reader_or_writer():
+    stream = _small_stream()
+    *head, last = stream.entries
+    far = (*head, dataclasses.replace(last, index=99))
+    e0, *rest = stream.entries
+    short = (dataclasses.replace(e0, seg_lengths=((e0.seg_lengths[0][0],),)), *rest)
+    # unchecked, decode raised IndexError from tile_bounds and size_of summed the table
+    with pytest.raises(CodestreamError, match="out of range"):
+        decode(dataclasses.replace(stream, entries=far), [99], 2)
+    with pytest.raises(CodestreamError, match="out of range"):
+        size_of(dataclasses.replace(stream, entries=far), [99], 2)
+    # unchecked, write_codestream wrote a table that parsed as "tile index 512 out of range"
+    with pytest.raises(CodestreamError, match="not 1x2"):
+        write_codestream(dataclasses.replace(stream, entries=short))
+
+
+def test_extract_refuses_a_bad_table():
+    stream = _small_stream()
+    # what extract is given has passed the checks, and so does what it builds
+    for entries, message in _bad_tables(stream):
+        with pytest.raises(CodestreamError, match=message):
+            extract(dataclasses.replace(stream, entries=entries), [0, 1], 1)
+    with pytest.raises(CodestreamError, match="a codestream holds at least one tile"):
+        extract(stream, [], 1)
+    # indices given in any order are sorted into the table
+    assert extract(stream, [3, 0], 1) == extract(stream, [0, 3], 1)
+
+
+def _table_blob(stream, rows, tile_count=None):
+    """``stream``'s header over hand-written table rows and its payload."""
+    head = cs._HEADER.pack(
+        cs.MAGIC, stream.width, stream.height, stream.tile_w, stream.tile_h, stream.levels,
+        stream.components, stream.max_resolution,
+        len(rows) if tile_count is None else tile_count)
+    return head + b"".join(struct.pack(f">{len(row)}I", *row) for row in rows) + stream.payload
+
+
+def test_parse_refuses_a_bad_table():
+    stream = _small_stream()
+    rows = [(e.index, *e.seg_lengths[0]) for e in stream.entries]
+    assert parse_codestream(_table_blob(stream, rows)) == stream
+    (i0, *l0), (_, *l1), *rest = rows
+    bad = {
+        "tile index 99 out of range": [*rows[:-1], (99, *rows[-1][1:])],
+        "strictly increasing": [(i0, *l0), (i0, *l1), *rest],
+        # rows one length short: the header fixes a row's size, so the
+        # parser reads on into the payload for the rows' missing words
+        "shorter than declared": [(i, *lengths[:1]) for i, *lengths in rows],
+    }
+    for message, table in bad.items():
+        with pytest.raises(CodestreamError, match=message):
+            parse_codestream(_table_blob(stream, table, len(rows)))
+    with pytest.raises(CodestreamError, match="a codestream holds at least one tile"):
+        parse_codestream(_table_blob(stream, [])[: -len(stream.payload)])
+
+
+def _traced_peak(run) -> int:
+    """``tracemalloc`` peak of ``run()``."""
+    return _traced_excess(run, lambda out: 0)
+
+
+def test_parsing_a_file_holds_one_copy_of_the_payload(tmp_path):
+    img, _ = generate_scene(3, 768, 704, 40)
+    path = tmp_path / "scene.ssc"
+    write_codestream(encode(img, TileGrid.for_image(768, 704, 256, 256), 5), path)
+    excess = _traced_excess(lambda: parse_codestream(path), lambda out: len(out.payload))
+    assert excess <= 1 << 20
+    # 32 MiB of trailing zeros (a sparse extension) are refused unread
+    with open(path, "r+b") as fh:
+        fh.truncate(os.path.getsize(path) + (32 << 20))
+
+    def refused():
+        with pytest.raises(CodestreamError, match="trailing data"):
+            parse_codestream(path)
+
+    assert _traced_peak(refused) < 1 << 20
+
+
+def test_a_table_or_payload_larger_than_the_file_is_refused_unread(tmp_path):
+    # each file holds 32 MiB after its header, and declares 64 MiB
+    rows = 1 << 23  # 2x1 tiles of a 4096x4096 image, one index and one length a row
+    table = cs._HEADER.pack(cs.MAGIC, 4096, 4096, 2, 1, 1, 1, 1, rows)
+    assert rows * 8 == 64 << 20
+    payload = cs._HEADER.pack(cs.MAGIC, 64, 64, 64, 64, 1, 1, 1, 1) + struct.pack(">II", 0, 64 << 20)
+    for head, message in ((table, "truncated table"), (payload, "shorter than declared")):
+        path = tmp_path / "declared.ssc"
+        path.write_bytes(head)
+        with open(path, "r+b") as fh:
+            fh.truncate(len(head) + (32 << 20))
+
+        def refused():
+            with pytest.raises(CodestreamError, match=message):
+                parse_codestream(path)
+
+        assert _traced_peak(refused) < 1 << 20
 
 
 def test_parse_refuses_a_decompression_bomb(monkeypatch):
