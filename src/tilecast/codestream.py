@@ -24,8 +24,8 @@ tiles, components and resolutions are byte-separable.
 
 Every header and table, however made, passes the checks of
 ``CodestreamTable``'s constructor: the header rules, at least one tile,
-tile indices strictly increasing inside the grid, and one non-negative
-length per component and resolution. ``parse_codestream`` checks the
+tile indices strictly increasing inside the grid, and one length in
+0..2**32-1 per component and resolution. ``parse_codestream`` checks the
 payload's length against the table, and reads header, table and
 payload once each, in order, each only once the source holds it, so a
 file's payload is held once.
@@ -44,7 +44,10 @@ stack of one and no stack outgrows its batch. The encoder codes a batch
 in one ``encode_bands`` pass. ``measure`` gives the header and table
 ``encode`` would write (a ``CodestreamTable``) by walking the same
 batches and counting their token bytes with one ``band_sizes`` pass
-each. The decoder walks the requested tiles' components in batches of
+each. Both coders follow one run rule, found by ``_token_runs``, and
+``encode_bands`` takes its lengths from ``band_sizes``' counting body,
+so ``measure`` counts what ``encode`` writes.
+The decoder walks the requested tiles' components in batches of
 the same bound, counted at the decoded resolution. It joins a batch's
 runs and checks them in one ``decode_bands`` pass, against the band
 sizes the header implies and before it expands any run, and synthesizes
@@ -86,12 +89,12 @@ class CodestreamError(ValueError):
 # --- token primitives ---------------------------------------------------
 
 
-def _varint_plane(values: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
-    """Varint bytes of ``values`` (all <= ``top``) as an (n, k) plane and a keep mask.
+def _varint_bytes(values: np.ndarray, top: int) -> bytes:
+    """``values`` (all <= ``top``) as concatenated base-128 varints.
 
-    Row i holds token i's base-128 groups, continuation bits set; its
-    kept bytes, in row-major order, are the varint. The arithmetic runs
-    in uint32 when ``top`` fits, else in uint64.
+    Row i of an (n, k) byte plane holds value i's groups, continuation
+    bits set; its kept bytes, in row-major order, are the varint. The
+    arithmetic runs in uint32 when ``top`` fits, else in uint64.
     """
     dtype = np.uint32 if top < 1 << 32 else np.uint64
     values = values.astype(dtype, copy=False)
@@ -105,16 +108,13 @@ def _varint_plane(values: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]
             keep[:, j] = values >= dtype(1 << 7 * j)
     plane &= 0x7F
     plane[:, :-1] |= keep[:, 1:].view(np.uint8) << 7
-    return plane, keep
+    return plane[keep].tobytes()
 
 
 def encode_varints(values: np.ndarray) -> bytes:
     """Encode a uint64 array as concatenated base-128 varints."""
     values = np.asarray(values, dtype=np.uint64)
-    if values.size == 0:
-        return b""
-    plane, keep = _varint_plane(values, int(values.max()))
-    return plane[keep].tobytes()
+    return _varint_bytes(values, int(values.max(initial=0)))
 
 
 def _read_varints(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -153,80 +153,20 @@ def decode_varints(buf) -> np.ndarray:
     return _read_varints(data)[0]
 
 
-def encode_bands(bands) -> tuple[bytes, list[int]]:
-    """Token streams of consecutive bands, written in one pass, and each one's length.
+def _token_runs(bands):
+    """The zero runs of consecutive bands, found once for both token coders.
 
-    The bytes are those of ``encode_band`` on each band in turn: a zero
-    run stops at the end of its band.
-    """
-    sizes = [band.size for band in bands]
-    if not sum(sizes):
-        return b"", sizes
-    flat = np.concatenate([np.ravel(band) for band in bands]).astype(np.int64, copy=False)
-    zero = flat == 0
-    # a coefficient heads a token group unless it is a zero after a zero of its band
-    tail = np.zeros(flat.size, dtype=bool)
-    tail[1:] = zero[1:] & zero[:-1]
-    band_ends = np.cumsum(sizes)
-    tail[band_ends[band_ends < flat.size]] = False
-    heads = np.flatnonzero(~tail)
-    runs = zero[heads]
-    # a literal is one token, its zigzag code; a run is a zero then its length
-    last = np.cumsum(runs + 1) - 1
-    lit = flat[heads]
-    spans = np.empty_like(heads)  # coefficients from each head to the next
-    np.subtract(heads[1:], heads[:-1], out=spans[:-1])
-    spans[-1] = flat.size - heads[-1]
-    vals = np.where(runs, spans, (lit << 1) ^ (lit >> 63))
-    top = int(vals.max())
-    tokens = np.zeros(int(last[-1]) + 1, dtype=np.uint32 if top < 1 << 32 else np.uint64)
-    tokens[last] = vals
-    plane, keep = _varint_plane(tokens, top)
-    # each band's tokens start at the token of its first head
-    cuts = np.append(0, last + 1)[np.searchsorted(heads, np.append(0, band_ends))]
-    lengths = [int(np.count_nonzero(keep[a:b])) for a, b in zip(cuts, cuts[1:])]
-    return plane[keep].tobytes(), lengths
-
-
-def encode_band(band: np.ndarray) -> bytes:
-    """Token stream for one subband: zigzag literals and zero runs."""
-    return encode_bands([np.asarray(band)])[0]
-
-
-def band_sizes(bands) -> list[int]:
-    """Bytes ``encode_bands(bands)`` writes for each band, counted without writing them.
-
-    A nonzero coefficient costs the varint length of its zigzag code; a
-    zero run costs its zero token plus the varint length of the run. A
-    run stops at the end of its band, so a band's first coefficient, if
-    zero, opens one. Each kind of byte is counted in one pass over all
-    the bands and split at the band cuts: zeros and runs by the
-    positions where they fall, literals' continuation bytes by slice.
-    The arithmetic runs in the widest of the bands' own widths when
-    they are signed; an unsigned band is widened to int64.
+    Returns the bands as one flat array in the widest of their own
+    widths when they are signed (an unsigned band is widened to int64),
+    the band cuts, the zeros' positions, and for each run the index in
+    ``zeros`` of its first zero and its length. A run stops at the end
+    of its band, so a band's first coefficient, if zero, opens one.
     """
     flats = [np.ravel(band) for band in bands]
     flats = [f if f.dtype.kind == "i" else f.astype(np.int64) for f in flats]
     cuts = np.cumsum([0, *(f.size for f in flats)])
-    if not cuts[-1]:
-        return [0] * len(flats)
-    flat = np.concatenate(flats)
-    spans = list(pairwise(cuts.tolist()))
-
-    def per_band(positions: np.ndarray) -> np.ndarray:
-        return np.diff(np.searchsorted(positions, cuts))
-
+    flat = np.concatenate(flats) if flats else np.empty(0, dtype=np.int64)
     zeros = np.flatnonzero(flat == 0)
-    sizes = np.diff(cuts) - per_band(zeros)
-    # zigzag(c) >> 1, so zigzag(c) >= 128**k exactly when this is >= 64 * 128**(k-1)
-    half = flat >> 8 * flat.itemsize - 1
-    half ^= flat
-    first, top = 64, int(half.max())
-    while first <= top:
-        # many literals pass the first threshold: count them in place, not by position
-        over = half >= first
-        sizes += [np.count_nonzero(over[a:b]) for a, b in spans]
-        first <<= 7
     # zeros[i] opens a run unless it directly follows zeros[i - 1] in its
     # band. The first zero at or after a band's start opens one either
     # way: it is the band's first coefficient or follows a nonzero. The
@@ -235,14 +175,74 @@ def band_sizes(bands) -> list[int]:
     np.not_equal(zeros[1:], zeros[:-1] + 1, out=opens[1:-1])
     opens[np.searchsorted(zeros, cuts[:-1])] = True
     firsts = np.flatnonzero(opens)
-    runs = firsts[1:] - firsts[:-1]
-    starts = zeros[firsts[:-1]]
+    return flat, cuts, zeros, firsts[:-1], np.diff(firsts)
+
+
+def encode_bands(bands) -> tuple[bytes, list[int]]:
+    """Token streams of consecutive bands, written in one pass, and each one's length.
+
+    The bytes are those of ``encode_band`` on each band in turn, written
+    from the runs ``_token_runs`` finds; the lengths are ``band_sizes``'.
+    """
+    flat, cuts, zeros, firsts, runs = _token_runs(bands)
+    # the heads: every nonzero, and each run's first zero, whose zigzag code is the zero token
+    inside = np.ones(zeros.size, dtype=bool)
+    inside[firsts] = False
+    heads = np.delete(flat, zeros[inside])
+    codes = heads << 1
+    codes ^= heads >> 8 * heads.itemsize - 1
+    # tokens are at least uint32: a run can outgrow a narrow band's range
+    unsigned = np.dtype(f"u{flat.itemsize}")
+    codes = codes.view(unsigned).astype(np.promote_types(unsigned, np.uint32), copy=False)
+    # run k's length goes after its zero token, which follows the nonzeros and k zero tokens before it
+    after = zeros[firsts] - firsts + np.arange(1, firsts.size + 1)
+    tokens = np.insert(codes, after, runs)
+    coded = _varint_bytes(tokens, int(tokens.max(initial=0)))
+    return coded, _token_sizes(flat, cuts, zeros, firsts, runs).tolist()
+
+
+def encode_band(band: np.ndarray) -> bytes:
+    """Token stream for one subband: zigzag literals and zero runs."""
+    return encode_bands([np.asarray(band)])[0]
+
+
+def _token_sizes(flat, cuts, zeros, firsts, runs) -> np.ndarray:
+    """Each band's token bytes, counted from ``_token_runs``' output."""
+
+    def per_band(positions: np.ndarray) -> np.ndarray:
+        return np.diff(np.searchsorted(positions, cuts))
+
+    sizes = np.diff(cuts) - per_band(zeros)
+    # zigzag(c) >> 1, so zigzag(c) >= 128**k exactly when this is >= 64 * 128**(k-1)
+    half = flat >> 8 * flat.itemsize - 1
+    half ^= flat
+    floor, top = 64, int(half.max(initial=0))
+    spans = list(pairwise(cuts.tolist()))
+    while floor <= top:
+        # many literals pass the first threshold: count them in place, not by position
+        over = half >= floor
+        sizes += [np.count_nonzero(over[a:b]) for a, b in spans]
+        floor <<= 7
+    starts = zeros[firsts]
     sizes += 2 * per_band(starts)
-    first, top = 128, int(runs.max(initial=0))
-    while first <= top:
-        sizes += per_band(starts[runs >= first])
-        first <<= 7
-    return sizes.tolist()
+    floor, top = 128, int(runs.max(initial=0))
+    while floor <= top:
+        sizes += per_band(starts[runs >= floor])
+        floor <<= 7
+    return sizes
+
+
+def band_sizes(bands) -> list[int]:
+    """Bytes ``encode_bands(bands)`` writes for each band, counted without writing them.
+
+    A nonzero coefficient costs the varint length of its zigzag code; a
+    zero run costs its zero token plus the varint length of the run.
+    Each kind of byte is counted in one pass over all the bands and
+    split at the band cuts: zeros and runs by the positions where they
+    fall, literals' continuation bytes by slice. The arithmetic runs in
+    the bands' own width, as ``_token_runs`` gives it.
+    """
+    return _token_sizes(*_token_runs(bands)).tolist()
 
 
 def decode_bands(buf, counts: list[int], segments=None) -> list[np.ndarray]:
@@ -345,10 +345,10 @@ class CodestreamTable:
                 raise CodestreamError("tile indices not strictly increasing")
             prev = e.index
             if [len(comp) for comp in e.seg_lengths] != shape or not all(
-                isinstance(n, int) and n >= 0 for comp in e.seg_lengths for n in comp
+                isinstance(n, int) and 0 <= n < 1 << 32 for comp in e.seg_lengths for n in comp
             ):
-                raise CodestreamError(f"tile {e.index}: segment lengths are not "
-                                      f"{self.components}x{self.max_resolution} non-negative ints")
+                raise CodestreamError(f"tile {e.index}: segment lengths are not {self.components}x"
+                                      f"{self.max_resolution} non-negative ints below 2**32")
 
     @property
     def tile_count(self) -> int:

@@ -8,7 +8,9 @@ same bands or both raise ``CodestreamError``. It reads tokens with
 ``reference_varints``, a byte-at-a-time reader.
 ``reference_decode_segments`` decodes a buffer of several segments one
 segment at a time, as ``decode`` did before it handed a tile-component's
-segments to one ``decode_bands`` call.
+segments to one ``decode_bands`` call. ``reference_encode_band`` writes
+one band coefficient by coefficient and byte by byte, the encoder
+``encode_bands`` must agree with.
 """
 
 import numpy as np
@@ -30,6 +32,32 @@ def reference_varints(buf):
     if shift:
         raise CodestreamError("truncated varint at end of segment")
     return np.array(values, dtype=np.uint64)
+
+
+def reference_encode_band(band):
+    """One band's tokens: a zigzag literal, or a zero then the run's length; runs stop at its end."""
+    out = bytearray()
+
+    def varint(value):
+        while value >= 0x80:
+            out.append(value & 0x7F | 0x80)
+            value >>= 7
+        out.append(value)
+
+    coeffs = [int(c) for c in np.ravel(band)]
+    i = 0
+    while i < len(coeffs):
+        if coeffs[i]:
+            varint(2 * coeffs[i] if coeffs[i] > 0 else -2 * coeffs[i] - 1)
+            i += 1
+            continue
+        end = i
+        while end < len(coeffs) and coeffs[end] == 0:
+            end += 1
+        varint(0)
+        varint(end - i)
+        i = end
+    return bytes(out)
 
 
 def reference_decode_bands(buf, counts):

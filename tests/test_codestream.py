@@ -16,6 +16,7 @@ import reference_wavelet as ref
 from reference_tokens import (
     reference_decode_bands,
     reference_decode_segments,
+    reference_encode_band,
     reference_varints,
 )
 from tilecast import codestream as cs
@@ -193,7 +194,13 @@ def typed_bands(draw):
 def test_band_sizes_equal_encode_bands_lengths(band_list):
     # a zero run stops at each band's end, so bands that end and start
     # with zeros are where one count over all the bands can go wrong
-    assert band_sizes(band_list) == encode_bands(band_list)[1]
+    coded = encode_bands(band_list)
+    assert band_sizes(band_list) == coded[1]
+    # the lengths are band_sizes' own count: hold them to the bytes each band writes
+    alone = [encode_band(band) for band in band_list]
+    assert coded == (b"".join(alone), [len(b) for b in alone])
+    # a coder that split one run into two would still round-trip
+    assert alone == [reference_encode_band(band) for band in band_list]
 
 
 # short token streams: zeros (run starts or zero-length runs), small
@@ -369,8 +376,12 @@ def test_band_size_edge_cases():
         np.arange(-300, 300).reshape(20, 30),
         np.array([-(2**31), 2**31 - 1, 0, 0, -64, 63, 64, -65, 0], dtype=np.int32),
         np.array([0, 200, 255, 0, 0, 7], dtype=np.uint8),
+        # runs longer than the band's own type can hold
+        np.array([-128, *[0] * 300, 127, 0], dtype=np.int8),
+        np.array([5, *[0] * 70_000, -(2**15)], dtype=np.int16),
     ):
         assert band_sizes([band])[0] == len(encode_band(band))
+        assert encode_band(band) == reference_encode_band(band)
 
 
 def _assert_measure_matches_encode(img, grid, levels):
@@ -537,6 +548,18 @@ def _traced_excess(run, output_bytes):
     finally:
         tracemalloc.stop()
     return peak - output_bytes(out)
+
+
+def test_writing_a_256_square_tile_component_peaks_below_2_5_mb():
+    # the example scene's top-left 256^2 tile-component at depth 4, 256 KiB
+    # in int32: widening it to int64 and building full-length token
+    # arrays around it peaks near 5 MB
+    cfg = config.parse_config(EXAMPLE_CFG)
+    img, _ = scenario.load_scene(cfg)
+    (segs,) = cs._lift_batch(img, [(0, 0, (0, 0, 256, 256))], cfg.levels)
+    bands = [band for seg in segs for band in seg]
+    assert bands[0].dtype == np.int32 and sum(band.size for band in bands) == 256 * 256
+    assert _traced_peak(lambda: encode_bands(bands)) <= 2.5e6
 
 
 def test_decoding_holds_the_output_plus_one_batch():
@@ -761,6 +784,12 @@ def test_direct_construction_refuses_a_bad_table():
             Codestream(**header, entries=entries, payload=stream.payload)
     with pytest.raises(CodestreamError, match="levels 9"):
         CodestreamTable(**{**header, "levels": 9}, entries=stream.entries)
+    # a length no u32 holds: unchecked, write_codestream raised struct.error on it
+    e0, *rest = stream.entries
+    wide = (dataclasses.replace(e0, seg_lengths=((e0.seg_lengths[0][0], 1 << 32),)), *rest)
+    with pytest.raises(CodestreamError, match=r"not 1x2 non-negative ints below 2\*\*32"):
+        CodestreamTable(**header, entries=wide)
+    CodestreamTable(**header, entries=(dataclasses.replace(e0, seg_lengths=((0, 2**32 - 1),)), *rest))
 
 
 def test_replace_refuses_a_bad_table():
