@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from . import rng
-from .raster import GroundTruthBox, TileGrid, _csv_rows, tile_bounds
+from .raster import GroundTruthBox, TileGrid, read_csv_records, tile_bounds
 
 SOURCE_DL = "DL"
 SOURCE_HUM = "HUM"
@@ -267,42 +267,20 @@ _DETECTIONS_HEADER = ["tile_index", "class_id", "x", "y", "w", "h", "confidence"
 
 def file_detect(path, grid: TileGrid) -> AnnotationSet:
     """Load replayed detector output from a detections CSV."""
-    rows = _csv_rows(path, ValueError)
-    _, header = next(rows, (0, None))
-    if header is None:
-        raise ValueError(f"{path}: empty detections file")
-    if header != _DETECTIONS_HEADER:
-        raise ValueError(f"{path}: bad detections header {header!r}")
-    boxes = []
-    for lineno, row in rows:
-        if not row:
-            continue
+
+    def parse(row):
         if len(row) != len(_DETECTIONS_HEADER):
-            raise ValueError(f"{path}: line {lineno}: expected 8 fields, got {len(row)}")
+            raise ValueError(f"expected 8 fields, got {len(row)}")
         try:
-            tile_index = int(row[0])
-            class_id = int(row[1])
+            tile_index, class_id = int(row[0]), int(row[1])
             x, y, w, h, conf = (float(v) for v in row[2:7])
-            source = row[7].strip()
         except ValueError:
-            raise ValueError(f"{path}: line {lineno}: malformed value") from None
+            raise ValueError("malformed value") from None
         if not 0 <= tile_index < grid.tile_count:
-            raise ValueError(f"{path}: line {lineno}: tile index {tile_index} out of range")
-        try:
-            boxes.append(
-                DetectionBox(
-                    tile_index=tile_index,
-                    class_id=class_id,
-                    x=x,
-                    y=y,
-                    w=w,
-                    h=h,
-                    confidence=conf,
-                    source=source,
-                )
-            )
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {lineno}: {exc}") from None
+            raise ValueError(f"tile index {tile_index} out of range")
+        return DetectionBox(tile_index, class_id, x, y, w, h, conf, row[7].strip())
+
+    boxes = read_csv_records(path, _DETECTIONS_HEADER, "detections", parse, ValueError)
     return AnnotationSet(tuple(boxes))
 
 

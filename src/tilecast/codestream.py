@@ -387,28 +387,19 @@ class Codestream(CodestreamTable):
         return {e.index: pos for e, pos in zip(self.entries, accumulate(sizes, initial=0))}
 
 
-def _low_sizes(n: int, levels: int) -> list[int]:
-    """Low-pass length of an axis of ``n`` samples after 0..levels-1 splits."""
-    sizes = [n]
-    for _ in range(levels - 1):
-        sizes.append(wavelet.split_dims(sizes[-1])[0])
-    return sizes
+def _low(n: int, splits: int) -> int:
+    """Low-pass length of an axis of ``n`` samples after ``splits`` splits, ceil(n / 2**splits)."""
+    return -(-n >> splits)
 
 
 def _band_shapes(tile_w: int, tile_h: int, levels: int):
     """Band shapes of one tile's segments: segs[r-1] -> list of (h, w)."""
-    hs, ws = _low_sizes(tile_h, levels), _low_sizes(tile_w, levels)
-    segs = [[(hs[-1], ws[-1])]]
-    for d in range(levels - 2, -1, -1):  # the split of depth d + 1 is resolution levels - d
-        lh, hh = wavelet.split_dims(hs[d])
-        lw, hw = wavelet.split_dims(ws[d])
+    segs = [[(_low(tile_h, levels - 1), _low(tile_w, levels - 1))]]
+    for d in range(levels - 1, 0, -1):  # the split of depth d is resolution levels - d + 1
+        lh, lw = _low(tile_h, d), _low(tile_w, d)
+        hh, hw = _low(tile_h, d - 1) - lh, _low(tile_w, d - 1) - lw
         segs.append([(lh, hw), (hh, lw), (hh, hw)])
     return segs
-
-
-def _reduced(cs: CodestreamTable, resolution: int, *lengths: int) -> list[int]:
-    """Each axis length, in samples, after the splits that leave ``resolution``."""
-    return [_low_sizes(n, cs.levels)[cs.levels - resolution] for n in lengths]
 
 
 def resolution_size(cs: CodestreamTable, resolution: int) -> tuple[int, int]:
@@ -421,7 +412,8 @@ def resolution_size(cs: CodestreamTable, resolution: int) -> tuple[int, int]:
     _check_resolution(cs, resolution)
     grid = cs.grid
     _, _, w, h = tile_bounds(grid, grid.tile_count - 1, cs.width, cs.height)
-    tw, th, last_w, last_h = _reduced(cs, resolution, cs.tile_w, cs.tile_h, w, h)
+    splits = cs.levels - resolution
+    tw, th, last_w, last_h = (_low(n, splits) for n in (cs.tile_w, cs.tile_h, w, h))
     return (grid.tiles_x - 1) * tw + last_w, (grid.tiles_y - 1) * th + last_h
 
 
@@ -786,7 +778,8 @@ def assemble(cs: Codestream, resolution: int) -> Image:
     if len(cs.entries) != grid.tile_count:
         raise CodestreamError("assemble requires a codestream holding every tile")
     width, height = resolution_size(cs, resolution)
-    tw, th = _reduced(cs, resolution, cs.tile_w, cs.tile_h)
+    splits = cs.levels - resolution
+    tw, th = _low(cs.tile_w, splits), _low(cs.tile_h, splits)
     canvas = np.empty((height, width, cs.components), dtype=np.uint8)
     for index, c, plane in _planes(cs, range(grid.tile_count), resolution):
         row, col = divmod(index, grid.tiles_x)

@@ -2,11 +2,13 @@
 
 Both frameworks run one flow on a ``BudgetPlan``: send every tile at
 ``plan.lr``, annotate with the detector, and send the lowest-confidence
-tiles to the human. ``run_baseline`` fixes the plan at full resolution
-with a given human budget. ``run_streamlined`` fits the plan to the
-bandwidth budget (``compute_budget``), then exchanges the picked tiles'
-indices and pulls those tiles back up to full resolution. At full
-resolution with free indices the two therefore agree bit for bit.
+tiles to the human. A plan is two numbers, ``lr`` and the human budget;
+the codestream's table gives the rest, its tiles and its depth.
+``run_baseline`` fixes the plan at the table's full resolution with a
+given human budget. ``run_streamlined`` fits the plan to the bandwidth
+budget (``compute_budget``), then exchanges the picked tiles' indices
+and pulls those tiles back up to full resolution. At full resolution
+with free indices the two therefore agree bit for bit.
 
 Transfers are charged by their byte counts, read from the codestream's
 table. Without a ``codestream=`` argument the table comes from
@@ -43,13 +45,11 @@ class BudgetPlan:
     """
 
     lr: Optional[int]
-    hr: int
     human_budget: int
-    tile_count: int
 
     def __post_init__(self):
-        if self.lr is not None and not 1 <= self.lr <= self.hr:
-            raise ValueError(f"lr {self.lr} outside 1..{self.hr}")
+        if self.lr is not None and self.lr < 1:
+            raise ValueError(f"lr {self.lr} must be >= 1")
         if self.human_budget < 0:
             raise ValueError("human budget must be >= 0")
 
@@ -73,7 +73,6 @@ def plan_budget(
     bw_bytes: int,
     mu_t_hum: float,
     t_hum_cap: float,
-    tile_count: int,
     estimate: str = ESTIMATE_MAX,
 ) -> BudgetPlan:
     """Pick the highest transmittable resolution and the human budget.
@@ -83,7 +82,8 @@ def plan_budget(
     bytes fund full-resolution tiles for the human at the per-tile cost
     given by ``estimate`` ("max" never overshoots the budget; "mean"
     reads the per-tile size as a constant average instead). The budget
-    is further capped by the annotator time cap and the tile count.
+    is further capped by the annotator time cap (none when ``mu_t_hum``
+    is 0) and by the tile count, ``len(tile_hr_sizes)``.
     """
     hr = len(sizes_by_resolution)
     if hr < 1:
@@ -96,18 +96,19 @@ def plan_budget(
             lr = r
             break
     if lr is None:
-        return BudgetPlan(lr=None, hr=hr, human_budget=0, tile_count=tile_count)
+        return BudgetPlan(lr=None, human_budget=0)
     slack = bw_bytes - sizes_by_resolution[lr - 1]
+    tile_count = len(tile_hr_sizes)
     if estimate == ESTIMATE_MAX:
         per_tile = max(tile_hr_sizes)
         by_bandwidth = slack // per_tile if per_tile > 0 else tile_count
     else:
         total = sum(tile_hr_sizes)
-        by_bandwidth = slack * len(tile_hr_sizes) // total if total > 0 else tile_count
+        by_bandwidth = slack * tile_count // total if total > 0 else tile_count
     budget = min(by_bandwidth, tile_count)
     if mu_t_hum > 0:
         budget = min(budget, int(t_hum_cap / mu_t_hum))
-    return BudgetPlan(lr=lr, hr=hr, human_budget=int(budget), tile_count=tile_count)
+    return BudgetPlan(lr=lr, human_budget=int(budget))
 
 
 def compute_budget(
@@ -122,8 +123,7 @@ def compute_budget(
     One pass over the table gives each resolution's segment bytes over
     all tiles and each tile's full-resolution size.
     """
-    tile_count = cs.grid.tile_count
-    if cs.tile_count != tile_count or cs.max_resolution != cs.levels:
+    if cs.tile_count != cs.grid.tile_count or cs.max_resolution != cs.levels:
         raise ValueError("compute_budget requires a full codestream")
     level_bytes = [0] * cs.levels
     tile_sizes = []
@@ -137,7 +137,6 @@ def compute_budget(
         ch_mod.bandwidth_budget(ch),
         mu_t_hum,
         t_hum_cap,
-        tile_count,
         estimate,
     )
 
@@ -146,26 +145,14 @@ def select_tiles_for_human(anns: AnnotationSet, budget: int) -> list[int]:
     """Tiles owning the lowest-confidence detections, up to ``budget``.
 
     Boxes are ranked by ascending confidence (ties: lower tile index,
-    then earlier box); walking that ranking, each new tile is collected
-    until the budget is filled or the boxes run out. Tiles with no
-    detections are never selected.
+    then earlier box, as the sort is stable); each tile takes the place
+    of its first box in that ranking, and the first ``budget`` tiles are
+    chosen. Tiles with no detections are never selected.
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
-    order = sorted(
-        range(len(anns.boxes)),
-        key=lambda i: (anns.boxes[i].confidence, anns.boxes[i].tile_index, i),
-    )
-    chosen: list[int] = []
-    seen = set()
-    for i in order:
-        if len(chosen) >= budget:
-            break
-        t = anns.boxes[i].tile_index
-        if t not in seen:
-            seen.add(t)
-            chosen.append(t)
-    return chosen
+    ranked = sorted(anns.boxes, key=lambda b: (b.confidence, b.tile_index))
+    return list(dict.fromkeys(b.tile_index for b in ranked))[:budget]
 
 
 def _human_timeline(
@@ -208,10 +195,15 @@ def _run_plan(
 ) -> RunResult:
     """The flow both frameworks run on their plan.
 
-    With ``exchange`` the picked tiles' indices go up and those tiles
-    come back at ``plan.hr``: a zero-byte transfer when ``plan.lr`` is
-    already full resolution. An infeasible plan sends nothing.
+    The table alone gives the run's tiles and its full resolution,
+    ``cs.levels``. With ``exchange`` the picked tiles' indices go up and
+    those tiles come back at ``cs.levels``: a zero-byte transfer when
+    ``plan.lr`` is already full resolution. An infeasible plan sends
+    nothing. A human time per tile that is not positive is refused
+    before any transfer.
     """
+    if not mu_t_hum > 0:
+        raise ValueError(f"mu_t_hum must be > 0, got {mu_t_hum!r}")
     if plan.lr is None:
         timeline = TimelineReport(events=(), t_tr=0.0, t_hum=0.0)
         return RunResult(annotations=AnnotationSet(), plan=plan, timeline=timeline)
@@ -224,7 +216,7 @@ def _run_plan(
     t_tr = dl_time
     if exchange:
         t_tr += transmit(ch_mod.INDEX_BYTES * len(selected), ch, ch_mod.LABEL_INDICES).seconds
-        hr_bytes = cs_mod.size_of(cs, selected, plan.hr) if selected and plan.lr < plan.hr else 0
+        hr_bytes = cs_mod.size_of(cs, selected, cs.levels) if selected and plan.lr < cs.levels else 0
         t_tr += transmit(hr_bytes, ch, ch_mod.LABEL_HR_SELECTED).seconds
     events, merged = _human_timeline(
         dl_anns, selected, gt, cs.grid, dl_time, t_tr, mu_t_hum, iou_threshold
@@ -250,14 +242,16 @@ def run_baseline(
 ) -> RunResult:
     """Conventional flow: send everything at full resolution, then refine.
 
-    The flow runs on a fixed plan, ``lr = hr = levels`` with the given
-    human budget, and without the index exchange: the human's tiles are
-    already on the ground. The framework does not adapt to the channel,
-    which is exactly its weakness. ``codestream`` may be a
-    ``Codestream`` or just its ``CodestreamTable``.
+    The flow runs on a fixed plan, ``lr`` at the table's full depth
+    (``cs.levels``) with the given human budget, and without the index
+    exchange: the human's tiles are already on the ground. The framework
+    does not adapt to the channel, which is exactly its weakness.
+    ``codestream`` may be a ``Codestream`` or just its
+    ``CodestreamTable``; ``img``, ``grid`` and ``levels`` are read only
+    to measure a table when it is not given.
     """
     cs = codestream if codestream is not None else cs_mod.measure(img, grid, levels)
-    plan = BudgetPlan(levels, levels, human_budget, grid.tile_count)
+    plan = BudgetPlan(cs.levels, human_budget)
     return _run_plan(
         cs, ch, plan, False, mu_t_hum, detector, gt, seed, compute_delay, iou_threshold
     )
@@ -291,7 +285,9 @@ def run_streamlined(
     human budget equal to the baseline's ``human_budget``, the result
     then equals ``run_baseline``'s for the same remaining arguments: the
     same timeline, bit for bit, and the same annotations. ``codestream``
-    may be a ``Codestream`` or just its ``CodestreamTable``.
+    may be a ``Codestream`` or just its ``CodestreamTable``; ``img``,
+    ``grid`` and ``levels`` are read only to measure a table when it is
+    not given.
     """
     cs = codestream if codestream is not None else cs_mod.measure(img, grid, levels)
     plan = compute_budget(cs, ch, mu_t_hum, t_hum_cap, estimate=tile_size_estimate)

@@ -211,11 +211,13 @@ def save_ground_truth(path, boxes: list[GroundTruthBox]) -> None:
             writer.writerow([b.object_id, b.class_id, b.x, b.y, b.w, b.h])
 
 
-def _csv_rows(path, error: type[ValueError]):
-    """Yield (line number, row) for each record of a UTF-8 CSV file.
+def read_csv_records(path, header: list[str], kind: str, parse, error: type[ValueError]) -> list:
+    """``parse(row)`` of each non-blank record of a UTF-8 CSV file after ``header``.
 
-    Bytes that are not UTF-8 and rows the csv module refuses (an
-    oversized field, say) raise ``error`` naming the path and the line.
+    A missing or different header raises ``error`` naming the path and
+    the ``kind`` of file. Bytes that are not UTF-8, rows the csv module
+    refuses (an oversized field, say) and a ValueError or TypeError from
+    ``parse`` raise ``error`` naming the path and the line.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -226,29 +228,20 @@ def _csv_rows(path, error: type[ValueError]):
         raise error(f"{path}: line {line}: not UTF-8 text") from None
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
-        for row in reader:
-            yield reader.line_num, row
-    except csv.Error as exc:
+        found = next(reader, None)
+        if found == header:
+            return [parse(row) for row in reader if row]
+    except (csv.Error, ValueError, TypeError) as exc:
         raise error(f"{path}: line {reader.line_num}: {exc}") from None
+    if found is None:
+        raise error(f"{path}: empty {kind} file")
+    raise error(f"{path}: bad {kind} header {found!r}")
 
 
 def load_ground_truth(path) -> list[GroundTruthBox]:
-    rows = _csv_rows(path, ImageIOError)
-    _, header = next(rows, (0, None))
-    if header is None:
-        raise ImageIOError(f"{path}: empty ground-truth file")
-    if header != _GT_HEADER:
-        raise ImageIOError(f"{path}: bad ground-truth header {header!r}")
-    boxes = []
-    for lineno, row in rows:
-        if not row:
-            continue
-        try:
-            vals = [int(v) for v in row]
-            boxes.append(GroundTruthBox(*vals))
-        except (ValueError, TypeError) as exc:
-            raise ImageIOError(f"{path}: line {lineno}: {exc}") from None
-    return boxes
+    return read_csv_records(
+        path, _GT_HEADER, "ground-truth", lambda row: GroundTruthBox(*map(int, row)), ImageIOError
+    )
 
 
 def generate_scene(

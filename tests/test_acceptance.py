@@ -127,7 +127,7 @@ def test_criterion_3_budget_oracle(tmp_path):
         mu = r.choice([0.5, 7.0, 30.0])
         cap = r.choice([0.0, 60.0, 300.0])
         estimate = r.choice(["max", "mean"])
-        plan = plan_budget(sizes, tile_sizes, bw, mu, cap, tiles, estimate)
+        plan = plan_budget(sizes, tile_sizes, bw, mu, cap, estimate)
         expect = _brute_force_plan(sizes, tile_sizes, bw, mu, cap, tiles, estimate)
         if (plan.lr, plan.human_budget) != expect:
             wrong += 1

@@ -7,6 +7,7 @@ import pytest
 from reference_recall import reference_recall
 from tilecast import codestream as cs_mod
 from tilecast import config as cfg_mod
+from tilecast import pipeline as pipeline_mod
 from tilecast import scenario
 from tilecast.annotate import (
     AnnotationSet,
@@ -71,18 +72,17 @@ def make_scene(seed=3, size=256, objects=8, tile=64, levels=3):
 
 def test_budget_hand_example():
     sizes = [100_000, 400_000, 1_600_000, 6_400_000, 25_600_000]
-    plan = plan_budget(sizes, [100_000] * 64, 2_000_000, 30.0, 300.0, 64)
+    plan = plan_budget(sizes, [100_000] * 64, 2_000_000, 30.0, 300.0)
     assert plan.lr == 3
-    assert plan.hr == 5
     assert plan.human_budget == 4
 
 
 def test_budget_unconstrained_and_infeasible():
     sizes = [100, 200, 400]
-    plan = plan_budget(sizes, [40, 50], 1_000_000, 30.0, 300.0, 2)
+    plan = plan_budget(sizes, [40, 50], 1_000_000, 30.0, 300.0)
     assert plan.lr == 3
     assert plan.human_budget == 2  # capped by the tile count
-    plan = plan_budget(sizes, [40, 50], 50, 30.0, 300.0, 2)
+    plan = plan_budget(sizes, [40, 50], 50, 30.0, 300.0)
     assert plan.lr is None
     assert plan.human_budget == 0
 
@@ -98,7 +98,7 @@ def test_budget_against_brute_force():
         mu = r.choice([0.0, 1.0, 7.5, 30.0])
         cap = r.choice([0.0, 45.0, 300.0])
         estimate = r.choice(["max", "mean"])
-        plan = plan_budget(sizes, tile_sizes, bw, mu, cap, tiles, estimate)
+        plan = plan_budget(sizes, tile_sizes, bw, mu, cap, estimate)
         lr, n = brute_force_plan(sizes, tile_sizes, bw, mu, cap, tiles, estimate)
         assert (plan.lr, plan.human_budget) == (lr, n)
 
@@ -109,8 +109,6 @@ def test_compute_budget_from_codestream():
     plan = compute_budget(stream, ch, 30.0, 300.0)
     bw = bandwidth_budget(ch)
     all_idx = list(range(grid.tile_count))
-    assert plan.hr == levels
-    assert plan.tile_count == grid.tile_count
     if plan.lr is not None:
         assert size_of(stream, all_idx, plan.lr) <= bw
         if plan.lr < levels:
@@ -129,8 +127,7 @@ def test_compute_budget_equals_plan_from_size_of():
     for rate in (500, 4_000, 16_000, 64_000, 1e9):
         ch = ChannelSpec(data_rate=rate, t_tr_limit=60)
         for estimate in ("max", "mean"):
-            want = plan_budget(sizes, tile_sizes, bandwidth_budget(ch), 20.0, 200.0,
-                               grid.tile_count, estimate)
+            want = plan_budget(sizes, tile_sizes, bandwidth_budget(ch), 20.0, 200.0, estimate)
             assert compute_budget(stream, ch, 20.0, 200.0, estimate) == want
             assert compute_budget(table, ch, 20.0, 200.0, estimate) == want
 
@@ -333,10 +330,41 @@ def test_index_charging_in_both_pipelines():
 
 def test_budget_plan_validation():
     with pytest.raises(ValueError):
-        BudgetPlan(lr=6, hr=5, human_budget=0, tile_count=4)
+        BudgetPlan(lr=0, human_budget=0)
     with pytest.raises(ValueError):
-        BudgetPlan(lr=1, hr=5, human_budget=-1, tile_count=4)
-    assert BudgetPlan(lr=None, hr=5, human_budget=0, tile_count=4).lr is None
+        BudgetPlan(lr=1, human_budget=-1)
+    assert BudgetPlan(lr=None, human_budget=0).lr is None
+
+
+def test_both_frameworks_plan_from_the_table_not_the_arguments():
+    img, gt = generate_scene(3, 512, 512, 12, (16, 24))
+    grid = TileGrid.for_image(512, 512, 128, 128)
+    table = cs_mod.measure(img, grid, 5)
+    wrong_grid = TileGrid.for_image(512, 512, 256, 256)
+    det = OracleDetector(DetectorModel.default(5), grid, 512, 512)
+    ch = ChannelSpec(data_rate=88_000, t_tr_limit=600)
+    base = run_baseline(img, wrong_grid, 3, ch, 30.0, 0, det, gt, 1, codestream=table)
+    prop = run_streamlined(img, wrong_grid, 3, ch, 30.0, 300.0, det, gt, 1, codestream=table)
+    assert base.plan.lr == prop.plan.lr == 5
+    full = size_of(table, range(grid.tile_count), 5)
+    assert base.timeline.t_tr == full * 8 / 88_000
+
+
+@pytest.mark.parametrize("mu", [0.0, -1.0])
+@pytest.mark.parametrize("streamlined", [False, True])
+def test_a_run_refuses_a_non_positive_human_time(monkeypatch, mu, streamlined):
+    def no_transfer(*args, **kwargs):
+        raise AssertionError("a transfer before the human time was checked")
+
+    img, gt, grid, stream, levels = make_scene()
+    det = perfect_detector(grid, 256, levels)
+    ch = ChannelSpec(data_rate=1e9, t_tr_limit=100)
+    monkeypatch.setattr(pipeline_mod, "transmit", no_transfer)
+    with pytest.raises(ValueError, match="mu_t_hum"):
+        if streamlined:
+            run_streamlined(img, grid, levels, ch, mu, 300.0, det, gt, 1, codestream=stream)
+        else:
+            run_baseline(img, grid, levels, ch, mu, 3, det, gt, 1, codestream=stream)
 
 
 def _random_timeline_case(r, grid):
