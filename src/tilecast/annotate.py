@@ -13,7 +13,10 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Sequence
+
+import numpy as np
 
 from . import rng
 from .raster import GroundTruthBox, TileGrid, read_csv_records, tile_bounds
@@ -42,7 +45,10 @@ class DetectionBox:
     def __post_init__(self):
         if not 0.0 <= self.confidence <= 1.0:
             raise ValueError(f"confidence {self.confidence} outside [0, 1]")
-        if not all(math.isfinite(v) for v in (self.x, self.y, self.w, self.h)):
+        isfinite = math.isfinite
+        if not (
+            isfinite(self.x) and isfinite(self.y) and isfinite(self.w) and isfinite(self.h)
+        ):
             raise ValueError(
                 f"non-finite detection box ({self.x}, {self.y}, {self.w}, {self.h})"
             )
@@ -125,18 +131,18 @@ class DetectorModel:
         )
 
 
-def _center_tile(box: GroundTruthBox, grid: TileGrid) -> int:
-    col = min(int((box.x + box.w / 2) // grid.tile_w), grid.tiles_x - 1)
-    row = min(int((box.y + box.h / 2) // grid.tile_h), grid.tiles_y - 1)
-    return row * grid.tiles_x + col
+def _max(a, b):
+    """Builtin ``max(a, b)`` elementwise: ``b`` only where ``b > a``.
+
+    Unlike ``np.maximum`` it keeps ``a`` against a NaN ``b`` and keeps a
+    -0.0 ``a`` against 0.0, as the builtin does.
+    """
+    return np.where(b > a, b, a)
 
 
-def _clamp_box(x, y, w, h, image_w, image_h):
-    w = max(1.0, min(w, float(image_w)))
-    h = max(1.0, min(h, float(image_h)))
-    x = min(max(x, 0.0), image_w - w)
-    y = min(max(y, 0.0), image_h - h)
-    return x, y, w, h
+def _min(a, b):
+    """Builtin ``min(a, b)`` elementwise: ``b`` only where ``b < a``."""
+    return np.where(b < a, b, a)
 
 
 def oracle_detect(
@@ -155,6 +161,17 @@ def oracle_detect(
     emitted with probability detect_p(resolution); draws come from a
     stream keyed on (seed, object_id, resolution), so output is
     identical for identical arguments no matter the call context.
+
+    All listed boxes are worked at once. Their seven draws (the emit
+    test and three normal pairs) come from ``rng.stream_draws``; the
+    emit test, the jitter, the clamps and the confidence are float64
+    array operations in the order the per-object rule used, and the
+    normals come from ``rng.normal_pairs``, whose log, sqrt, cos and sin
+    are ``math``'s, so the boxes are the per-object rule's bit for bit.
+    Home tiles are Python ints: a box far off the image has a home of
+    any size. A tile sprouts false positives only when its first
+    uniform exceeds exp(-fp_rate); only such tiles run their Poisson
+    count and boxes on a ``rng.Stream``.
     """
     if not 1 <= resolution <= model.levels:
         raise ValueError(f"resolution {resolution} outside 1..{model.levels}")
@@ -164,41 +181,46 @@ def oracle_detect(
     p = model.detect_p[resolution - 1]
     c_mean = model.conf_mean[resolution - 1]
 
-    boxes = []
-    for g in gt:
-        home = _center_tile(g, grid)
-        if home not in tile_set:
-            continue
-        st = rng.Stream(seed, rng.DOMAIN_DETECT, g.object_id, resolution)
-        if st.uniform() >= p:
-            continue
-        gx, gy = st.normal_pair()
-        gw, gh = st.normal_pair()
-        gc, _ = st.normal_pair()
-        x, y, w, h = _clamp_box(
-            g.x + gx * jitter_std,
-            g.y + gy * jitter_std,
-            g.w + gw * jitter_std,
-            g.h + gh * jitter_std,
-            image_w,
-            image_h,
+    centers = np.array([(g.x + g.w / 2, g.y + g.h / 2) for g in gt], dtype=np.float64)
+    centers = centers.reshape(-1, 2)
+    if not np.isfinite(centers).all():
+        raise ValueError("non-finite ground-truth box center")
+    cols = np.minimum(centers[:, 0] // grid.tile_w, grid.tiles_x - 1).tolist()
+    rows = np.minimum(centers[:, 1] // grid.tile_h, grid.tiles_y - 1).tolist()
+    homes = [int(r) * grid.tiles_x + int(c) for r, c in zip(rows, cols)]
+    listed = [i for i, home in enumerate(homes) if home in tile_set]
+
+    draws = rng.stream_draws(
+        (seed, rng.DOMAIN_DETECT), [gt[i].object_id for i in listed], (resolution,), 7
+    )
+    hits = np.flatnonzero(rng.uniforms(draws[:, 0]) < p)
+    emitted = [listed[i] for i in hits.tolist()]
+    # draws 1-2, 3-4 and 5-6 are the pairs (gx, gy), (gw, gh) and (gc, unused)
+    cosines, sines = rng.normal_pairs(draws[hits, 1::2], draws[hits, 2::2])
+    gx, gw, gc = cosines.T
+    gy, gh, _ = sines.T
+    coords = np.array([(gt[i].x, gt[i].y, gt[i].w, gt[i].h) for i in emitted], dtype=np.float64)
+    x, y, w, h = coords.reshape(-1, 4).T + np.array([gx, gy, gw, gh]) * jitter_std
+    w = _max(1.0, _min(w, float(image_w)))
+    h = _max(1.0, _min(h, float(image_h)))
+    x = _min(_max(x, 0.0), image_w - w)
+    y = _min(_max(y, 0.0), image_h - h)
+    conf = _min(_max(c_mean + model.conf_sigma * gc, 0.0), 1.0)
+    boxes = [
+        DetectionBox(homes[i], gt[i].class_id, *box, SOURCE_DL)
+        for i, *box in zip(
+            emitted, x.tolist(), y.tolist(), w.tolist(), h.tolist(), conf.tolist()
         )
-        conf = min(max(c_mean + model.conf_sigma * gc, 0.0), 1.0)
-        boxes.append(
-            DetectionBox(
-                tile_index=home,
-                class_id=g.class_id,
-                x=x,
-                y=y,
-                w=w,
-                h=h,
-                confidence=conf,
-                source=SOURCE_DL,
-            )
-        )
+    ]
 
     if model.fp_rate > 0:
-        for t in sorted(tile_set):
+        fp_tiles = sorted(tile_set)
+        firsts = rng.stream_draws(
+            (seed, rng.DOMAIN_FALSE_POSITIVE), fp_tiles, (resolution,), 1
+        )[:, 0]
+        # Knuth's count is 0 exactly when its first uniform is <= exp(-rate)
+        sprouts = rng.uniforms(firsts) > math.exp(-model.fp_rate)
+        for t in compress(fp_tiles, sprouts.tolist()):
             st = rng.Stream(seed, rng.DOMAIN_FALSE_POSITIVE, t, resolution)
             for _ in range(st.poisson(model.fp_rate)):
                 tx, ty, tw, th = tile_bounds(grid, t, image_w, image_h)
@@ -225,40 +247,42 @@ def oracle_detect(
     return AnnotationSet(tuple(boxes))
 
 
+def _exact(rows) -> np.ndarray:
+    """``rows`` as an int64 array when that holds them exactly, else as objects.
+
+    Coordinates from a CSV are Python ints of any size; an object array
+    compares them as Python does.
+    """
+    a = np.array(rows)
+    return a if a.dtype == np.int64 else np.array(rows, dtype=object)
+
+
 def human_annotate(
     tiles: Sequence[int], gt: Sequence[GroundTruthBox], grid: TileGrid
 ) -> AnnotationSet:
     """Perfect expert annotation of the chosen tiles.
 
     Emits every ground-truth box intersecting a chosen tile, once, with
-    exact coordinates and confidence 1.0. Time accounting is the
-    pipeline's job.
+    exact coordinates and confidence 1.0; its tile is the first chosen
+    tile it meets. Time accounting is the pipeline's job.
     """
     chosen = list(dict.fromkeys(tiles))
+    if not chosen or not gt:
+        return AnnotationSet()
+    rects = []
+    for t in chosen:
+        row, col = divmod(t, grid.tiles_x)
+        tx, ty = col * grid.tile_w, row * grid.tile_h
+        rects.append((tx, tx + grid.tile_w, ty, ty + grid.tile_h))
+    left, right, top, bottom = _exact(rects).T[:, None, :]
+    x0, x1, y0, y1 = _exact([(g.x, g.x + g.w, g.y, g.y + g.h) for g in gt]).T[:, :, None]
+    meets = (x0 < right) & (x1 > left) & (y0 < bottom) & (y1 > top)
+    first = meets.argmax(axis=1).tolist()
     boxes = []
-    for g in gt:
-        for t in chosen:
-            row, col = divmod(t, grid.tiles_x)
-            tx, ty = col * grid.tile_w, row * grid.tile_h
-            if (
-                g.x < tx + grid.tile_w
-                and g.x + g.w > tx
-                and g.y < ty + grid.tile_h
-                and g.y + g.h > ty
-            ):
-                boxes.append(
-                    DetectionBox(
-                        tile_index=t,
-                        class_id=g.class_id,
-                        x=float(g.x),
-                        y=float(g.y),
-                        w=float(g.w),
-                        h=float(g.h),
-                        confidence=1.0,
-                        source=SOURCE_HUM,
-                    )
-                )
-                break
+    for i in np.flatnonzero(meets.any(axis=1)).tolist():
+        g = gt[i]
+        box = (float(g.x), float(g.y), float(g.w), float(g.h))
+        boxes.append(DetectionBox(chosen[first[i]], g.class_id, *box, 1.0, SOURCE_HUM))
     return AnnotationSet(tuple(boxes))
 
 

@@ -83,11 +83,14 @@ def plan_budget(
     given by ``estimate`` ("max" never overshoots the budget; "mean"
     reads the per-tile size as a constant average instead). The budget
     is further capped by the annotator time cap (none when ``mu_t_hum``
-    is 0) and by the tile count, ``len(tile_hr_sizes)``.
+    is 0) and by the tile count, ``len(tile_hr_sizes)``, which must be
+    at least 1.
     """
     hr = len(sizes_by_resolution)
     if hr < 1:
         raise ValueError("need at least one resolution level")
+    if not tile_hr_sizes:
+        raise ValueError("need at least one tile size")
     if estimate not in (ESTIMATE_MAX, ESTIMATE_MEAN):
         raise ValueError(f"unknown tile size estimate {estimate!r}")
     lr = None
@@ -200,10 +203,18 @@ def _run_plan(
     those tiles come back at ``cs.levels``: a zero-byte transfer when
     ``plan.lr`` is already full resolution. An infeasible plan sends
     nothing. A human time per tile that is not positive is refused
-    before any transfer.
+    before any transfer, and so is a detector on another tile grid than
+    the table's: its tile indices would name other tiles.
     """
     if not mu_t_hum > 0:
         raise ValueError(f"mu_t_hum must be > 0, got {mu_t_hum!r}")
+    det_grid = getattr(detector, "grid", None)
+    if det_grid is not None and det_grid != cs.grid:
+        raise ValueError(
+            f"detector tile grid ({det_grid.tile_count} tiles of "
+            f"{det_grid.tile_w}x{det_grid.tile_h}) is not the codestream's "
+            f"({cs.grid.tile_count} tiles of {cs.grid.tile_w}x{cs.grid.tile_h})"
+        )
     if plan.lr is None:
         timeline = TimelineReport(events=(), t_tr=0.0, t_hum=0.0)
         return RunResult(annotations=AnnotationSet(), plan=plan, timeline=timeline)

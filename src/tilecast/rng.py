@@ -5,11 +5,22 @@ detector) draws from splitmix64 streams keyed on explicit integer
 tuples, so results are bit-identical across runs, platforms, and
 thread schedules. Normal deviates use a fixed Box-Muller rule on the
 same streams.
+
+``stream_draws``, ``uniforms`` and ``normal_pairs`` are the vector
+twins of ``Stream.next_u64``, ``Stream.uniform`` and
+``Stream.normal_pair`` for many streams whose keys differ in one part:
+the integer hashing and the uniforms run in uint64 and float64 arrays
+and equal the scalar streams bit for bit. The Box-Muller
+transcendentals stay in ``math``, applied element by element:
+``np.log`` differs from ``math.log`` by one ulp on some inputs, and a
+normal one ulp off moves a detection box and so the simulator's
+outputs.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 
@@ -48,6 +59,46 @@ def stream_key(*parts: int) -> int:
     for p in parts:
         state = mix64(state ^ mix64(p & _MASK64))
     return state
+
+
+def stream_draws(
+    prefix: Sequence[int], parts: Sequence[int], suffix: Sequence[int], count: int
+) -> np.ndarray:
+    """The first ``count`` ``next_u64`` values of many keyed streams.
+
+    Row i of the ``(len(parts), count)`` uint64 result equals
+    ``count`` calls of ``Stream(*prefix, parts[i], *suffix).next_u64()``.
+    The constant prefix is folded once; each part (reduced mod 2^64, as
+    ``stream_key`` does) and the suffix are folded with ``mix64_array``.
+    """
+    keys = np.fromiter((p & _MASK64 for p in parts), dtype=np.uint64, count=len(parts))
+    state = mix64_array(np.uint64(stream_key(*prefix)) ^ mix64_array(keys))
+    for s in suffix:
+        state = mix64_array(state ^ np.uint64(mix64(s)))
+    steps = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+    return mix64_array(state[:, None] + steps)
+
+
+def uniforms(draws: np.ndarray) -> np.ndarray:
+    """``Stream.uniform`` over an array of ``next_u64`` values, exactly."""
+    return (draws >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+def normal_pairs(first: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``Stream.normal_pair`` over arrays of its two draws, bit for bit.
+
+    ``first`` and ``second`` hold each pair's two ``next_u64`` values;
+    the two normals come back in their shape. The uniforms are formed in
+    numpy, exactly; the transcendentals are ``math``'s, one value at a
+    time, so each normal is the scalar rule's.
+    """
+    u = ((first >> np.uint64(11)) + np.uint64(1)).astype(np.float64) * 2.0**-53
+    radii = [math.sqrt(-2.0 * math.log(x)) for x in u.ravel().tolist()]
+    angles = ((2.0 * math.pi) * uniforms(second)).ravel().tolist()
+    r = np.array(radii).reshape(first.shape)
+    cos = np.array(list(map(math.cos, angles))).reshape(second.shape)
+    sin = np.array(list(map(math.sin, angles))).reshape(second.shape)
+    return r * cos, r * sin
 
 
 class Stream:

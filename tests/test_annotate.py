@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -16,7 +17,9 @@ from tilecast.annotate import (
     oracle_detect,
     save_detections,
 )
-from tilecast.raster import GroundTruthBox, TileGrid
+from tilecast.raster import GroundTruthBox, TileGrid, generate_scene
+
+from reference_annotate import reference_human_annotate, reference_oracle_detect
 
 
 def perfect_model(levels=5):
@@ -285,3 +288,78 @@ def test_model_validation():
     m = DetectorModel.default(5)
     assert m.detect_p == (0.3, 0.5, 0.7, 0.85, 0.95)
     assert DetectorModel.default(1).detect_p == (0.95,)
+
+
+def _outcome(fn, *args):
+    """An annotator's result as text, or what it raised."""
+    try:
+        return repr(fn(*args))
+    except (ValueError, IndexError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+_FAR = st.integers(-(2**70), 2**70)
+_COORD = st.one_of(st.integers(-40, 300), _FAR)
+_SIZE = st.one_of(st.integers(1, 120), st.integers(1, 2**70))
+
+
+@st.composite
+def _annotation_case(draw):
+    """A grid, ground truth with wild ids and coordinates, and a tile list."""
+    width, height = draw(st.integers(1, 260)), draw(st.integers(1, 260))
+    grid = TileGrid.for_image(width, height, draw(st.integers(8, 128)), draw(st.integers(8, 128)))
+    gt = draw(st.lists(
+        st.builds(GroundTruthBox, _FAR, st.integers(0, 2), _COORD, _COORD, _SIZE, _SIZE),
+        max_size=12,
+    ))
+    in_range = st.integers(0, grid.tile_count - 1)
+    tile = st.one_of(in_range, in_range, st.integers(-3, grid.tile_count + 2))
+    tiles = draw(st.one_of(
+        st.lists(in_range, max_size=2 * grid.tile_count),
+        st.permutations(range(grid.tile_count)),
+        st.lists(tile, max_size=2 * grid.tile_count),
+    ))
+    return width, height, grid, gt, list(tiles)
+
+
+@given(
+    case=_annotation_case(),
+    levels=st.integers(1, 6),
+    data=st.data(),
+    seed=st.one_of(st.integers(0, 50), _FAR),
+    fp_rate=st.sampled_from([0.0, 0.05, 2.0, 3.5]),
+    spread=st.sampled_from([(0.08, 0.5), (0.0, 0.0), (0.3, 3.0), (0.1, math.nan)]),
+    signed_zero=st.booleans(),
+)
+@settings(max_examples=400, deadline=None)
+def test_oracle_detect_equals_the_per_object_reference(
+    case, levels, data, seed, fp_rate, spread, signed_zero
+):
+    width, height, grid, gt, tiles = case
+    base = DetectorModel.default(levels)
+    conf_mean = (-0.0,) * levels if signed_zero else base.conf_mean
+    model = DetectorModel(base.detect_p, conf_mean, *spread, fp_rate=fp_rate)
+    resolution = data.draw(st.integers(1, levels))
+    args = (tiles, gt, resolution, model, seed, grid, width, height)
+    assert _outcome(oracle_detect, *args) == _outcome(reference_oracle_detect, *args)
+
+
+@given(case=_annotation_case())
+@settings(max_examples=400, deadline=None)
+def test_human_annotate_equals_the_per_box_reference(case):
+    _, _, grid, gt, tiles = case
+    assert _outcome(human_annotate, tiles, gt, grid) == _outcome(
+        reference_human_annotate, tiles, gt, grid)
+
+
+def test_annotators_equal_the_references_on_a_dense_scene():
+    _, gt = generate_scene(5, 1024, 1024, 120)
+    grid = TileGrid.for_image(1024, 1024, 256, 256)
+    model = DetectorModel.default(5)
+    for tiles in (range(grid.tile_count), [15, 3, 3, 9, 0]):
+        for resolution in range(1, 6):
+            for seed in range(3):
+                args = (tiles, gt, resolution, model, seed, grid, 1024, 1024)
+                assert _outcome(oracle_detect, *args) == _outcome(reference_oracle_detect, *args)
+        assert _outcome(human_annotate, tiles, gt, grid) == _outcome(
+            reference_human_annotate, tiles, gt, grid)

@@ -13,6 +13,7 @@ from tilecast.annotate import (
     AnnotationSet,
     DetectionBox,
     DetectorModel,
+    FileDetector,
     OracleDetector,
     human_annotate,
 )
@@ -365,6 +366,37 @@ def test_a_run_refuses_a_non_positive_human_time(monkeypatch, mu, streamlined):
             run_streamlined(img, grid, levels, ch, mu, 300.0, det, gt, 1, codestream=stream)
         else:
             run_baseline(img, grid, levels, ch, mu, 3, det, gt, 1, codestream=stream)
+
+
+def test_a_run_refuses_a_detector_on_another_tile_grid(monkeypatch):
+    img, gt = generate_scene(3, 512, 512, 12)
+    grid = TileGrid.for_image(512, 512, 128, 128)
+    table = cs_mod.measure(img, grid, 5)
+    model = DetectorModel.default(5)
+    ch = ChannelSpec(data_rate=88_000, t_tr_limit=600)
+    same = OracleDetector(model, grid, 512, 512)
+    assert run_baseline(img, grid, 5, ch, 30.0, 0, same, gt, 3, codestream=table) \
+        .timeline.final_recall == 0.75
+    replay = FileDetector(same.detect(range(grid.tile_count), gt, 5, 3))
+    assert run_baseline(img, grid, 5, ch, 30.0, 0, replay, gt, 3, codestream=table) \
+        .timeline.final_recall == 0.75
+
+    def no_transfer(*args, **kwargs):
+        raise AssertionError("a transfer before the detector's grid was checked")
+
+    monkeypatch.setattr(pipeline_mod, "transmit", no_transfer)
+    finer = OracleDetector(model, TileGrid.for_image(512, 512, 64, 64), 512, 512)
+    named = r"64 tiles of 64x64.*16 tiles of 128x128"
+    with pytest.raises(ValueError, match=named):
+        run_baseline(img, grid, 5, ch, 30.0, 0, finer, gt, 3, codestream=table)
+    with pytest.raises(ValueError, match=named):
+        run_streamlined(img, grid, 5, ch, 30.0, 300.0, finer, gt, 3, codestream=table)
+
+
+@pytest.mark.parametrize("estimate", ["max", "mean"])
+def test_plan_budget_refuses_an_empty_tile_list(estimate):
+    with pytest.raises(ValueError, match="at least one tile size"):
+        plan_budget([10], [], 100, 1.0, 10.0, estimate)
 
 
 def _random_timeline_case(r, grid):

@@ -1,6 +1,8 @@
 import math
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tilecast import rng
 
@@ -49,3 +51,35 @@ def test_poisson_mean():
     counts = [st.poisson(lam) for _ in range(4000)]
     assert abs(sum(counts) / len(counts) - lam) < 0.15
     assert rng.Stream(1).poisson(0.0) == 0
+
+
+_KEY_PARTS = st.integers(-(2**70), 2**70)
+
+
+@given(
+    prefix=st.lists(_KEY_PARTS, max_size=3),
+    parts=st.lists(_KEY_PARTS, max_size=8),
+    suffix=st.lists(_KEY_PARTS, max_size=3),
+    count=st.integers(0, 9),
+)
+@settings(max_examples=300, deadline=None)
+def test_stream_draws_equal_the_scalar_streams(prefix, parts, suffix, count):
+    draws = rng.stream_draws(prefix, parts, suffix, count)
+    assert draws.dtype == np.uint64 and draws.shape == (len(parts), count)
+    for row, part in zip(draws.tolist(), parts):
+        stream = rng.Stream(*prefix, part, *suffix)
+        assert row == [stream.next_u64() for _ in range(count)]
+
+
+@given(seed=_KEY_PARTS, parts=st.lists(_KEY_PARTS, max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_vector_uniforms_and_normals_equal_the_scalar_rules(seed, parts):
+    draws = rng.stream_draws((seed,), parts, (), 5)
+    uniforms = rng.uniforms(draws[:, 0]).tolist()
+    first, second = rng.normal_pairs(draws[:, 1::2], draws[:, 2::2])
+    for i, part in enumerate(parts):
+        stream = rng.Stream(seed, part)
+        assert repr(stream.uniform()) == repr(uniforms[i])
+        for k in range(2):
+            want = stream.normal_pair()
+            assert repr(want) == repr((first[i, k].item(), second[i, k].item()))
