@@ -4,8 +4,10 @@ The automated side is a seeded oracle: it knows the ground truth and
 emits each box with a resolution-dependent probability, plus jitter,
 confidence noise, and occasional false positives. It stands in for a
 real detector (whose outputs can be replayed through the same pipeline
-via ``file_detect``) while keeping every run bit-reproducible. The
-human side is a perfect annotator; only its time is modeled, elsewhere.
+with a ``FileDetector``) while keeping every run bit-reproducible. Both
+detectors name their tile ``grid`` and answer ``detect(gt, resolution,
+seed)`` for the whole frame. The human side is a perfect annotator;
+only its time is modeled, elsewhere.
 """
 
 from __future__ import annotations
@@ -101,8 +103,10 @@ class DetectorModel:
                 raise ValueError("probability tables must lie in [0, 1]")
         if any(b < a for a, b in zip(self.detect_p, self.detect_p[1:])):
             raise ValueError("detect_p must be nondecreasing in resolution")
-        if self.conf_sigma < 0 or self.jitter < 0 or self.fp_rate < 0:
-            raise ValueError("spread parameters must be nonnegative")
+        for name in ("conf_sigma", "jitter", "fp_rate"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
 
     @property
     def levels(self) -> int:
@@ -320,7 +324,7 @@ def save_detections(path, anns: AnnotationSet) -> None:
 
 
 class OracleDetector:
-    """Detector interface backed by the seeded oracle model."""
+    """Detector backed by the seeded oracle model; it annotates every tile of its grid."""
 
     def __init__(self, model: DetectorModel, grid: TileGrid, image_w: int, image_h: int):
         self.model = model
@@ -328,23 +332,26 @@ class OracleDetector:
         self.image_w = image_w
         self.image_h = image_h
 
-    def detect(self, tiles, gt, resolution, seed) -> AnnotationSet:
+    def detect(self, gt, resolution, seed) -> AnnotationSet:
         return oracle_detect(
-            tiles, gt, resolution, self.model, seed, self.grid, self.image_w, self.image_h
+            range(self.grid.tile_count), gt, resolution, self.model, seed,
+            self.grid, self.image_w, self.image_h,
         )
 
 
 class FileDetector:
-    """Detector interface replaying a fixed annotation set.
+    """Detector replaying a fixed annotation set on the tile grid it names.
 
-    Detection is independent of resolution; boxes are filtered to the
-    requested tiles so the pipeline sees only what it asked about.
+    A box whose tile is not on ``grid`` is refused here, once; ``detect``
+    then returns the whole set, whatever the resolution and seed.
     """
 
-    def __init__(self, annotations: AnnotationSet):
+    def __init__(self, annotations: AnnotationSet, grid: TileGrid):
+        off = [b.tile_index for b in annotations.boxes if not 0 <= b.tile_index < grid.tile_count]
+        if off:
+            raise ValueError(f"detection on tile {off[0]}, off the grid of {grid.tile_count} tiles")
         self.annotations = annotations
+        self.grid = grid
 
-    def detect(self, tiles, gt, resolution, seed) -> AnnotationSet:
-        tile_set = set(tiles)
-        kept = tuple(b for b in self.annotations.boxes if b.tile_index in tile_set)
-        return AnnotationSet(kept)
+    def detect(self, gt, resolution, seed) -> AnnotationSet:
+        return self.annotations

@@ -111,12 +111,6 @@ def _varint_bytes(values: np.ndarray, top: int) -> bytes:
     return plane[keep].tobytes()
 
 
-def encode_varints(values: np.ndarray) -> bytes:
-    """Encode a uint64 array as concatenated base-128 varints."""
-    values = np.asarray(values, dtype=np.uint64)
-    return _varint_bytes(values, int(values.max(initial=0)))
-
-
 def _read_varints(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every varint in a uint8 array, and the offset each one starts at.
 
@@ -143,14 +137,6 @@ def _read_varints(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # an index past the end clips to the last byte, which is not inside a token that short
         values |= np.take(low * inside, starts + k, mode="clip") << dtype(7 * k)
     return values, starts
-
-
-def decode_varints(buf) -> np.ndarray:
-    """Decode every varint in ``buf``; the buffer must end on a token."""
-    data = np.frombuffer(buf, dtype=np.uint8)
-    if data.size and data[-1] >= 0x80:
-        raise CodestreamError("truncated varint at end of segment")
-    return _read_varints(data)[0]
 
 
 def _token_runs(bands):

@@ -116,7 +116,7 @@ def recall(anns, gt: Sequence, iou_threshold: float = 0.1) -> float:
 
 def human_time(n_tiles: int, mu_t_hum: float) -> float:
     """Total expert annotation time for n tiles at mu seconds per tile."""
-    if n_tiles < 0 or mu_t_hum < 0:
+    if n_tiles < 0 or not mu_t_hum >= 0:
         raise ValueError("human_time arguments must be nonnegative")
     return n_tiles * mu_t_hum
 

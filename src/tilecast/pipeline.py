@@ -13,13 +13,14 @@ with free indices the two therefore agree bit for bit.
 Transfers are charged by their byte counts, read from the codestream's
 table. Without a ``codestream=`` argument the table comes from
 ``codestream.measure``, which sizes every segment without writing it;
-nothing is encoded or decoded here, since the detectors take tile
-indices, not pixels. Writing and reading bytes is the codec's business
+nothing is encoded or decoded here, since the detectors take ground
+truth, not pixels. Writing and reading bytes is the codec's business
 (``tilecast encode`` / ``tilecast decode``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Optional, Sequence
@@ -84,8 +85,13 @@ def plan_budget(
     reads the per-tile size as a constant average instead). The budget
     is further capped by the annotator time cap (none when ``mu_t_hum``
     is 0) and by the tile count, ``len(tile_hr_sizes)``, which must be
-    at least 1.
+    at least 1. A NaN or negative ``mu_t_hum``, and a NaN, infinite or
+    negative ``t_hum_cap``, raise ``ValueError``.
     """
+    if not mu_t_hum >= 0:
+        raise ValueError(f"mu_t_hum must be >= 0, got {mu_t_hum!r}")
+    if not 0 <= t_hum_cap < math.inf:
+        raise ValueError(f"t_hum_cap must be finite and >= 0, got {t_hum_cap!r}")
     hr = len(sizes_by_resolution)
     if hr < 1:
         raise ValueError("need at least one resolution level")
@@ -109,8 +115,9 @@ def plan_budget(
         total = sum(tile_hr_sizes)
         by_bandwidth = slack * tile_count // total if total > 0 else tile_count
     budget = min(by_bandwidth, tile_count)
-    if mu_t_hum > 0:
-        budget = min(budget, int(t_hum_cap / mu_t_hum))
+    # compared before int(), which refuses the inf a tiny mu_t_hum gives
+    if mu_t_hum > 0 and t_hum_cap / mu_t_hum < budget:
+        budget = int(t_hum_cap / mu_t_hum)
     return BudgetPlan(lr=lr, human_budget=int(budget))
 
 
@@ -208,8 +215,8 @@ def _run_plan(
     """
     if not mu_t_hum > 0:
         raise ValueError(f"mu_t_hum must be > 0, got {mu_t_hum!r}")
-    det_grid = getattr(detector, "grid", None)
-    if det_grid is not None and det_grid != cs.grid:
+    det_grid = detector.grid
+    if det_grid != cs.grid:
         raise ValueError(
             f"detector tile grid ({det_grid.tile_count} tiles of "
             f"{det_grid.tile_w}x{det_grid.tile_h}) is not the codestream's "
@@ -221,7 +228,7 @@ def _run_plan(
     all_tiles = list(range(cs.grid.tile_count))
     label = ch_mod.LABEL_LR_ALL if exchange else ch_mod.LABEL_HR_ALL
     tr_all = transmit(cs_mod.size_of(cs, all_tiles, plan.lr), ch, label)
-    dl_anns = detector.detect(all_tiles, gt, plan.lr, seed)
+    dl_anns = detector.detect(gt, plan.lr, seed)
     selected = select_tiles_for_human(dl_anns, plan.human_budget)
     dl_time = compute_delay + tr_all.seconds
     t_tr = dl_time

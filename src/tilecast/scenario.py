@@ -114,7 +114,7 @@ def run_grid(
     grid = TileGrid.for_image(img.width, img.height, cfg.tile_w, cfg.tile_h)
     table = cs_mod.measure(img, grid, cfg.levels)
     if cfg.detections_path is not None:
-        detector = FileDetector(file_detect(cfg.detections_path, grid))
+        detector = FileDetector(file_detect(cfg.detections_path, grid), grid)
     else:
         detector = OracleDetector(cfg.detector, grid, img.width, img.height)
 

@@ -192,11 +192,6 @@ def _synthesize2d(ll: Band, hl: Band, lh: Band, hh: Band) -> np.ndarray:
     return _synthesize(_synthesize(ll, lh, 0), _synthesize(hl, hh, 0), 1)
 
 
-def split_dims(n: int) -> tuple[int, int]:
-    """(low, high) sample counts of one lifting pass over length n."""
-    return (n + 1) // 2, n // 2
-
-
 def forward_53(samples, depth: int) -> CoefficientPyramid:
     """Decompose a 2-D integer grid ``depth`` times, recursing on LL.
 

@@ -10,7 +10,8 @@ same bands or both raise ``CodestreamError``. It reads tokens with
 segment at a time, as ``decode`` did before it handed a tile-component's
 segments to one ``decode_bands`` call. ``reference_encode_band`` writes
 one band coefficient by coefficient and byte by byte, the encoder
-``encode_bands`` must agree with.
+``encode_bands`` must agree with; ``reference_varint_bytes`` is its
+byte-at-a-time varint writer.
 """
 
 import numpy as np
@@ -34,30 +35,34 @@ def reference_varints(buf):
     return np.array(values, dtype=np.uint64)
 
 
-def reference_encode_band(band):
-    """One band's tokens: a zigzag literal, or a zero then the run's length; runs stop at its end."""
+def reference_varint_bytes(values):
+    """Write each value as a base-128 varint, one byte at a time."""
     out = bytearray()
-
-    def varint(value):
+    for value in values:
+        value = int(value)
         while value >= 0x80:
             out.append(value & 0x7F | 0x80)
             value >>= 7
         out.append(value)
+    return bytes(out)
 
+
+def reference_encode_band(band):
+    """One band's tokens: a zigzag literal, or a zero then the run's length; runs stop at its end."""
+    tokens = []
     coeffs = [int(c) for c in np.ravel(band)]
     i = 0
     while i < len(coeffs):
         if coeffs[i]:
-            varint(2 * coeffs[i] if coeffs[i] > 0 else -2 * coeffs[i] - 1)
+            tokens.append(2 * coeffs[i] if coeffs[i] > 0 else -2 * coeffs[i] - 1)
             i += 1
             continue
         end = i
         while end < len(coeffs) and coeffs[end] == 0:
             end += 1
-        varint(0)
-        varint(end - i)
+        tokens += [0, end - i]
         i = end
-    return bytes(out)
+    return reference_varint_bytes(tokens)
 
 
 def reference_decode_bands(buf, counts):

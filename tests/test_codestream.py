@@ -17,6 +17,7 @@ from reference_tokens import (
     reference_decode_bands,
     reference_decode_segments,
     reference_encode_band,
+    reference_varint_bytes,
     reference_varints,
 )
 from tilecast import codestream as cs
@@ -28,11 +29,9 @@ from tilecast.codestream import (
     band_sizes,
     decode,
     decode_bands,
-    decode_varints,
     encode,
     encode_band,
     encode_bands,
-    encode_varints,
     extract,
     measure,
     parse_codestream,
@@ -57,24 +56,31 @@ def test_band_wire_fixture():
 
 
 def test_varint_hand_values():
-    assert encode_varints(np.array([300], dtype=np.uint64)) == bytes([0xAC, 0x02])
-    assert encode_varints(np.array([0], dtype=np.uint64)) == b"\x00"
-    assert encode_varints(np.array([127], dtype=np.uint64)) == b"\x7f"
-    assert encode_varints(np.array([128], dtype=np.uint64)) == bytes([0x80, 0x01])
+    # the zigzag codes 300, 127 and 128, and a zero run of length 1
+    assert encode_band(np.array([150])) == bytes([0xAC, 0x02])
+    assert encode_band(np.array([-64])) == b"\x7f"
+    assert encode_band(np.array([64])) == bytes([0x80, 0x01])
+    assert encode_band(np.array([0])) == b"\x00\x01"
+    assert reference_varint_bytes([300, 0, 127, 128]) == bytes([0xAC, 0x02, 0, 0x7F, 0x80, 0x01])
+
+
+def _read_tokens(buf):
+    return cs._read_varints(np.frombuffer(buf, dtype=np.uint8))[0].tolist()
 
 
 @given(st.lists(st.integers(min_value=0, max_value=2**34), max_size=50))
 @settings(max_examples=200)
 def test_varint_round_trip(values):
-    arr = np.array(values, dtype=np.uint64)
-    assert decode_varints(encode_varints(arr)).tolist() == values
+    buf = cs._varint_bytes(np.array(values, dtype=np.uint64), max(values, default=0))
+    assert buf == reference_varint_bytes(values)
+    assert _read_tokens(buf) == values
 
 
 def test_varint_truncation_and_overlong():
     with pytest.raises(CodestreamError, match="truncated varint"):
-        decode_varints(b"\x80")
+        decode_bands(b"\x80", [1])
     with pytest.raises(CodestreamError, match="overlong"):
-        decode_varints(b"\x80\x80\x80\x80\x80\x01")
+        decode_bands(b"\x80\x80\x80\x80\x80\x01", [1])
 
 
 @given(st.one_of(
@@ -86,10 +92,11 @@ def test_decode_varints_agrees_with_reference(buf):
     try:
         want = reference_varints(buf)
     except CodestreamError:
-        with pytest.raises(CodestreamError):
-            decode_varints(buf)
+        # decode_bands checks the segment end, then reads the tokens
+        with pytest.raises(CodestreamError, match="truncated varint|overlong"):
+            decode_bands(buf, [0])
         return
-    assert decode_varints(buf).tolist() == want.tolist()
+    assert _read_tokens(buf) == want.tolist()
 
 
 def test_band_coding_round_trip_and_runs():
@@ -108,11 +115,11 @@ def test_band_decode_rejects_garbage():
     with pytest.raises(CodestreamError):
         decode_bands(good, [4])  # wrong coefficient count
     with pytest.raises(CodestreamError, match="zero-length zero run"):
-        decode_bands(encode_varints(np.array([0, 0], dtype=np.uint64)), [1])
+        decode_bands(reference_varint_bytes([0, 0]), [1])
     with pytest.raises(CodestreamError, match="dangling"):
-        decode_bands(encode_varints(np.array([2, 0], dtype=np.uint64)), [2])
+        decode_bands(reference_varint_bytes([2, 0]), [2])
     with pytest.raises(CodestreamError, match="trailing tokens"):
-        decode_bands(encode_varints(np.array([2, 2], dtype=np.uint64)), [1])
+        decode_bands(reference_varint_bytes([2, 2]), [1])
 
 
 def test_band_decode_checks_runs_before_expanding(monkeypatch):
@@ -120,10 +127,10 @@ def test_band_decode_checks_runs_before_expanding(monkeypatch):
         raise AssertionError("a zero run was expanded")
 
     monkeypatch.setattr(np, "repeat", no_expansion)
-    bomb = encode_varints(np.array([0, 2**34], dtype=np.uint64))
+    bomb = reference_varint_bytes([0, 2**34])
     with pytest.raises(CodestreamError, match="crosses a band boundary or segment is short"):
         decode_bands(bomb, [4])
-    straddle = encode_varints(np.array([0, 3], dtype=np.uint64))
+    straddle = reference_varint_bytes([0, 3])
     with pytest.raises(CodestreamError, match="crosses a band boundary"):
         decode_bands(straddle, [2, 1])
 
@@ -230,7 +237,7 @@ def token_streams(draw):
 @settings(max_examples=500)
 def test_decode_bands_agrees_with_reference(stream):
     tokens, counts = stream
-    buf = encode_varints(np.array(tokens, dtype=np.uint64))
+    buf = reference_varint_bytes(tokens)
     try:
         want = reference_decode_bands(buf, counts)
     except CodestreamError:
@@ -904,7 +911,7 @@ def test_a_table_or_payload_larger_than_the_file_is_refused_unread(tmp_path):
 def test_parse_refuses_a_decompression_bomb(monkeypatch):
     # one 65535x65535 tile whose only token is a zero run over the whole
     # band: 37 bytes that would decode to 4,294,836,225 coefficients
-    run = encode_varints(np.array([65535 * 65535], dtype=np.uint64))
+    run = reference_varint_bytes([65535 * 65535])
     payload = b"\x00" + run
     blob = (
         cs._HEADER.pack(cs.MAGIC, 65535, 65535, 65535, 65535, 1, 1, 1, 1)
@@ -1205,7 +1212,7 @@ def test_a_fault_anywhere_in_a_batch_is_refused():
         _, _, tw, th = cs.tile_bounds(stream.grid, index, stream.width, stream.height)
         top = [np.ones(h * w, dtype=np.int64) for h, w in cs._band_shapes(tw, th, 3)[-1]]
         coded = b"".join(map(encode_band, top))
-        crossing = encode_varints(np.array([0, top[0].size + 1], dtype=np.uint64)) + (
+        crossing = reference_varint_bytes([0, top[0].size + 1]) + (
             b"\x02" * (top[1].size - 1) + encode_band(top[2]))
         faults = {
             "truncated varint": coded[:-1] + b"\x82",

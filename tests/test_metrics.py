@@ -2,6 +2,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from reference_recall import reference_recall
 from tilecast import metrics
@@ -232,6 +234,63 @@ def test_recall_by_step():
         recall_by_step(anns, [0, 0, 0], 0, gt, 0.0)
 
 
+_SPOT = st.sampled_from([0, 4, 8])
+_SIDE = st.sampled_from([4, 8])
+
+
+@st.composite
+def _staged_boxes(draw):
+    """Ground truth, human and detector boxes, and the step each box arrives at.
+
+    Coordinates on a coarse lattice, boxes half a width off a
+    ground-truth box and confidences from a short list make ties in
+    confidence and in IoU; some ground truth is duplicated and some
+    boxes arrive after the last step.
+    """
+    gt = draw(st.lists(st.builds(GroundTruthBox, st.integers(0, 9), st.just(0),
+                                 _SPOT, _SPOT, _SIDE, _SIDE), max_size=6))
+    gt += draw(st.lists(st.sampled_from(gt), max_size=2)) if gt else []
+    spots = st.tuples(_SPOT, _SPOT, _SIDE, _SIDE)
+    if gt:
+        near = st.tuples(st.sampled_from(gt), st.sampled_from([-1, 0, 1]), st.sampled_from([0, 1]))
+        spots = st.one_of(spots, near.map(
+            lambda c: (c[0].x + c[1] * c[0].w // 2, c[0].y + c[2] * c[0].h // 2, c[0].w, c[0].h)))
+    boxes = []
+    for spot in draw(st.lists(spots, max_size=10)):
+        confidence = draw(st.sampled_from([None, 1.0, 0.5, 0.5, 0.2]))
+        boxes.append(hum(0, *spot) if confidence is None else dl(0, *spot, confidence))
+    steps = draw(st.integers(0, 4))
+    first_step = draw(st.lists(st.integers(0, steps + 2), min_size=len(boxes),
+                               max_size=len(boxes)))
+    return AnnotationSet(tuple(boxes)), first_step, steps, gt
+
+
+_PAIR = [GroundTruthBox(0, 0, 0, 0, 8, 8), GroundTruthBox(1, 0, 8, 0, 8, 8)]
+_STRADDLE, _ON_FIRST = (4, 0, 8, 8), (0, 0, 8, 8)  # IoU 1/3 with each of the pair; the first only
+
+
+@given(case=_staged_boxes(), thr=st.sampled_from([0.1, 0.3, 1.0]))
+# the straddling box claims the first of the pair: a human box at the same
+# confidence goes before it, a detector box at the same confidence after it
+@example(case=(AnnotationSet((dl(0, *_STRADDLE, 1.0), hum(0, *_ON_FIRST))), [0, 1], 2, _PAIR),
+         thr=0.1)
+@example(case=(AnnotationSet((dl(0, *_STRADDLE, 0.5), dl(0, *_ON_FIRST, 0.5))), [0, 1], 1, _PAIR),
+         thr=0.1)
+@example(case=(AnnotationSet((dl(0, *_STRADDLE, 0.9), dl(0, *_ON_FIRST, 0.8))), [1, 0], 1, _PAIR),
+         thr=0.1)
+# duplicate ground truth, and a box that arrives after the last step
+@example(case=(AnnotationSet((hum(0, *_ON_FIRST), dl(0, *_ON_FIRST, 0.5))), [1, 3], 2,
+               [_PAIR[0], _PAIR[0]]), thr=0.1)
+@settings(max_examples=300, deadline=None)
+def test_recall_by_step_equals_the_reference_at_every_step(case, thr):
+    anns, first_step, steps, gt = case
+    got = recall_by_step(anns, first_step, steps, gt, thr)
+    assert len(got) == steps + 1
+    for k in range(steps + 1):
+        present = AnnotationSet(tuple(b for b, s in zip(anns.boxes, first_step) if s <= k))
+        assert got[k] == reference_recall(present, gt, thr)
+
+
 def test_recall_refuses_too_many_pairs_before_allocating(monkeypatch):
     monkeypatch.setattr(metrics, "MAX_IOU_PAIRS", 6, raising=False)
     anns = AnnotationSet(tuple(dl(0, 10 * i, 0, 10, 10, 0.5) for i in range(3)))
@@ -258,6 +317,11 @@ def test_human_time():
     assert human_time(4, 30.0) == 120.0
     with pytest.raises(ValueError):
         human_time(-1, 30.0)
+
+
+def test_human_time_refuses_nan():
+    with pytest.raises(ValueError, match="nonnegative"):
+        human_time(3, float("nan"))
 
 
 def test_timeline_invariants():

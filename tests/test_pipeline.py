@@ -1,3 +1,4 @@
+import math
 import os
 import random
 
@@ -301,7 +302,7 @@ def test_index_charging_in_both_pipelines():
     free, charged = runs(rate, 30)
     assert free.plan == charged.plan and free.plan.lr < levels
     selected = select_tiles_for_human(
-        det.detect(all_idx, gt, free.plan.lr, 1), free.plan.human_budget
+        det.detect(gt, free.plan.lr, 1), free.plan.human_budget
     )
     k = len(selected)
     assert k > 0
@@ -377,7 +378,7 @@ def test_a_run_refuses_a_detector_on_another_tile_grid(monkeypatch):
     same = OracleDetector(model, grid, 512, 512)
     assert run_baseline(img, grid, 5, ch, 30.0, 0, same, gt, 3, codestream=table) \
         .timeline.final_recall == 0.75
-    replay = FileDetector(same.detect(range(grid.tile_count), gt, 5, 3))
+    replay = FileDetector(same.detect(gt, 5, 3), grid)
     assert run_baseline(img, grid, 5, ch, 30.0, 0, replay, gt, 3, codestream=table) \
         .timeline.final_recall == 0.75
 
@@ -386,11 +387,35 @@ def test_a_run_refuses_a_detector_on_another_tile_grid(monkeypatch):
 
     monkeypatch.setattr(pipeline_mod, "transmit", no_transfer)
     finer = OracleDetector(model, TileGrid.for_image(512, 512, 64, 64), 512, 512)
+    finer_replay = FileDetector(finer.detect(gt, 5, 3), finer.grid)
     named = r"64 tiles of 64x64.*16 tiles of 128x128"
-    with pytest.raises(ValueError, match=named):
-        run_baseline(img, grid, 5, ch, 30.0, 0, finer, gt, 3, codestream=table)
-    with pytest.raises(ValueError, match=named):
-        run_streamlined(img, grid, 5, ch, 30.0, 300.0, finer, gt, 3, codestream=table)
+    for det in (finer, finer_replay):
+        with pytest.raises(ValueError, match=named):
+            run_baseline(img, grid, 5, ch, 30.0, 0, det, gt, 3, codestream=table)
+        with pytest.raises(ValueError, match=named):
+            run_streamlined(img, grid, 5, ch, 30.0, 300.0, det, gt, 3, codestream=table)
+    # the same boxes named as the table's tiles: those past tile 15 are off its grid
+    with pytest.raises(ValueError, match="off the grid of 16 tiles"):
+        FileDetector(finer_replay.annotations, grid)
+
+
+@pytest.mark.parametrize("mu, cap, name", [
+    (math.nan, 300.0, "mu_t_hum"),
+    (-1.0, 300.0, "mu_t_hum"),
+    (30.0, math.nan, "t_hum_cap"),
+    (30.0, math.inf, "t_hum_cap"),
+    (30.0, -1.0, "t_hum_cap"),
+    (0.0, math.inf, "t_hum_cap"),
+])
+def test_plan_budget_refuses_a_bad_human_time(mu, cap, name):
+    with pytest.raises(ValueError, match=name):
+        plan_budget([10, 100], [50, 50], 1000, mu, cap)
+
+
+def test_plan_budget_time_cap_bounds():
+    # mu_t_hum 0 is no time cap; 300 s over 1e-310 s is more tiles than a float holds
+    assert plan_budget([10, 100], [50, 50], 1000, 0.0, 0.0) == BudgetPlan(2, 2)
+    assert plan_budget([10, 100], [50, 50], 1000, 1e-310, 300.0) == BudgetPlan(2, 2)
 
 
 @pytest.mark.parametrize("estimate", ["max", "mean"])
@@ -491,7 +516,7 @@ def test_run_grid_never_writes_codestream_bytes(monkeypatch, tmp_path):
     with monkeypatch.context() as m:
         m.setattr(cs_mod, "encode_bands", no_coding)
         m.setattr(cs_mod, "encode_band", no_coding)
-        m.setattr(cs_mod, "encode_varints", no_coding)
+        m.setattr(cs_mod, "_varint_bytes", no_coding)
         report = scenario.run_grid(cfg, str(tmp_path / "table"))
     assert any(c.prop.plan.lr < 4 and c.prop.timeline.t_hum > 0 for c in report.cells)
     # the same grid planned from a real encoded stream

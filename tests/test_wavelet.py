@@ -165,7 +165,7 @@ def test_every_small_shape_matches_scalar_reference():
             for depth in range((max(h, w) - 1).bit_length() + 1):
                 assert forward_53(g, depth).ll.tolist() == ref.ll_chain(g.tolist(), depth)
     for n in range(1, 13):
-        ns, nd = wavelet.split_dims(n)
+        ns, nd = (n + 1) // 2, n // 2
         s = rng.integers(-300, 300, size=ns)
         d = rng.integers(-300, 300, size=nd)
         expected = ref.synthesize_1d(s.tolist(), d.tolist())
