@@ -150,7 +150,6 @@ def _min(a, b):
 
 
 def oracle_detect(
-    tiles: Sequence[int],
     gt: Sequence[GroundTruthBox],
     resolution: int,
     model: DetectorModel,
@@ -159,75 +158,69 @@ def oracle_detect(
     image_w: int,
     image_h: int,
 ) -> AnnotationSet:
-    """Simulate DL detection on the listed tiles at one resolution level.
+    """Simulate DL detection on every tile of ``grid`` at one resolution level.
 
-    Each ground-truth box whose center falls in a listed tile is
-    emitted with probability detect_p(resolution); draws come from a
-    stream keyed on (seed, object_id, resolution), so output is
-    identical for identical arguments no matter the call context.
+    Each ground-truth box is emitted with probability
+    detect_p(resolution), on its home tile: the tile holding its center,
+    with a center past the last column or row counted in that column or
+    row. Draws come from a stream keyed on (seed, object_id,
+    resolution), so output is identical for identical arguments no
+    matter the call context.
 
-    All listed boxes are worked at once. Their seven draws (the emit
-    test and three normal pairs) come from ``rng.stream_draws``; the
-    emit test, the jitter, the clamps and the confidence are float64
-    array operations in the order the per-object rule used, and the
-    normals come from ``rng.normal_pairs``, whose log, sqrt, cos and sin
-    are ``math``'s, so the boxes are the per-object rule's bit for bit.
-    Home tiles are Python ints: a box far off the image has a home of
-    any size. A tile sprouts false positives only when its first
-    uniform exceeds exp(-fp_rate); only such tiles run their Poisson
-    count and boxes on a ``rng.Stream``.
+    All boxes are worked at once. Their seven draws (the emit test and
+    three normal pairs) come from ``rng.stream_draws``; the emit test,
+    the jitter, the clamps and the confidence are float64 array
+    operations in the order the per-object rule used, and the normals
+    come from ``rng.normal_pairs``, whose log, sqrt, cos and sin are
+    ``math``'s, so the boxes are the per-object rule's bit for bit. A
+    tile sprouts false positives only when its first uniform exceeds
+    exp(-fp_rate); only such tiles run their Poisson count and boxes on
+    a ``rng.Stream``.
     """
     if not 1 <= resolution <= model.levels:
         raise ValueError(f"resolution {resolution} outside 1..{model.levels}")
-    tile_set = set(tiles)
     scale = 2 ** (model.levels - resolution)
     jitter_std = model.jitter * scale
     p = model.detect_p[resolution - 1]
     c_mean = model.conf_mean[resolution - 1]
 
-    centers = np.array([(g.x + g.w / 2, g.y + g.h / 2) for g in gt], dtype=np.float64)
-    centers = centers.reshape(-1, 2)
-    if not np.isfinite(centers).all():
-        raise ValueError("non-finite ground-truth box center")
-    cols = np.minimum(centers[:, 0] // grid.tile_w, grid.tiles_x - 1).tolist()
-    rows = np.minimum(centers[:, 1] // grid.tile_h, grid.tiles_y - 1).tolist()
-    homes = [int(r) * grid.tiles_x + int(c) for r, c in zip(rows, cols)]
-    listed = [i for i, home in enumerate(homes) if home in tile_set]
+    # a ground-truth box lies in 0..MAX_PIXELS, so float64 holds it exactly
+    xywh = np.array([(g.x, g.y, g.w, g.h) for g in gt], dtype=np.float64).reshape(-1, 4)
+    cols = np.minimum((xywh[:, 0] + xywh[:, 2] / 2) // grid.tile_w, grid.tiles_x - 1)
+    rows = np.minimum((xywh[:, 1] + xywh[:, 3] / 2) // grid.tile_h, grid.tiles_y - 1)
+    homes = (rows * grid.tiles_x + cols).astype(np.int64)
 
     draws = rng.stream_draws(
-        (seed, rng.DOMAIN_DETECT), [gt[i].object_id for i in listed], (resolution,), 7
+        (seed, rng.DOMAIN_DETECT), [g.object_id for g in gt], (resolution,), 7
     )
     hits = np.flatnonzero(rng.uniforms(draws[:, 0]) < p)
-    emitted = [listed[i] for i in hits.tolist()]
     # draws 1-2, 3-4 and 5-6 are the pairs (gx, gy), (gw, gh) and (gc, unused)
     cosines, sines = rng.normal_pairs(draws[hits, 1::2], draws[hits, 2::2])
     gx, gw, gc = cosines.T
     gy, gh, _ = sines.T
-    coords = np.array([(gt[i].x, gt[i].y, gt[i].w, gt[i].h) for i in emitted], dtype=np.float64)
-    x, y, w, h = coords.reshape(-1, 4).T + np.array([gx, gy, gw, gh]) * jitter_std
+    x, y, w, h = xywh[hits].T + np.array([gx, gy, gw, gh]) * jitter_std
     w = _max(1.0, _min(w, float(image_w)))
     h = _max(1.0, _min(h, float(image_h)))
     x = _min(_max(x, 0.0), image_w - w)
     y = _min(_max(y, 0.0), image_h - h)
     conf = _min(_max(c_mean + model.conf_sigma * gc, 0.0), 1.0)
     boxes = [
-        DetectionBox(homes[i], gt[i].class_id, *box, SOURCE_DL)
-        for i, *box in zip(
-            emitted, x.tolist(), y.tolist(), w.tolist(), h.tolist(), conf.tolist()
+        DetectionBox(home, gt[i].class_id, *box, SOURCE_DL)
+        for i, home, *box in zip(
+            hits.tolist(), homes[hits].tolist(),
+            x.tolist(), y.tolist(), w.tolist(), h.tolist(), conf.tolist(),
         )
     ]
 
     if model.fp_rate > 0:
-        fp_tiles = sorted(tile_set)
-        firsts = rng.stream_draws(
-            (seed, rng.DOMAIN_FALSE_POSITIVE), fp_tiles, (resolution,), 1
-        )[:, 0]
+        tiles = range(grid.tile_count)
+        firsts = rng.stream_draws((seed, rng.DOMAIN_FALSE_POSITIVE), tiles, (resolution,), 1)
         # Knuth's count is 0 exactly when its first uniform is <= exp(-rate)
-        sprouts = rng.uniforms(firsts) > math.exp(-model.fp_rate)
-        for t in compress(fp_tiles, sprouts.tolist()):
+        sprouts = rng.uniforms(firsts[:, 0]) > math.exp(-model.fp_rate)
+        for t in compress(tiles, sprouts.tolist()):
             st = rng.Stream(seed, rng.DOMAIN_FALSE_POSITIVE, t, resolution)
+            tx, ty, tw, th = tile_bounds(grid, t, image_w, image_h)
             for _ in range(st.poisson(model.fp_rate)):
-                tx, ty, tw, th = tile_bounds(grid, t, image_w, image_h)
                 w = float(_FP_SIZE_MIN + st.below(_FP_SIZE_MAX - _FP_SIZE_MIN + 1))
                 h = float(_FP_SIZE_MIN + st.below(_FP_SIZE_MAX - _FP_SIZE_MIN + 1))
                 w = min(w, float(tw))
@@ -236,29 +229,9 @@ def oracle_detect(
                 y = ty + st.below(max(int(th - h), 0) + 1)
                 gc, _ = st.normal_pair()
                 conf = min(max(c_mean / 2 + model.conf_sigma * gc, 0.0), 1.0)
-                boxes.append(
-                    DetectionBox(
-                        tile_index=t,
-                        class_id=st.below(_NUM_CLASSES),
-                        x=float(x),
-                        y=float(y),
-                        w=w,
-                        h=h,
-                        confidence=conf,
-                        source=SOURCE_DL,
-                    )
-                )
+                class_id = st.below(_NUM_CLASSES)
+                boxes.append(DetectionBox(t, class_id, float(x), float(y), w, h, conf, SOURCE_DL))
     return AnnotationSet(tuple(boxes))
-
-
-def _exact(rows) -> np.ndarray:
-    """``rows`` as an int64 array when that holds them exactly, else as objects.
-
-    Coordinates from a CSV are Python ints of any size; an object array
-    compares them as Python does.
-    """
-    a = np.array(rows)
-    return a if a.dtype == np.int64 else np.array(rows, dtype=object)
 
 
 def human_annotate(
@@ -278,8 +251,8 @@ def human_annotate(
         row, col = divmod(t, grid.tiles_x)
         tx, ty = col * grid.tile_w, row * grid.tile_h
         rects.append((tx, tx + grid.tile_w, ty, ty + grid.tile_h))
-    left, right, top, bottom = _exact(rects).T[:, None, :]
-    x0, x1, y0, y1 = _exact([(g.x, g.x + g.w, g.y, g.y + g.h) for g in gt]).T[:, :, None]
+    left, right, top, bottom = np.array(rects).T[:, None, :]
+    x0, x1, y0, y1 = np.array([(g.x, g.x + g.w, g.y, g.y + g.h) for g in gt]).T[:, :, None]
     meets = (x0 < right) & (x1 > left) & (y0 < bottom) & (y1 > top)
     first = meets.argmax(axis=1).tolist()
     boxes = []
@@ -334,8 +307,7 @@ class OracleDetector:
 
     def detect(self, gt, resolution, seed) -> AnnotationSet:
         return oracle_detect(
-            range(self.grid.tile_count), gt, resolution, self.model, seed,
-            self.grid, self.image_w, self.image_h,
+            gt, resolution, self.model, seed, self.grid, self.image_w, self.image_h
         )
 
 

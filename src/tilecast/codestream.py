@@ -717,39 +717,53 @@ def parse_codestream(src) -> Codestream:
 
     The payload is one ``read`` of its declared length, not a read to
     the end, which a buffered file would join onto the table bytes it
-    already holds: a second copy. A source that cannot report its size,
-    such as a pipe, is read whole first.
+    already holds: a second copy. A bytes-like source is read through a
+    ``memoryview``, which copies only what it returns. A source that
+    cannot report its size, such as a pipe, is read whole first.
     """
-    fh = io.BytesIO(src) if isinstance(src, (bytes, bytearray, memoryview)) else open(src, "rb")
-    with fh:
-        if not fh.seekable():
-            fh = io.BytesIO(fh.read())
-        left = fh.seek(0, io.SEEK_END)
-        fh.seek(0)
-        head = fh.read(_HEADER.size)
-        if len(head) >= 4 and head[:4] != MAGIC:
-            raise CodestreamError("bad magic (not an SSC1 stream)")
-        if len(head) < _HEADER.size:
-            raise CodestreamError("truncated header")
-        _, *fields, components, max_res, tile_count = _HEADER.unpack(head)
-        _check_header(*fields, components, max_res)
-        row_words = 1 + components * max_res
-        table_words = tile_count * row_words
-        left -= _HEADER.size + 4 * table_words
-        if left < 0:
-            raise CodestreamError("truncated table")
-        words = struct.unpack(f">{table_words}I", fh.read(4 * table_words))
-        entries = tuple(
-            TileEntry(words[i], tuple(words[i + 1 + c * max_res : i + 1 + (c + 1) * max_res]
-                                      for c in range(components)))
-            for i in range(0, len(words), row_words)
-        )
-        payload_len = sum(e.total(max_res) for e in entries)
-        if left < payload_len:
-            raise CodestreamError(f"payload shorter than declared ({left} < {payload_len})")
-        if left > payload_len:
-            raise CodestreamError("trailing data after payload")
-        return Codestream(*fields, components, max_res, entries, fh.read(payload_len))
+    if not isinstance(src, (bytes, bytearray, memoryview)):
+        with open(src, "rb") as fh:
+            if fh.seekable():
+                size = fh.seek(0, io.SEEK_END)
+                fh.seek(0)
+                return _parse(fh.read, size)
+            src = fh.read()
+    view = memoryview(src).cast("B")
+
+    def read(n):
+        nonlocal view
+        chunk, view = view[:n], view[n:]
+        return bytes(chunk)
+
+    return _parse(read, len(view))
+
+
+def _parse(read, left) -> Codestream:
+    """The codestream of ``left`` bytes that successive ``read(n)`` calls return."""
+    head = read(_HEADER.size)
+    if len(head) >= 4 and head[:4] != MAGIC:
+        raise CodestreamError("bad magic (not an SSC1 stream)")
+    if len(head) < _HEADER.size:
+        raise CodestreamError("truncated header")
+    _, *fields, components, max_res, tile_count = _HEADER.unpack(head)
+    _check_header(*fields, components, max_res)
+    row_words = 1 + components * max_res
+    table_words = tile_count * row_words
+    left -= _HEADER.size + 4 * table_words
+    if left < 0:
+        raise CodestreamError("truncated table")
+    words = struct.unpack(f">{table_words}I", read(4 * table_words))
+    entries = tuple(
+        TileEntry(words[i], tuple(words[i + 1 + c * max_res : i + 1 + (c + 1) * max_res]
+                                  for c in range(components)))
+        for i in range(0, len(words), row_words)
+    )
+    payload_len = sum(e.total(max_res) for e in entries)
+    if left < payload_len:
+        raise CodestreamError(f"payload shorter than declared ({left} < {payload_len})")
+    if left > payload_len:
+        raise CodestreamError("trailing data after payload")
+    return Codestream(*fields, components, max_res, entries, read(payload_len))
 
 
 def assemble(cs: Codestream, resolution: int) -> Image:

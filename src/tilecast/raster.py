@@ -115,7 +115,12 @@ class TileGrid:
 
 @dataclass(frozen=True)
 class GroundTruthBox:
-    """One true object in full-resolution pixel coordinates."""
+    """One true object in full-resolution pixel coordinates.
+
+    The box lies in the frame ``0..MAX_PIXELS`` on both axes, which holds
+    every image side, so each coordinate is exact in int64 and in
+    float64; ``object_id`` is only an RNG key and any int.
+    """
 
     object_id: int
     class_id: int
@@ -127,6 +132,13 @@ class GroundTruthBox:
     def __post_init__(self):
         if self.w < 1 or self.h < 1:
             raise ValueError(f"degenerate ground-truth box {self.w}x{self.h}")
+        # written as one negated test so that a NaN fails it too
+        if not (0 <= self.x and 0 <= self.y and self.x + self.w <= MAX_PIXELS
+                and self.y + self.h <= MAX_PIXELS):
+            raise ValueError(
+                f"ground-truth object {self.object_id} at ({self.x}, {self.y}) size "
+                f"{self.w}x{self.h} lies outside 0..{MAX_PIXELS}"
+            )
 
 
 def tile_bounds(

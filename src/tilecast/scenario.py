@@ -90,7 +90,7 @@ def load_scene(cfg: ScenarioConfig):
         return generate_scene(s.seed, s.width, s.height, s.objects, cfg.object_size)
     img, gt = load_image(cfg.image_path), load_ground_truth(cfg.ground_truth)
     for b in gt:
-        if b.x < 0 or b.y < 0 or b.x + b.w > img.width or b.y + b.h > img.height:
+        if b.x + b.w > img.width or b.y + b.h > img.height:
             raise ImageIOError(
                 f"{cfg.ground_truth}: object {b.object_id} at ({b.x}, {b.y}) size "
                 f"{b.w}x{b.h} lies outside the {img.width}x{img.height} image"

@@ -3,9 +3,10 @@
 These are the bodies ``tilecast.annotate.oracle_detect`` and
 ``tilecast.annotate.human_annotate`` had before they worked on all
 ground-truth boxes of a call at once: one ``rng.Stream`` and one
-``normal_pair`` per listed object, and one scan of the chosen tiles per
-box. On any input the array versions return an equal ``AnnotationSet``
-or raise the same exception type.
+``normal_pair`` per object, and one scan of the chosen tiles per box.
+The oracle covers every tile of its grid. On any input the array
+versions return an equal ``AnnotationSet`` or raise the same exception
+type.
 """
 
 from tilecast import rng
@@ -35,10 +36,9 @@ def _clamp_box(x, y, w, h, image_w, image_h):
     return x, y, w, h
 
 
-def reference_oracle_detect(tiles, gt, resolution, model, seed, grid, image_w, image_h):
+def reference_oracle_detect(gt, resolution, model, seed, grid, image_w, image_h):
     if not 1 <= resolution <= model.levels:
         raise ValueError(f"resolution {resolution} outside 1..{model.levels}")
-    tile_set = set(tiles)
     scale = 2 ** (model.levels - resolution)
     jitter_std = model.jitter * scale
     p = model.detect_p[resolution - 1]
@@ -47,8 +47,6 @@ def reference_oracle_detect(tiles, gt, resolution, model, seed, grid, image_w, i
     boxes = []
     for g in gt:
         home = _center_tile(g, grid)
-        if home not in tile_set:
-            continue
         st = rng.Stream(seed, rng.DOMAIN_DETECT, g.object_id, resolution)
         if st.uniform() >= p:
             continue
@@ -78,7 +76,7 @@ def reference_oracle_detect(tiles, gt, resolution, model, seed, grid, image_w, i
         )
 
     if model.fp_rate > 0:
-        for t in sorted(tile_set):
+        for t in range(grid.tile_count):
             st = rng.Stream(seed, rng.DOMAIN_FALSE_POSITIVE, t, resolution)
             for _ in range(st.poisson(model.fp_rate)):
                 tx, ty, tw, th = tile_bounds(grid, t, image_w, image_h)

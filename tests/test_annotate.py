@@ -17,7 +17,7 @@ from tilecast.annotate import (
     oracle_detect,
     save_detections,
 )
-from tilecast.raster import GroundTruthBox, TileGrid, generate_scene
+from tilecast.raster import MAX_PIXELS, GroundTruthBox, TileGrid, generate_scene
 
 from reference_annotate import reference_human_annotate, reference_oracle_detect
 
@@ -44,7 +44,7 @@ def scatter_gt(n, width, height, rng, size=10):
 def test_perfect_model_detects_everything_exactly():
     grid = TileGrid.for_image(256, 256, 64, 64)
     gt = [GroundTruthBox(0, 1, 10, 10, 20, 20), GroundTruthBox(1, 2, 200, 130, 30, 12)]
-    anns = oracle_detect(range(grid.tile_count), gt, 5, perfect_model(), 0, grid, 256, 256)
+    anns = oracle_detect(gt, 5, perfect_model(), 0, grid, 256, 256)
     assert len(anns) == 2
     for b, g in zip(sorted(anns.boxes, key=lambda b: b.class_id), gt):
         assert (b.x, b.y, b.w, b.h) == (g.x, g.y, g.w, g.h)
@@ -56,7 +56,7 @@ def test_zero_probability_detects_nothing():
     grid = TileGrid.for_image(128, 128, 64, 64)
     gt = [GroundTruthBox(0, 0, 10, 10, 20, 20)]
     model = DetectorModel(detect_p=(0.0,), conf_mean=(0.5,), fp_rate=0.0)
-    assert len(oracle_detect([0, 1, 2, 3], gt, 1, model, 0, grid, 128, 128)) == 0
+    assert len(oracle_detect(gt, 1, model, 0, grid, 128, 128)) == 0
 
 
 def test_detection_fraction_tracks_probability():
@@ -65,7 +65,7 @@ def test_detection_fraction_tracks_probability():
     gt = scatter_gt(1000, 1024, 1024, rng)
     model = DetectorModel(detect_p=(0.7,), conf_mean=(0.6,), fp_rate=0.0)
     for seed in range(5):
-        anns = oracle_detect(range(grid.tile_count), gt, 1, model, seed, grid, 1024, 1024)
+        anns = oracle_detect(gt, 1, model, seed, grid, 1024, 1024)
         assert 0.65 <= len(anns) / 1000 <= 0.75
 
 
@@ -74,19 +74,11 @@ def test_oracle_is_deterministic():
     grid = TileGrid.for_image(512, 512, 128, 128)
     gt = scatter_gt(50, 512, 512, rng)
     model = DetectorModel.default(5)
-    a = oracle_detect(range(grid.tile_count), gt, 3, model, 42, grid, 512, 512)
-    b = oracle_detect(range(grid.tile_count), gt, 3, model, 42, grid, 512, 512)
+    a = oracle_detect(gt, 3, model, 42, grid, 512, 512)
+    b = oracle_detect(gt, 3, model, 42, grid, 512, 512)
     assert a == b
-    c = oracle_detect(range(grid.tile_count), gt, 3, model, 43, grid, 512, 512)
+    c = oracle_detect(gt, 3, model, 43, grid, 512, 512)
     assert a != c
-
-
-def test_only_listed_tiles_are_annotated():
-    grid = TileGrid.for_image(256, 256, 64, 64)  # 4x4 tiles
-    gt = [GroundTruthBox(0, 0, 10, 10, 20, 20), GroundTruthBox(1, 0, 200, 200, 20, 20)]
-    anns = oracle_detect([0], gt, 5, perfect_model(), 0, grid, 256, 256)
-    assert len(anns) == 1
-    assert anns.boxes[0].tile_index == 0
 
 
 def test_boxes_stay_inside_image_bounds():
@@ -97,7 +89,7 @@ def test_boxes_stay_inside_image_bounds():
         detect_p=(1.0,) * 5, conf_mean=(0.5,) * 5, conf_sigma=0.3, jitter=3.0, fp_rate=0.3
     )
     for res in (1, 3, 5):
-        anns = oracle_detect(range(grid.tile_count), gt, res, model, 7, grid, 300, 200)
+        anns = oracle_detect(gt, res, model, 7, grid, 300, 200)
         for b in anns.boxes:
             assert 0 <= b.x and b.x + b.w <= 300
             assert 0 <= b.y and b.y + b.h <= 200
@@ -110,11 +102,10 @@ def test_monotone_fidelity_across_resolutions():
     rng = np.random.default_rng(3)
     gt = scatter_gt(20, 512, 512, rng)
     model = DetectorModel.default(5)
-    tiles = range(grid.tile_count)
     means = []
     for res in range(1, 6):
         hits = [
-            len(oracle_detect(tiles, gt, res, model, seed, grid, 512, 512))
+            len(oracle_detect(gt, res, model, seed, grid, 512, 512))
             for seed in range(500)
         ]
         means.append(sum(hits) / (500 * len(gt)))
@@ -127,7 +118,7 @@ def test_false_positive_rate():
     model = DetectorModel(detect_p=(1.0,), conf_mean=(0.6,), fp_rate=0.5)
     total = 0
     for seed in range(10):
-        anns = oracle_detect(range(grid.tile_count), [], 1, model, seed, grid, 1024, 1024)
+        anns = oracle_detect([], 1, model, seed, grid, 1024, 1024)
         total += len(anns)
     mean_per_tile = total / (10 * grid.tile_count)
     assert 0.4 < mean_per_tile < 0.6
@@ -258,7 +249,7 @@ def test_detection_box_rejects_non_finite_coordinates(tmp_path):
 def test_save_detections_round_trip(tmp_path):
     grid = TileGrid.for_image(256, 256, 64, 64)
     gt = [GroundTruthBox(0, 1, 10, 10, 20, 20)]
-    anns = oracle_detect(range(grid.tile_count), gt, 5, perfect_model(), 0, grid, 256, 256)
+    anns = oracle_detect(gt, 5, perfect_model(), 0, grid, 256, 256)
     path = tmp_path / "out.csv"
     save_detections(path, anns)
     back = file_detect(path, grid)
@@ -271,7 +262,7 @@ def test_detector_interfaces_agree():
     gt = scatter_gt(10, 256, 256, rng)
     model = DetectorModel.default(5)
     oracle = OracleDetector(model, grid, 256, 256)
-    direct = oracle_detect(range(grid.tile_count), gt, 2, model, 9, grid, 256, 256)
+    direct = oracle_detect(gt, 2, model, 9, grid, 256, 256)
     assert oracle.detect(gt, 2, 9) == direct
     assert FileDetector(direct, grid).detect(gt, 5, 1) == direct
 
@@ -313,19 +304,25 @@ def _outcome(fn, *args):
 
 
 _FAR = st.integers(-(2**70), 2**70)
-_COORD = st.one_of(st.integers(-40, 300), _FAR)
-_SIZE = st.one_of(st.integers(1, 120), st.integers(1, 2**70))
+
+
+@st.composite
+def _in_frame(draw):
+    """An edge and a length on one axis of the ground-truth frame: mostly near a small image."""
+    x = draw(st.one_of(st.integers(0, 300), st.integers(0, MAX_PIXELS - 1)))
+    w = draw(st.one_of(st.integers(1, 120), st.integers(1, MAX_PIXELS)))
+    return x, min(w, MAX_PIXELS - x)
 
 
 @st.composite
 def _annotation_case(draw):
-    """A grid, ground truth with wild ids and coordinates, and a tile list."""
+    """A grid, ground truth with wild ids anywhere in the frame, and a tile list."""
     width, height = draw(st.integers(1, 260)), draw(st.integers(1, 260))
     grid = TileGrid.for_image(width, height, draw(st.integers(8, 128)), draw(st.integers(8, 128)))
-    gt = draw(st.lists(
-        st.builds(GroundTruthBox, _FAR, st.integers(0, 2), _COORD, _COORD, _SIZE, _SIZE),
-        max_size=12,
-    ))
+    gt = []
+    for _ in range(draw(st.integers(0, 12))):
+        (x, w), (y, h) = draw(_in_frame()), draw(_in_frame())
+        gt.append(GroundTruthBox(draw(_FAR), draw(st.integers(0, 2)), x, y, w, h))
     in_range = st.integers(0, grid.tile_count - 1)
     tile = st.one_of(in_range, in_range, st.integers(-3, grid.tile_count + 2))
     tiles = draw(st.one_of(
@@ -349,12 +346,12 @@ def _annotation_case(draw):
 def test_oracle_detect_equals_the_per_object_reference(
     case, levels, data, seed, fp_rate, spread, signed_zero
 ):
-    width, height, grid, gt, tiles = case
+    width, height, grid, gt, _ = case
     base = DetectorModel.default(levels)
     conf_mean = (-0.0,) * levels if signed_zero else base.conf_mean
     model = DetectorModel(base.detect_p, conf_mean, *spread, fp_rate=fp_rate)
     resolution = data.draw(st.integers(1, levels))
-    args = (tiles, gt, resolution, model, seed, grid, width, height)
+    args = (gt, resolution, model, seed, grid, width, height)
     assert _outcome(oracle_detect, *args) == _outcome(reference_oracle_detect, *args)
 
 
@@ -370,10 +367,10 @@ def test_annotators_equal_the_references_on_a_dense_scene():
     _, gt = generate_scene(5, 1024, 1024, 120)
     grid = TileGrid.for_image(1024, 1024, 256, 256)
     model = DetectorModel.default(5)
+    for resolution in range(1, 6):
+        for seed in range(3):
+            args = (gt, resolution, model, seed, grid, 1024, 1024)
+            assert _outcome(oracle_detect, *args) == _outcome(reference_oracle_detect, *args)
     for tiles in (range(grid.tile_count), [15, 3, 3, 9, 0]):
-        for resolution in range(1, 6):
-            for seed in range(3):
-                args = (tiles, gt, resolution, model, seed, grid, 1024, 1024)
-                assert _outcome(oracle_detect, *args) == _outcome(reference_oracle_detect, *args)
         assert _outcome(human_annotate, tiles, gt, grid) == _outcome(
             reference_human_annotate, tiles, gt, grid)

@@ -452,3 +452,34 @@ def test_example_scenario_golden_outputs(tmp_path):
     assert run("--out-dir", tmp_path, "run", EXAMPLE_CFG) == 0
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     assert got == EXAMPLE_GOLDEN
+
+
+# SHA-256 of the detections files `tilecast run scenario.example.cfg
+# --save-detections` writes besides EXAMPLE_GOLDEN's: the detector's
+# boxes for each cell and framework, byte for byte
+EXAMPLE_DETECTIONS_GOLDEN = {
+    "detections_176_1800_base.csv": "a24e7b804a17f2e759b7bf691b02d1968aedbb1409dc9d2c869c0fc70d2a9e3a",
+    "detections_176_1800_prop.csv": "a24e7b804a17f2e759b7bf691b02d1968aedbb1409dc9d2c869c0fc70d2a9e3a",
+    "detections_176_180_base.csv": "a24e7b804a17f2e759b7bf691b02d1968aedbb1409dc9d2c869c0fc70d2a9e3a",
+    "detections_176_180_prop.csv": "ccf1f876ac61b096a1c8accc03d735d8fd01188c02be6813fc2941f739f7bbc9",
+    "detections_176_600_base.csv": "a24e7b804a17f2e759b7bf691b02d1968aedbb1409dc9d2c869c0fc70d2a9e3a",
+    "detections_176_600_prop.csv": "adc341d9beb5ba845b93fcca9c8e1f57f0eafc3ad2927f8da4218dc1dd44f184",
+    "detections_22_1800_base.csv": "a24e7b804a17f2e759b7bf691b02d1968aedbb1409dc9d2c869c0fc70d2a9e3a",
+    "detections_22_1800_prop.csv": "8c619627437ce9c92f3ca233d7e0a4f7b1bebbb3408d533aa4a262bfbe5cb256",
+    "detections_22_180_base.csv": "a24e7b804a17f2e759b7bf691b02d1968aedbb1409dc9d2c869c0fc70d2a9e3a",
+    "detections_22_180_prop.csv": "ee3d8370026a875ff6fb5f7babaa10be5519ce83e2f9eb2810d80d59f90ab0ec",
+    "detections_22_600_base.csv": "a24e7b804a17f2e759b7bf691b02d1968aedbb1409dc9d2c869c0fc70d2a9e3a",
+    "detections_22_600_prop.csv": "dd90cc00e94dd7b796272baffecd9652033061b5587df3f589a9cc9e8c834e8a",
+    "detections_88_1800_base.csv": "a24e7b804a17f2e759b7bf691b02d1968aedbb1409dc9d2c869c0fc70d2a9e3a",
+    "detections_88_1800_prop.csv": "adc341d9beb5ba845b93fcca9c8e1f57f0eafc3ad2927f8da4218dc1dd44f184",
+    "detections_88_180_base.csv": "a24e7b804a17f2e759b7bf691b02d1968aedbb1409dc9d2c869c0fc70d2a9e3a",
+    "detections_88_180_prop.csv": "c7acc97ab6479cfa5dc13f48edb513022812ef4a738b2eb76669d01f0097e422",
+    "detections_88_600_base.csv": "a24e7b804a17f2e759b7bf691b02d1968aedbb1409dc9d2c869c0fc70d2a9e3a",
+    "detections_88_600_prop.csv": "d97565c9a97f98441c4de54fc6c0a93847efe86c2985401eb1ddddf85cff166a",
+}
+
+
+def test_example_scenario_golden_detections(tmp_path):
+    assert run("--out-dir", tmp_path, "run", EXAMPLE_CFG, "--save-detections") == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert got == {**EXAMPLE_GOLDEN, **EXAMPLE_DETECTIONS_GOLDEN}

@@ -889,6 +889,16 @@ def test_parsing_a_file_holds_one_copy_of_the_payload(tmp_path):
     assert _traced_peak(refused) < 1 << 20
 
 
+def test_parsing_a_bytes_like_source_copies_only_the_payload():
+    # io.BytesIO would copy a bytearray or memoryview whole before reading it
+    img, _ = generate_scene(3, 768, 704, 40)
+    blob = write_codestream(encode(img, TileGrid.for_image(768, 704, 256, 256), 5))
+    for src in (blob, bytearray(blob), memoryview(blob)):
+        excess = _traced_excess(lambda: parse_codestream(src), lambda out: len(out.payload))
+        assert excess <= 64 << 10, type(src)
+        assert parse_codestream(src) == parse_codestream(blob)
+
+
 def test_a_table_or_payload_larger_than_the_file_is_refused_unread(tmp_path):
     # each file holds 32 MiB after its header, and declares 64 MiB
     rows = 1 << 23  # 2x1 tiles of a 4096x4096 image, one index and one length a row

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from tilecast import raster, rng
 from tilecast.raster import (
+    MAX_PIXELS,
     GroundTruthBox,
     Image,
     ImageIOError,
@@ -193,6 +195,45 @@ def test_ground_truth_names_path_and_line_of_unreadable_rows(tmp_path):
     p.write_bytes(header + b"0,1,2,3,4,5\n1,1,2,3,\xff,5\n")
     with pytest.raises(ImageIOError, match=re.escape(f"{p}: line 3: not UTF-8")):
         load_ground_truth(p)
+
+
+def test_a_ground_truth_box_outside_the_frame_is_refused_by_name():
+    # centred left of the image, this box's home column was negative and
+    # wrapped to the row above: tile 3 of a 4x4 grid of 64 px tiles
+    with pytest.raises(ValueError, match=re.escape("object 0 at (-30, 70) size 20x20 lies outside")):
+        GroundTruthBox(0, 0, -30, 70, 20, 20)
+    for x, y, w, h in [(math.nan, 0, 4, 4), (0, 0, 4, math.nan), (math.inf, 0, 4, 4),
+                       (0, 0, math.inf, 4), (2**70, 0, 4, 4), (0, 2**70, 4, 4), (0, 0, 4, 2**70),
+                       (MAX_PIXELS - 3, 0, 4, 4)]:
+        with pytest.raises(ValueError, match=re.escape(f"lies outside 0..{MAX_PIXELS}")):
+            GroundTruthBox(7, 0, x, y, w, h)
+    assert GroundTruthBox(7, 0, MAX_PIXELS - 4, 0, 4, MAX_PIXELS).x == MAX_PIXELS - 4
+
+
+def test_ground_truth_outside_the_frame_names_path_and_line(tmp_path):
+    p = tmp_path / "gt.csv"
+    p.write_text("object_id,class_id,x,y,w,h\n0,1,-1,3,4,5\n")
+    with pytest.raises(ImageIOError, match=re.escape(f"{p}: line 2: ground-truth object 0 at (-1, 3)")):
+        load_ground_truth(p)
+
+
+_WIDE = st.integers(-(2**70), 2**70)
+_WIDE_COORD = st.one_of(st.integers(-40, 300), _WIDE)
+_WIDE_SIZE = st.one_of(st.integers(1, 120), st.integers(1, 2**70))
+
+
+@given(object_id=_WIDE, x=_WIDE_COORD, y=_WIDE_COORD, w=_WIDE_SIZE, h=_WIDE_SIZE)
+@settings(max_examples=300, deadline=None)
+def test_a_ground_truth_box_is_in_the_frame_or_refused_by_name(object_id, x, y, w, h):
+    in_frame = 0 <= x and 0 <= y and x + w <= MAX_PIXELS and y + h <= MAX_PIXELS
+    try:
+        box = GroundTruthBox(object_id, 0, x, y, w, h)
+    except ValueError as exc:
+        assert not in_frame
+        assert str(exc) == (f"ground-truth object {object_id} at ({x}, {y}) size {w}x{h} "
+                            f"lies outside 0..{MAX_PIXELS}")
+    else:
+        assert in_frame and (box.x, box.y, box.w, box.h) == (x, y, w, h)
 
 
 _PNM_FILES = st.one_of(
