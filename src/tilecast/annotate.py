@@ -6,8 +6,9 @@ confidence noise, and occasional false positives. It stands in for a
 real detector (whose outputs can be replayed through the same pipeline
 with a ``FileDetector``) while keeping every run bit-reproducible. Both
 detectors name their tile ``grid`` and answer ``detect(gt, resolution,
-seed)`` for the whole frame. The human side is a perfect annotator;
-only its time is modeled, elsewhere.
+seed)`` for the whole frame. The oracle also names that ``frame``: its
+image size and its model's depth; a replay names none. The human side
+is a perfect annotator; only its time is modeled, elsewhere.
 """
 
 from __future__ import annotations
@@ -305,6 +306,11 @@ class OracleDetector:
         self.image_w = image_w
         self.image_h = image_h
 
+    @property
+    def frame(self) -> tuple[int, int, int]:
+        """(width, height, levels) of the frame it was built for."""
+        return self.image_w, self.image_h, self.model.levels
+
     def detect(self, gt, resolution, seed) -> AnnotationSet:
         return oracle_detect(
             gt, resolution, self.model, seed, self.grid, self.image_w, self.image_h
@@ -315,8 +321,11 @@ class FileDetector:
     """Detector replaying a fixed annotation set on the tile grid it names.
 
     A box whose tile is not on ``grid`` is refused here, once; ``detect``
-    then returns the whole set, whatever the resolution and seed.
+    then returns the whole set, whatever the resolution and seed. It
+    replays what it holds, so it names no ``frame``.
     """
+
+    frame = None
 
     def __init__(self, annotations: AnnotationSet, grid: TileGrid):
         off = [b.tile_index for b in annotations.boxes if not 0 <= b.tile_index < grid.tile_count]

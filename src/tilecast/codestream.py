@@ -16,7 +16,11 @@ as its own token stream. Tokens are base-128 varints (7 bits per byte,
 little-endian groups, high bit = continuation): a zero token starts a
 zero run and is followed by the run length (>= 1); any other token is
 the zigzag code of one nonzero coefficient (2c for c >= 0, -2c-1 for
-c < 0, always >= 1 for nonzero c). A tile-component's segments
+c < 0, always >= 1 for nonzero c). Every token is below 2**32 and both
+sides work in uint32: the writer takes only integer bands within int32
+(lifting keeps the codec's own below 129 * 2**15 at depth 7), and a run
+cannot outgrow its band; the reader refuses a larger token where it reads
+it. A tile-component's segments
 1..r are adjacent in the payload, and that run is the unit of reading:
 ``Codestream.segments`` returns it, and ``extract`` builds
 sub-codestreams by copying each tile-component's run verbatim, since
@@ -78,7 +82,6 @@ from .raster import MAX_PIXELS, Image, TileGrid, tile_bounds
 MAGIC = b"SSC1"
 MAX_LEVELS = 8
 _HEADER = struct.Struct(">4sIIHHBBBI")
-_MAX_COEFF_TOKEN = 1 << 32  # zigzag codes beyond this are corrupt input
 _BATCH_COEFFS = 1 << 16  # one 256x256 tile-component: a token pass closes here
 
 
@@ -89,33 +92,30 @@ class CodestreamError(ValueError):
 # --- token primitives ---------------------------------------------------
 
 
-def _varint_bytes(values: np.ndarray, top: int) -> bytes:
-    """``values`` (all <= ``top``) as concatenated base-128 varints.
+def _varint_bytes(values: np.ndarray) -> bytes:
+    """uint32 ``values`` as concatenated base-128 varints.
 
     Row i of an (n, k) byte plane holds value i's groups, continuation
-    bits set; its kept bytes, in row-major order, are the varint. The
-    arithmetic runs in uint32 when ``top`` fits, else in uint64.
+    bits set; its kept bytes, in row-major order, are the varint.
     """
-    dtype = np.uint32 if top < 1 << 32 else np.uint64
-    values = values.astype(dtype, copy=False)
-    k = max(1, -(-top.bit_length() // 7))
+    k = max(1, -(-int(values.max(initial=0)).bit_length() // 7))
     plane = np.empty((values.size, k), dtype=np.uint8)
     keep = np.empty((values.size, k), dtype=bool)
     keep[:, 0] = True
     for j in range(k):
-        plane[:, j] = values >> dtype(7 * j)  # the cast keeps the low byte
+        plane[:, j] = values >> np.uint32(7 * j)  # the cast keeps the low byte
         if j:
-            keep[:, j] = values >= dtype(1 << 7 * j)
+            keep[:, j] = values >= np.uint32(1 << 7 * j)
     plane &= 0x7F
     plane[:, :-1] |= keep[:, 1:].view(np.uint8) << 7
     return plane[keep].tobytes()
 
 
 def _read_varints(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every varint in a uint8 array, and the offset each one starts at.
+    """Every varint in a uint8 array, as uint32, and the offset each one starts at.
 
-    The values are uint32 when no varint is longer than 4 bytes, else
-    uint64. The caller has checked that the buffer ends on a token.
+    A token longer than 5 bytes or of 2**32 or more is refused where it
+    is read. The caller has checked that the buffer ends on a token.
     """
     if data.size == 0:
         return np.empty(0, dtype=np.uint32), np.empty(0, dtype=np.intp)
@@ -129,29 +129,34 @@ def _read_varints(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             raise CodestreamError("overlong varint (more than 5 bytes)")
         follows.append(run)
         run = np.concatenate(([False], run[:-1] & cont[:-1]))
-    dtype = np.uint64 if len(follows) == 4 else np.uint32
+    # a fifth byte holds bits 28 and up, so above 0x0F its token is 2**32 or more
+    if len(follows) == 4 and np.any(data[follows[3]] > 0x0F):
+        raise CodestreamError("varint token of 2**32 or more")
     starts = np.flatnonzero(np.concatenate(([True], ~cont[:-1])))
-    low = (data & 0x7F).astype(dtype)
+    low = (data & 0x7F).astype(np.uint32)
     values = low[starts]
     for k, inside in enumerate(follows, start=1):
         # an index past the end clips to the last byte, which is not inside a token that short
-        values |= np.take(low * inside, starts + k, mode="clip") << dtype(7 * k)
+        values |= np.take(low * inside, starts + k, mode="clip") << np.uint32(7 * k)
     return values, starts
 
 
 def _token_runs(bands):
     """The zero runs of consecutive bands, found once for both token coders.
 
-    Returns the bands as one flat array in the widest of their own
-    widths when they are signed (an unsigned band is widened to int64),
-    the band cuts, the zeros' positions, and for each run the index in
-    ``zeros`` of its first zero and its length. A run stops at the end
-    of its band, so a band's first coefficient, if zero, opens one.
+    Returns the bands as one flat int32 array (a narrower integer band is
+    widened; a band that is not integer, or leaves int32, is refused), the
+    band cuts, the zeros' positions, and for each run the index in
+    ``zeros`` of its first zero and its length. A run stops at the end of
+    its band, so a band's first coefficient, if zero, opens one.
     """
     flats = [np.ravel(band) for band in bands]
-    flats = [f if f.dtype.kind == "i" else f.astype(np.int64) for f in flats]
+    for f in flats:
+        if f.dtype != np.int32 and (f.dtype.kind not in "iu" or f.size and not (
+                -(1 << 31) <= f.min() and f.max() < 1 << 31)):
+            raise CodestreamError(f"a band of {f.dtype} is not all integers within int32")
     cuts = np.cumsum([0, *(f.size for f in flats)])
-    flat = np.concatenate(flats) if flats else np.empty(0, dtype=np.int64)
+    flat = np.concatenate(flats, dtype=np.int32) if flats else np.empty(0, dtype=np.int32)
     zeros = np.flatnonzero(flat == 0)
     # zeros[i] opens a run unless it directly follows zeros[i - 1] in its
     # band. The first zero at or after a band's start opens one either
@@ -168,23 +173,20 @@ def encode_bands(bands) -> tuple[bytes, list[int]]:
     """Token streams of consecutive bands, written in one pass, and each one's length.
 
     The bytes are those of ``encode_band`` on each band in turn, written
-    from the runs ``_token_runs`` finds; the lengths are ``band_sizes``'.
+    in uint32 from the runs ``_token_runs`` finds; the lengths are ``band_sizes``'.
     """
     flat, cuts, zeros, firsts, runs = _token_runs(bands)
     # the heads: every nonzero, and each run's first zero, whose zigzag code is the zero token
     inside = np.ones(zeros.size, dtype=bool)
     inside[firsts] = False
     heads = np.delete(flat, zeros[inside])
+    # the zigzag code in int32's wrapping arithmetic, read as uint32
     codes = heads << 1
-    codes ^= heads >> 8 * heads.itemsize - 1
-    # tokens are at least uint32: a run can outgrow a narrow band's range
-    unsigned = np.dtype(f"u{flat.itemsize}")
-    codes = codes.view(unsigned).astype(np.promote_types(unsigned, np.uint32), copy=False)
+    codes ^= heads >> 31
     # run k's length goes after its zero token, which follows the nonzeros and k zero tokens before it
     after = zeros[firsts] - firsts + np.arange(1, firsts.size + 1)
-    tokens = np.insert(codes, after, runs)
-    coded = _varint_bytes(tokens, int(tokens.max(initial=0)))
-    return coded, _token_sizes(flat, cuts, zeros, firsts, runs).tolist()
+    tokens = np.insert(codes.view(np.uint32), after, runs)
+    return _varint_bytes(tokens), _token_sizes(flat, cuts, zeros, firsts, runs).tolist()
 
 
 def encode_band(band: np.ndarray) -> bytes:
@@ -193,14 +195,14 @@ def encode_band(band: np.ndarray) -> bytes:
 
 
 def _token_sizes(flat, cuts, zeros, firsts, runs) -> np.ndarray:
-    """Each band's token bytes, counted from ``_token_runs``' output."""
+    """Each band's token bytes, counted in int32 from ``_token_runs``' output."""
 
     def per_band(positions: np.ndarray) -> np.ndarray:
         return np.diff(np.searchsorted(positions, cuts))
 
     sizes = np.diff(cuts) - per_band(zeros)
     # zigzag(c) >> 1, so zigzag(c) >= 128**k exactly when this is >= 64 * 128**(k-1)
-    half = flat >> 8 * flat.itemsize - 1
+    half = flat >> 31
     half ^= flat
     floor, top = 64, int(half.max(initial=0))
     spans = list(pairwise(cuts.tolist()))
@@ -225,8 +227,8 @@ def band_sizes(bands) -> list[int]:
     zero run costs its zero token plus the varint length of the run.
     Each kind of byte is counted in one pass over all the bands and
     split at the band cuts: zeros and runs by the positions where they
-    fall, literals' continuation bytes by slice. The arithmetic runs in
-    the bands' own width, as ``_token_runs`` gives it.
+    fall, literals' continuation bytes by slice, all in int32, as
+    ``_token_runs`` gives the bands; it refuses the bands it refuses.
     """
     return _token_sizes(*_token_runs(bands)).tolist()
 
@@ -263,14 +265,11 @@ def decode_bands(buf, counts: list[int], segments=None) -> list[np.ndarray]:
         raise CodestreamError("zero-length zero run")
     if np.any(is_zero[at_token[at_token > 0] - 1]):
         raise CodestreamError("dangling zero-run introducer")
-    literal = ~(is_zero | is_runlen)
-    if np.any(literal & (tokens >= _MAX_COEFF_TOKEN)):
-        raise CodestreamError("coefficient token out of range")
     codes = tokens.astype(np.int64)
     # coefficients each token expands to: a literal 1, a run's zero its
     # length, the length itself none; ends[t] counts those of the first t
     ends = np.zeros(codes.size + 1, dtype=np.int64)
-    np.cumsum(np.where(is_zero, np.append(codes[1:], 0), literal), out=ends[1:])
+    np.cumsum(np.where(is_zero, np.append(codes[1:], 0), ~(is_zero | is_runlen)), out=ends[1:])
     bounds = np.cumsum([0, *counts])
     inner = bounds[bounds > 0]
     # each band must end where a literal or a run ends; the -1 stands past the last

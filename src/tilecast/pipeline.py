@@ -211,7 +211,8 @@ def _run_plan(
     ``plan.lr`` is already full resolution. An infeasible plan sends
     nothing. A human time per tile that is not positive is refused
     before any transfer, and so is a detector on another tile grid than
-    the table's: its tile indices would name other tiles.
+    the table's, whose tile indices would name other tiles, or one that
+    names another frame (width, height, levels) than the table's.
     """
     if not mu_t_hum > 0:
         raise ValueError(f"mu_t_hum must be > 0, got {mu_t_hum!r}")
@@ -221,6 +222,12 @@ def _run_plan(
             f"detector tile grid ({det_grid.tile_count} tiles of "
             f"{det_grid.tile_w}x{det_grid.tile_h}) is not the codestream's "
             f"({cs.grid.tile_count} tiles of {cs.grid.tile_w}x{cs.grid.tile_h})"
+        )
+    frame = detector.frame
+    if frame is not None and frame != (cs.width, cs.height, cs.levels):
+        raise ValueError(
+            "detector frame ({}x{}, {} levels) is not the codestream's ({}x{}, {} levels)"
+            .format(*frame, cs.width, cs.height, cs.levels)
         )
     if plan.lr is None:
         timeline = TimelineReport(events=(), t_tr=0.0, t_hum=0.0)

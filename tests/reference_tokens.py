@@ -5,7 +5,8 @@ checked every run against the band sizes and expanded them in one
 ``np.repeat``: each band is cut from the token stream with its own
 ``searchsorted`` and expanded on its own. On any input both return the
 same bands or both raise ``CodestreamError``. It reads tokens with
-``reference_varints``, a byte-at-a-time reader.
+``reference_varints``, a byte-at-a-time reader that refuses a token of
+2**32 or more, as every token is below it.
 ``reference_decode_segments`` decodes a buffer of several segments one
 segment at a time, as ``decode`` did before it handed a tile-component's
 segments to one ``decode_bands`` call. ``reference_encode_band`` writes
@@ -16,7 +17,7 @@ byte-at-a-time varint writer.
 
 import numpy as np
 
-from tilecast.codestream import _MAX_COEFF_TOKEN, CodestreamError
+from tilecast.codestream import CodestreamError
 
 
 def reference_varints(buf):
@@ -26,13 +27,15 @@ def reference_varints(buf):
         value |= (byte & 0x7F) << shift
         shift += 7
         if byte < 0x80:
+            if value >= 1 << 32:
+                raise CodestreamError("varint token of 2**32 or more")
             values.append(value)
             value, shift = 0, 0
         elif shift == 35:
             raise CodestreamError("overlong varint (more than 5 bytes)")
     if shift:
         raise CodestreamError("truncated varint at end of segment")
-    return np.array(values, dtype=np.uint64)
+    return np.array(values, dtype=np.uint32)
 
 
 def reference_varint_bytes(values):
@@ -83,8 +86,6 @@ def reference_decode_bands(buf, counts):
     if is_intro.any():
         out_counts[is_intro] = tokens[np.flatnonzero(is_intro) + 1].astype(np.int64)
     literal = ~is_intro & ~is_runlen
-    if np.any(tokens[literal] >= _MAX_COEFF_TOKEN):
-        raise CodestreamError("coefficient token out of range")
     signed = tokens.astype(np.int64)
     values = np.where(signed % 2 == 0, signed // 2, -(signed + 1) // 2)
     values[~literal] = 0

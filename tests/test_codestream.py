@@ -68,12 +68,20 @@ def _read_tokens(buf):
     return cs._read_varints(np.frombuffer(buf, dtype=np.uint8))[0].tolist()
 
 
-@given(st.lists(st.integers(min_value=0, max_value=2**34), max_size=50))
+@given(st.lists(st.integers(min_value=0, max_value=2**32 - 1), max_size=50))
+@example([0, 2**28 - 1, 2**28, 2**32 - 1])
 @settings(max_examples=200)
 def test_varint_round_trip(values):
-    buf = cs._varint_bytes(np.array(values, dtype=np.uint64), max(values, default=0))
+    buf = cs._varint_bytes(np.array(values, dtype=np.uint32))
     assert buf == reference_varint_bytes(values)
     assert _read_tokens(buf) == values
+
+
+@pytest.mark.parametrize("token", [2**32, 2**34, 2**35 - 1])
+def test_read_varints_refuses_a_token_of_2_pow_32_or_more(token):
+    # a 5-byte token whose last byte is above 0x0F, next to tokens that are fine
+    with pytest.raises(CodestreamError, match=r"varint token of 2\*\*32 or more"):
+        _read_tokens(reference_varint_bytes([1, token, 2**32 - 1]))
 
 
 def test_varint_truncation_and_overlong():
@@ -93,7 +101,7 @@ def test_decode_varints_agrees_with_reference(buf):
         want = reference_varints(buf)
     except CodestreamError:
         # decode_bands checks the segment end, then reads the tokens
-        with pytest.raises(CodestreamError, match="truncated varint|overlong"):
+        with pytest.raises(CodestreamError, match=r"truncated varint|overlong|2\*\*32 or more"):
             decode_bands(buf, [0])
         return
     assert _read_tokens(buf) == want.tolist()
@@ -127,7 +135,10 @@ def test_band_decode_checks_runs_before_expanding(monkeypatch):
         raise AssertionError("a zero run was expanded")
 
     monkeypatch.setattr(np, "repeat", no_expansion)
-    bomb = reference_varint_bytes([0, 2**34])
+    # a run of 2**34 zeros is refused where its length is read
+    with pytest.raises(CodestreamError, match=r"varint token of 2\*\*32 or more"):
+        decode_bands(reference_varint_bytes([0, 2**34]), [4])
+    bomb = reference_varint_bytes([0, 2**32 - 1])
     with pytest.raises(CodestreamError, match="crosses a band boundary or segment is short"):
         decode_bands(bomb, [4])
     straddle = reference_varint_bytes([0, 3])
@@ -147,6 +158,19 @@ _LITERALS = st.one_of(
 )
 
 
+def _within_int32(band):
+    return not band.size or -(2**31) <= band.min() and band.max() < 2**31
+
+
+def _assert_both_coders_refuse(band_list):
+    with pytest.raises(CodestreamError, match="not all integers within int32"):
+        band_sizes(band_list)
+    with pytest.raises(CodestreamError, match="not all integers within int32"):
+        encode_bands(band_list)
+    with pytest.raises(CodestreamError, match="not all integers within int32"):
+        encode_band(next(band for band in band_list if not _within_int32(band)))
+
+
 @st.composite
 def bands(draw, literals=_LITERALS):
     pieces = draw(st.lists(st.one_of(
@@ -160,9 +184,11 @@ def bands(draw, literals=_LITERALS):
 @given(bands())
 @settings(max_examples=300)
 def test_band_size_equals_encoded_length(band):
+    if not _within_int32(band):
+        _assert_both_coders_refuse([band])
+        return
     assert band_sizes([band])[0] == len(encode_band(band))
-    if band.size and -(2**31) <= band.min() and band.max() < 2**31:
-        assert band_sizes([band.astype(np.int32)])[0] == band_sizes([band])[0]
+    assert band_sizes([band.astype(np.int32)])[0] == band_sizes([band])[0]
 
 
 @given(st.lists(bands(_LITERALS.filter(lambda c: c < 2**31)), max_size=4))
@@ -199,6 +225,9 @@ def typed_bands(draw):
           np.array([0, 64, -8192])])
 @settings(max_examples=150)
 def test_band_sizes_equal_encode_bands_lengths(band_list):
+    if not all(map(_within_int32, band_list)):
+        _assert_both_coders_refuse(band_list)
+        return
     # a zero run stops at each band's end, so bands that end and start
     # with zeros are where one count over all the bands can go wrong
     coded = encode_bands(band_list)
@@ -210,8 +239,43 @@ def test_band_sizes_equal_encode_bands_lengths(band_list):
     assert alone == [reference_encode_band(band) for band in band_list]
 
 
+# literals either side of int32's ends and beyond, up to +-2**40
+_WIDE_LITERALS = st.one_of(
+    st.sampled_from([2**31 - 1, 2**31, -(2**31), -(2**31) - 1, 2**32, -(2**32), 2**40, -(2**40)]),
+    st.integers(-(2**40), 2**40).filter(bool),
+)
+
+
+@st.composite
+def any_bands(draw):
+    """An int64 band with literals up to +-2**40, or a float band."""
+    if draw(st.booleans()):
+        return draw(bands(_WIDE_LITERALS))
+    floats = st.one_of(st.sampled_from([0.0, 1.5, -2.7, 3.0]), st.floats(-(2.0**40), 2.0**40))
+    return np.array(draw(st.lists(floats, max_size=8)), dtype=np.float64)
+
+
+@given(st.lists(any_bands(), min_size=1, max_size=3))
+@example([np.array([2**31])])
+@example([np.array([2**40])])
+@example([np.array([1.5, -2.7])])
+@settings(max_examples=200)
+def test_both_coders_refuse_a_band_or_it_decodes_exactly(band_list):
+    # the writer's domain is the reader's: whatever either coder takes decodes as it was
+    try:
+        coded, lengths = encode_bands(band_list)
+    except CodestreamError:
+        with pytest.raises(CodestreamError):
+            band_sizes(band_list)
+        return
+    assert band_sizes(band_list) == lengths
+    got = decode_bands(coded, [band.size for band in band_list])
+    for out, band in zip(got, band_list):
+        assert np.array_equal(out, band)
+
+
 # short token streams: zeros (run starts or zero-length runs), small
-# literals or run lengths, and tokens at and beyond the 2**32 literal ceiling
+# literals or run lengths, and tokens at and beyond the 2**32 token ceiling
 _TOKENS = st.lists(
     st.sampled_from([0, 0, 0, 1, 1, 2, 3, 6, 2**32 - 1, 2**32, 2**34]), max_size=8
 )
@@ -347,7 +411,7 @@ def test_decode_refuses_a_byte_moved_between_segments():
 
 
 def test_edge_literals_decode_like_the_reference_synthesis():
-    # a parseable stream may carry literals up to +-2**31 (_MAX_COEFF_TOKEN),
+    # a parseable stream may carry literals up to +-2**31 (every token is below 2**32),
     # so synthesis must run wider than int32 however the encoder lifts
     rng = np.random.default_rng(16)
     w, h, levels = 11, 9, 3
@@ -379,7 +443,6 @@ def test_band_size_edge_cases():
         np.zeros(16384, dtype=np.int64),
         np.array([7]),
         np.array([-(2**31)]),
-        np.array([2**31]),
         np.arange(-300, 300).reshape(20, 30),
         np.array([-(2**31), 2**31 - 1, 0, 0, -64, 63, 64, -65, 0], dtype=np.int32),
         np.array([0, 200, 255, 0, 0, 7], dtype=np.uint8),
@@ -389,6 +452,8 @@ def test_band_size_edge_cases():
     ):
         assert band_sizes([band])[0] == len(encode_band(band))
         assert encode_band(band) == reference_encode_band(band)
+    # one past int32's range: its zigzag code would be 2**32, which no reader takes
+    _assert_both_coders_refuse([np.array([2**31])])
 
 
 def _assert_measure_matches_encode(img, grid, levels):

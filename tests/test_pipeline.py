@@ -397,6 +397,19 @@ def test_a_run_refuses_a_detector_on_another_tile_grid(monkeypatch):
     # the same boxes named as the table's tiles: those past tile 15 are off its grid
     with pytest.raises(ValueError, match="off the grid of 16 tiles"):
         FileDetector(finer_replay.annotations, grid)
+    # the table's 4x4 grid, but built for another frame: a 400x400 image, or a model of 8 levels
+    shallow = cs_mod.measure(img, grid, 3)
+    for det, stream, named in (
+        (OracleDetector(model, TileGrid.for_image(400, 400, 128, 128), 400, 400), table,
+         r"frame \(400x400, 5 levels\) is not the codestream's \(512x512, 5 levels\)"),
+        (OracleDetector(DetectorModel.default(8), grid, 512, 512), shallow,
+         r"frame \(512x512, 8 levels\) is not the codestream's \(512x512, 3 levels\)"),
+    ):
+        assert det.grid == grid
+        with pytest.raises(ValueError, match=named):
+            run_baseline(img, grid, 5, ch, 30.0, 0, det, gt, 3, codestream=stream)
+        with pytest.raises(ValueError, match=named):
+            run_streamlined(img, grid, 5, ch, 30.0, 300.0, det, gt, 3, codestream=stream)
 
 
 @pytest.mark.parametrize("mu, cap, name", [
