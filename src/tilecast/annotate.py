@@ -5,10 +5,10 @@ emits each box with a resolution-dependent probability, plus jitter,
 confidence noise, and occasional false positives. It stands in for a
 real detector (whose outputs can be replayed through the same pipeline
 with a ``FileDetector``) while keeping every run bit-reproducible. Both
-detectors name their tile ``grid`` and answer ``detect(gt, resolution,
-seed)`` for the whole frame. The oracle also names that ``frame``: its
-image size and its model's depth; a replay names none. The human side
-is a perfect annotator; only its time is modeled, elsewhere.
+detectors name their tile ``grid``, which names the image it tiles, and
+answer ``detect(gt, resolution, seed)`` for the whole image. The oracle
+also names its model's depth, ``levels``; a replay names none. The
+human side is a perfect annotator; only its time is modeled, elsewhere.
 """
 
 from __future__ import annotations
@@ -156,8 +156,6 @@ def oracle_detect(
     model: DetectorModel,
     seed: int,
     grid: TileGrid,
-    image_w: int,
-    image_h: int,
 ) -> AnnotationSet:
     """Simulate DL detection on every tile of ``grid`` at one resolution level.
 
@@ -200,10 +198,10 @@ def oracle_detect(
     gx, gw, gc = cosines.T
     gy, gh, _ = sines.T
     x, y, w, h = xywh[hits].T + np.array([gx, gy, gw, gh]) * jitter_std
-    w = _max(1.0, _min(w, float(image_w)))
-    h = _max(1.0, _min(h, float(image_h)))
-    x = _min(_max(x, 0.0), image_w - w)
-    y = _min(_max(y, 0.0), image_h - h)
+    w = _max(1.0, _min(w, float(grid.width)))
+    h = _max(1.0, _min(h, float(grid.height)))
+    x = _min(_max(x, 0.0), grid.width - w)
+    y = _min(_max(y, 0.0), grid.height - h)
     conf = _min(_max(c_mean + model.conf_sigma * gc, 0.0), 1.0)
     boxes = [
         DetectionBox(home, gt[i].class_id, *box, SOURCE_DL)
@@ -220,7 +218,7 @@ def oracle_detect(
         sprouts = rng.uniforms(firsts[:, 0]) > math.exp(-model.fp_rate)
         for t in compress(tiles, sprouts.tolist()):
             st = rng.Stream(seed, rng.DOMAIN_FALSE_POSITIVE, t, resolution)
-            tx, ty, tw, th = tile_bounds(grid, t, image_w, image_h)
+            tx, ty, tw, th = tile_bounds(grid, t)
             for _ in range(st.poisson(model.fp_rate)):
                 w = float(_FP_SIZE_MIN + st.below(_FP_SIZE_MAX - _FP_SIZE_MIN + 1))
                 h = float(_FP_SIZE_MIN + st.below(_FP_SIZE_MAX - _FP_SIZE_MIN + 1))
@@ -298,23 +296,25 @@ def save_detections(path, anns: AnnotationSet) -> None:
 
 
 class OracleDetector:
-    """Detector backed by the seeded oracle model; it annotates every tile of its grid."""
+    """Detector backed by the seeded oracle model; it annotates every tile of its grid.
+
+    The image size must be the grid's; it is checked here and kept only
+    on the grid.
+    """
 
     def __init__(self, model: DetectorModel, grid: TileGrid, image_w: int, image_h: int):
+        if (image_w, image_h) != (grid.width, grid.height):
+            raise ValueError(f"image of {image_w}x{image_h} does not match its tile grid's "
+                             f"{grid.width}x{grid.height}")
         self.model = model
         self.grid = grid
-        self.image_w = image_w
-        self.image_h = image_h
 
     @property
-    def frame(self) -> tuple[int, int, int]:
-        """(width, height, levels) of the frame it was built for."""
-        return self.image_w, self.image_h, self.model.levels
+    def levels(self) -> int:
+        return self.model.levels
 
     def detect(self, gt, resolution, seed) -> AnnotationSet:
-        return oracle_detect(
-            gt, resolution, self.model, seed, self.grid, self.image_w, self.image_h
-        )
+        return oracle_detect(gt, resolution, self.model, seed, self.grid)
 
 
 class FileDetector:
@@ -322,10 +322,10 @@ class FileDetector:
 
     A box whose tile is not on ``grid`` is refused here, once; ``detect``
     then returns the whole set, whatever the resolution and seed. It
-    replays what it holds, so it names no ``frame``.
+    replays what it holds, so it names no depth: its ``levels`` is None.
     """
 
-    frame = None
+    levels = None
 
     def __init__(self, annotations: AnnotationSet, grid: TileGrid):
         off = [b.tile_index for b in annotations.boxes if not 0 <= b.tile_index < grid.tile_count]

@@ -12,6 +12,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -120,7 +121,7 @@ def cmd_gen_scene(args) -> int:
 def cmd_run(args) -> int:
     cfg = parse_config(args.config)
     if args.seed is not None:
-        cfg.seed = args.seed
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     report = run_grid(
         cfg,
         out_dir=args.out_dir,

@@ -396,7 +396,7 @@ def resolution_size(cs: CodestreamTable, resolution: int) -> tuple[int, int]:
     """
     _check_resolution(cs, resolution)
     grid = cs.grid
-    _, _, w, h = tile_bounds(grid, grid.tile_count - 1, cs.width, cs.height)
+    _, _, w, h = tile_bounds(grid, grid.tile_count - 1)
     splits = cs.levels - resolution
     tw, th, last_w, last_h = (_low(n, splits) for n in (cs.tile_w, cs.tile_h, w, h))
     return (grid.tiles_x - 1) * tw + last_w, (grid.tiles_y - 1) * th + last_h
@@ -411,10 +411,11 @@ def _tile_components(img: Image, grid: TileGrid, levels: int):
     in the order its segment holds them.
     """
     _check_header(**_header(img, grid, levels))
-    if grid != TileGrid.for_image(img.width, img.height, grid.tile_w, grid.tile_h):
-        raise ValueError("tile grid does not match image dimensions")
+    if (grid.width, grid.height) != (img.width, img.height):
+        raise ValueError(f"tile grid for {grid.width}x{grid.height} does not match "
+                         f"image dimensions {img.width}x{img.height}")
     for index in range(grid.tile_count):
-        bounds = tile_bounds(grid, index, img.width, img.height)
+        bounds = tile_bounds(grid, index)
         for c in range(img.components):
             yield index, c, bounds
 
@@ -606,7 +607,7 @@ def _planes(cs: Codestream, indices, resolution: int):
     units = []  # (tile index, component, tile size)
     shapes = {}  # tile size -> band shapes per segment
     for index in sorted(indices):
-        size = tile_bounds(grid, index, cs.width, cs.height)[2:]
+        size = tile_bounds(grid, index)[2:]
         if size not in shapes:
             shapes[size] = _band_shapes(*size, cs.levels)[:resolution]
         units += ((index, c, size) for c in range(cs.components))

@@ -38,7 +38,7 @@ class SyntheticSpec:
     objects: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
     """Fully validated scenario grid description."""
 

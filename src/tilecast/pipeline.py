@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Optional, Sequence
 
 from . import channel as ch_mod
@@ -130,20 +129,15 @@ def compute_budget(
 ) -> BudgetPlan:
     """Budget plan for a full codestream (or its table) over a channel.
 
-    One pass over the table gives each resolution's segment bytes over
-    all tiles and each tile's full-resolution size.
+    Sizes are counted by ``TileEntry.total``, as ``size_of`` counts
+    them: each resolution's bytes over all tiles, and each tile's
+    full-resolution size.
     """
     if cs.tile_count != cs.grid.tile_count or cs.max_resolution != cs.levels:
         raise ValueError("compute_budget requires a full codestream")
-    level_bytes = [0] * cs.levels
-    tile_sizes = []
-    for e in cs.entries:
-        per_level = [sum(lengths) for lengths in zip(*e.seg_lengths)]
-        level_bytes = [a + b for a, b in zip(level_bytes, per_level)]
-        tile_sizes.append(sum(per_level))
     return plan_budget(
-        list(accumulate(level_bytes)),
-        tile_sizes,
+        [sum(e.total(r) for e in cs.entries) for r in range(1, cs.levels + 1)],
+        [e.total(cs.levels) for e in cs.entries],
         ch_mod.bandwidth_budget(ch),
         mu_t_hum,
         t_hum_cap,
@@ -211,28 +205,24 @@ def _run_plan(
     ``plan.lr`` is already full resolution. An infeasible plan sends
     nothing. A human time per tile that is not positive is refused
     before any transfer, and so is a detector on another tile grid than
-    the table's, whose tile indices would name other tiles, or one that
-    names another frame (width, height, levels) than the table's.
+    the table's (the grid names its image size, so this covers the
+    image too), whose tile indices would name other tiles, or an oracle
+    of another depth than the table's; a replay names no depth.
     """
     if not mu_t_hum > 0:
         raise ValueError(f"mu_t_hum must be > 0, got {mu_t_hum!r}")
-    det_grid = detector.grid
-    if det_grid != cs.grid:
-        raise ValueError(
-            f"detector tile grid ({det_grid.tile_count} tiles of "
-            f"{det_grid.tile_w}x{det_grid.tile_h}) is not the codestream's "
-            f"({cs.grid.tile_count} tiles of {cs.grid.tile_w}x{cs.grid.tile_h})"
-        )
-    frame = detector.frame
-    if frame is not None and frame != (cs.width, cs.height, cs.levels):
-        raise ValueError(
-            "detector frame ({}x{}, {} levels) is not the codestream's ({}x{}, {} levels)"
-            .format(*frame, cs.width, cs.height, cs.levels)
-        )
+    grid = cs.grid
+    if detector.grid != grid:
+        ours, theirs = (f"{g.tile_count} tiles of {g.tile_w}x{g.tile_h} on {g.width}x{g.height}"
+                        for g in (detector.grid, grid))
+        raise ValueError(f"detector tile grid ({ours}) is not the codestream's ({theirs})")
+    if detector.levels not in (None, cs.levels):
+        raise ValueError(f"detector depth ({detector.levels} levels) is not the codestream's "
+                         f"({cs.levels} levels)")
     if plan.lr is None:
         timeline = TimelineReport(events=(), t_tr=0.0, t_hum=0.0)
         return RunResult(annotations=AnnotationSet(), plan=plan, timeline=timeline)
-    all_tiles = list(range(cs.grid.tile_count))
+    all_tiles = list(range(grid.tile_count))
     label = ch_mod.LABEL_LR_ALL if exchange else ch_mod.LABEL_HR_ALL
     tr_all = transmit(cs_mod.size_of(cs, all_tiles, plan.lr), ch, label)
     dl_anns = detector.detect(gt, plan.lr, seed)
@@ -244,7 +234,7 @@ def _run_plan(
         hr_bytes = cs_mod.size_of(cs, selected, cs.levels) if selected and plan.lr < cs.levels else 0
         t_tr += transmit(hr_bytes, ch, ch_mod.LABEL_HR_SELECTED).seconds
     events, merged = _human_timeline(
-        dl_anns, selected, gt, cs.grid, dl_time, t_tr, mu_t_hum, iou_threshold
+        dl_anns, selected, gt, grid, dl_time, t_tr, mu_t_hum, iou_threshold
     )
     timeline = TimelineReport(events=tuple(events), t_tr=t_tr, t_hum=mu_t_hum * len(selected))
     return RunResult(annotations=merged, plan=plan, timeline=timeline)

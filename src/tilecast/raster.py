@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -82,35 +82,33 @@ class Image:
 
 @dataclass(frozen=True)
 class TileGrid:
-    """Fixed-size tiling of an image; edge tiles are clipped."""
+    """Fixed-size tiling of a ``width`` x ``height`` image; edge tiles are clipped.
 
+    The tile counts follow from the four fields; they are worked out
+    once, when the grid is built.
+    """
+
+    width: int
+    height: int
     tile_w: int
     tile_h: int
-    tiles_x: int
-    tiles_y: int
+    tiles_x: int = field(init=False, compare=False, repr=False)
+    tiles_y: int = field(init=False, compare=False, repr=False)
+    tile_count: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        if self.width < 1 or self.height < 1:
+            raise ValueError("image dimensions must be >= 1")
         if self.tile_w < 1 or self.tile_h < 1:
             raise ValueError("tile dimensions must be >= 1")
-        if self.tiles_x < 1 or self.tiles_y < 1:
-            raise ValueError("tile counts must be >= 1")
+        tiles_x, tiles_y = -(-self.width // self.tile_w), -(-self.height // self.tile_h)
+        object.__setattr__(self, "tiles_x", tiles_x)
+        object.__setattr__(self, "tiles_y", tiles_y)
+        object.__setattr__(self, "tile_count", tiles_x * tiles_y)
 
     @classmethod
     def for_image(cls, width: int, height: int, tile_w: int, tile_h: int) -> "TileGrid":
-        if width < 1 or height < 1:
-            raise ValueError("image dimensions must be >= 1")
-        if tile_w < 1 or tile_h < 1:
-            raise ValueError("tile dimensions must be >= 1")
-        return cls(
-            tile_w=tile_w,
-            tile_h=tile_h,
-            tiles_x=-(-width // tile_w),
-            tiles_y=-(-height // tile_h),
-        )
-
-    @property
-    def tile_count(self) -> int:
-        return self.tiles_x * self.tiles_y
+        return cls(width, height, tile_w, tile_h)
 
 
 @dataclass(frozen=True)
@@ -141,10 +139,8 @@ class GroundTruthBox:
             )
 
 
-def tile_bounds(
-    grid: TileGrid, index: int, image_w: int, image_h: int
-) -> tuple[int, int, int, int]:
-    """(x, y, w, h) of a tile, clipped to the image.
+def tile_bounds(grid: TileGrid, index: int) -> tuple[int, int, int, int]:
+    """(x, y, w, h) of a tile, clipped to the grid's image.
 
     Tile indices are row-major in [0, tile_count).
     """
@@ -153,7 +149,7 @@ def tile_bounds(
     row, col = divmod(index, grid.tiles_x)
     x = col * grid.tile_w
     y = row * grid.tile_h
-    return x, y, min(grid.tile_w, image_w - x), min(grid.tile_h, image_h - y)
+    return x, y, min(grid.tile_w, grid.width - x), min(grid.tile_h, grid.height - y)
 
 
 # Header tokens are separated by whitespace and by comments, which run

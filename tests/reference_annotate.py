@@ -36,7 +36,7 @@ def _clamp_box(x, y, w, h, image_w, image_h):
     return x, y, w, h
 
 
-def reference_oracle_detect(gt, resolution, model, seed, grid, image_w, image_h):
+def reference_oracle_detect(gt, resolution, model, seed, grid):
     if not 1 <= resolution <= model.levels:
         raise ValueError(f"resolution {resolution} outside 1..{model.levels}")
     scale = 2 ** (model.levels - resolution)
@@ -58,8 +58,8 @@ def reference_oracle_detect(gt, resolution, model, seed, grid, image_w, image_h)
             g.y + gy * jitter_std,
             g.w + gw * jitter_std,
             g.h + gh * jitter_std,
-            image_w,
-            image_h,
+            grid.width,
+            grid.height,
         )
         conf = min(max(c_mean + model.conf_sigma * gc, 0.0), 1.0)
         boxes.append(
@@ -79,7 +79,7 @@ def reference_oracle_detect(gt, resolution, model, seed, grid, image_w, image_h)
         for t in range(grid.tile_count):
             st = rng.Stream(seed, rng.DOMAIN_FALSE_POSITIVE, t, resolution)
             for _ in range(st.poisson(model.fp_rate)):
-                tx, ty, tw, th = tile_bounds(grid, t, image_w, image_h)
+                tx, ty, tw, th = tile_bounds(grid, t)
                 w = float(_FP_SIZE_MIN + st.below(_FP_SIZE_MAX - _FP_SIZE_MIN + 1))
                 h = float(_FP_SIZE_MIN + st.below(_FP_SIZE_MAX - _FP_SIZE_MIN + 1))
                 w = min(w, float(tw))

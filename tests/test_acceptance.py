@@ -446,8 +446,8 @@ def test_criterion_8_detector_statistics():
     fractions = []
     deterministic = True
     for seed in range(10):
-        anns = tc.oracle_detect(gt, 1, model, seed, grid, 1024, 1024)
-        again = tc.oracle_detect(gt, 1, model, seed, grid, 1024, 1024)
+        anns = tc.oracle_detect(gt, 1, model, seed, grid)
+        again = tc.oracle_detect(gt, 1, model, seed, grid)
         deterministic &= anns == again
         fractions.append(len(anns) / len(gt))
     in_band = all(0.65 <= f <= 0.75 for f in fractions)

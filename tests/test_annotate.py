@@ -44,7 +44,7 @@ def scatter_gt(n, width, height, rng, size=10):
 def test_perfect_model_detects_everything_exactly():
     grid = TileGrid.for_image(256, 256, 64, 64)
     gt = [GroundTruthBox(0, 1, 10, 10, 20, 20), GroundTruthBox(1, 2, 200, 130, 30, 12)]
-    anns = oracle_detect(gt, 5, perfect_model(), 0, grid, 256, 256)
+    anns = oracle_detect(gt, 5, perfect_model(), 0, grid)
     assert len(anns) == 2
     for b, g in zip(sorted(anns.boxes, key=lambda b: b.class_id), gt):
         assert (b.x, b.y, b.w, b.h) == (g.x, g.y, g.w, g.h)
@@ -56,7 +56,7 @@ def test_zero_probability_detects_nothing():
     grid = TileGrid.for_image(128, 128, 64, 64)
     gt = [GroundTruthBox(0, 0, 10, 10, 20, 20)]
     model = DetectorModel(detect_p=(0.0,), conf_mean=(0.5,), fp_rate=0.0)
-    assert len(oracle_detect(gt, 1, model, 0, grid, 128, 128)) == 0
+    assert len(oracle_detect(gt, 1, model, 0, grid)) == 0
 
 
 def test_detection_fraction_tracks_probability():
@@ -65,7 +65,7 @@ def test_detection_fraction_tracks_probability():
     gt = scatter_gt(1000, 1024, 1024, rng)
     model = DetectorModel(detect_p=(0.7,), conf_mean=(0.6,), fp_rate=0.0)
     for seed in range(5):
-        anns = oracle_detect(gt, 1, model, seed, grid, 1024, 1024)
+        anns = oracle_detect(gt, 1, model, seed, grid)
         assert 0.65 <= len(anns) / 1000 <= 0.75
 
 
@@ -74,10 +74,10 @@ def test_oracle_is_deterministic():
     grid = TileGrid.for_image(512, 512, 128, 128)
     gt = scatter_gt(50, 512, 512, rng)
     model = DetectorModel.default(5)
-    a = oracle_detect(gt, 3, model, 42, grid, 512, 512)
-    b = oracle_detect(gt, 3, model, 42, grid, 512, 512)
+    a = oracle_detect(gt, 3, model, 42, grid)
+    b = oracle_detect(gt, 3, model, 42, grid)
     assert a == b
-    c = oracle_detect(gt, 3, model, 43, grid, 512, 512)
+    c = oracle_detect(gt, 3, model, 43, grid)
     assert a != c
 
 
@@ -89,7 +89,7 @@ def test_boxes_stay_inside_image_bounds():
         detect_p=(1.0,) * 5, conf_mean=(0.5,) * 5, conf_sigma=0.3, jitter=3.0, fp_rate=0.3
     )
     for res in (1, 3, 5):
-        anns = oracle_detect(gt, res, model, 7, grid, 300, 200)
+        anns = oracle_detect(gt, res, model, 7, grid)
         for b in anns.boxes:
             assert 0 <= b.x and b.x + b.w <= 300
             assert 0 <= b.y and b.y + b.h <= 200
@@ -105,7 +105,7 @@ def test_monotone_fidelity_across_resolutions():
     means = []
     for res in range(1, 6):
         hits = [
-            len(oracle_detect(gt, res, model, seed, grid, 512, 512))
+            len(oracle_detect(gt, res, model, seed, grid))
             for seed in range(500)
         ]
         means.append(sum(hits) / (500 * len(gt)))
@@ -118,7 +118,7 @@ def test_false_positive_rate():
     model = DetectorModel(detect_p=(1.0,), conf_mean=(0.6,), fp_rate=0.5)
     total = 0
     for seed in range(10):
-        anns = oracle_detect([], 1, model, seed, grid, 1024, 1024)
+        anns = oracle_detect([], 1, model, seed, grid)
         total += len(anns)
     mean_per_tile = total / (10 * grid.tile_count)
     assert 0.4 < mean_per_tile < 0.6
@@ -249,7 +249,7 @@ def test_detection_box_rejects_non_finite_coordinates(tmp_path):
 def test_save_detections_round_trip(tmp_path):
     grid = TileGrid.for_image(256, 256, 64, 64)
     gt = [GroundTruthBox(0, 1, 10, 10, 20, 20)]
-    anns = oracle_detect(gt, 5, perfect_model(), 0, grid, 256, 256)
+    anns = oracle_detect(gt, 5, perfect_model(), 0, grid)
     path = tmp_path / "out.csv"
     save_detections(path, anns)
     back = file_detect(path, grid)
@@ -262,7 +262,7 @@ def test_detector_interfaces_agree():
     gt = scatter_gt(10, 256, 256, rng)
     model = DetectorModel.default(5)
     oracle = OracleDetector(model, grid, 256, 256)
-    direct = oracle_detect(gt, 2, model, 9, grid, 256, 256)
+    direct = oracle_detect(gt, 2, model, 9, grid)
     assert oracle.detect(gt, 2, 9) == direct
     assert FileDetector(direct, grid).detect(gt, 5, 1) == direct
 
@@ -346,12 +346,12 @@ def _annotation_case(draw):
 def test_oracle_detect_equals_the_per_object_reference(
     case, levels, data, seed, fp_rate, spread, signed_zero
 ):
-    width, height, grid, gt, _ = case
+    _, _, grid, gt, _ = case
     base = DetectorModel.default(levels)
     conf_mean = (-0.0,) * levels if signed_zero else base.conf_mean
     model = DetectorModel(base.detect_p, conf_mean, *spread, fp_rate=fp_rate)
     resolution = data.draw(st.integers(1, levels))
-    args = (gt, resolution, model, seed, grid, width, height)
+    args = (gt, resolution, model, seed, grid)
     assert _outcome(oracle_detect, *args) == _outcome(reference_oracle_detect, *args)
 
 
@@ -369,7 +369,7 @@ def test_annotators_equal_the_references_on_a_dense_scene():
     model = DetectorModel.default(5)
     for resolution in range(1, 6):
         for seed in range(3):
-            args = (gt, resolution, model, seed, grid, 1024, 1024)
+            args = (gt, resolution, model, seed, grid)
             assert _outcome(oracle_detect, *args) == _outcome(reference_oracle_detect, *args)
     for tiles in (range(grid.tile_count), [15, 3, 3, 9, 0]):
         assert _outcome(human_annotate, tiles, gt, grid) == _outcome(

@@ -1,8 +1,9 @@
 """Each benchmark workload runs against this tree and passes its checks.
 
 ``bench/`` calls library signatures directly (``run_grid(threads=)``,
-positional ``run_baseline``, the span wrap points), so a change that
-breaks one of them fails here. The traced grid-sweep run installs every
+positional ``run_baseline``, ``TileGrid.for_image``, the positional
+``OracleDetector(model, grid, image_w, image_h)``, the span wrap
+points), so a change that breaks one of them fails here. The traced grid-sweep run installs every
 wrap point; the other two workloads run untraced to save time.
 """
 

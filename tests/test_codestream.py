@@ -1027,7 +1027,7 @@ def test_encode_input_validation():
         encode(img, grid, 9)
     with pytest.raises(ValueError, match="levels"):
         encode(img, grid, 0)
-    bad_grid = TileGrid(tile_w=8, tile_h=8, tiles_x=1, tiles_y=2)
+    bad_grid = TileGrid(width=8, height=16, tile_w=8, tile_h=8)
     with pytest.raises(ValueError, match="does not match"):
         encode(img, bad_grid, 2)
     two = Image(np.zeros((8, 8, 2), dtype=np.uint8))
@@ -1042,7 +1042,7 @@ def _per_tile_component_encode(img, grid, levels):
     """The payload and table of one 2-D lift and one ``encode_bands`` call per tile-component."""
     chunks, entries = [], []
     for index in range(grid.tile_count):
-        x, y, tw, th = cs.tile_bounds(grid, index, img.width, img.height)
+        x, y, tw, th = cs.tile_bounds(grid, index)
         seg_lengths = []
         for c in range(img.components):
             samples = img.pixels[y : y + th, x : x + tw, c].astype(np.int64) - 128
@@ -1284,7 +1284,7 @@ def test_a_fault_anywhere_in_a_batch_is_refused():
     last = stream.tile_count - 1
     assert stream.width * stream.height * stream.components < cs._BATCH_COEFFS  # one batch
     for index, c in ((0, 0), (last // 2, 1), (last, 2)):  # first, a middle, the last
-        _, _, tw, th = cs.tile_bounds(stream.grid, index, stream.width, stream.height)
+        _, _, tw, th = cs.tile_bounds(stream.grid, index)
         top = [np.ones(h * w, dtype=np.int64) for h, w in cs._band_shapes(tw, th, 3)[-1]]
         coded = b"".join(map(encode_band, top))
         crossing = reference_varint_bytes([0, top[0].size + 1]) + (
@@ -1311,7 +1311,7 @@ def _reference_assemble(stream):
     """Full-resolution mosaic, one ``reference_decode_segments`` call per tile-component."""
     canvas = np.zeros((stream.height, stream.width, stream.components), dtype=np.uint8)
     for e in stream.entries:
-        x, y, tw, th = cs.tile_bounds(stream.grid, e.index, stream.width, stream.height)
+        x, y, tw, th = cs.tile_bounds(stream.grid, e.index)
         shapes = cs._band_shapes(tw, th, stream.levels)
         flat = [shape for seg in shapes for shape in seg]
         for c, lengths in enumerate(e.seg_lengths):

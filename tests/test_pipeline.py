@@ -397,15 +397,23 @@ def test_a_run_refuses_a_detector_on_another_tile_grid(monkeypatch):
     # the same boxes named as the table's tiles: those past tile 15 are off its grid
     with pytest.raises(ValueError, match="off the grid of 16 tiles"):
         FileDetector(finer_replay.annotations, grid)
-    # the table's 4x4 grid, but built for another frame: a 400x400 image, or a model of 8 levels
+    # a grid names its image: an oracle given another image size is refused when it is built
+    with pytest.raises(ValueError, match=r"100x100 does not match .* 512x512"):
+        OracleDetector(model, TileGrid.for_image(512, 512, 64, 64), 100, 100)
+    # the table's 4x4 tiles of 128x128 on another image (a 400x400 oracle, a replay made on a
+    # 500x500 grid), or the table's grid with a model of 8 levels on a table of 3
+    on_500 = TileGrid.for_image(500, 500, 128, 128)
     shallow = cs_mod.measure(img, grid, 3)
+    on_512 = r"is not the codestream's \(16 tiles of 128x128 on 512x512\)"
     for det, stream, named in (
         (OracleDetector(model, TileGrid.for_image(400, 400, 128, 128), 400, 400), table,
-         r"frame \(400x400, 5 levels\) is not the codestream's \(512x512, 5 levels\)"),
+         r"\(16 tiles of 128x128 on 400x400\) " + on_512),
+        (FileDetector(OracleDetector(model, on_500, 500, 500).detect(gt, 5, 3), on_500), table,
+         r"\(16 tiles of 128x128 on 500x500\) " + on_512),
         (OracleDetector(DetectorModel.default(8), grid, 512, 512), shallow,
-         r"frame \(512x512, 8 levels\) is not the codestream's \(512x512, 3 levels\)"),
+         r"depth \(8 levels\) is not the codestream's \(3 levels\)"),
     ):
-        assert det.grid == grid
+        assert (det.grid.tile_count, det.grid.tile_w, det.grid.tile_h) == (16, 128, 128)
         with pytest.raises(ValueError, match=named):
             run_baseline(img, grid, 5, ch, 30.0, 0, det, gt, 3, codestream=stream)
         with pytest.raises(ValueError, match=named):

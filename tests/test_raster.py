@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -99,11 +100,23 @@ def test_save_missing_directory_is_io_error(tmp_path):
 
 def test_tile_bounds_examples():
     grid = TileGrid.for_image(1024, 1024, 512, 512)
-    assert tile_bounds(grid, 0, 1024, 1024) == (0, 0, 512, 512)
+    assert tile_bounds(grid, 0) == (0, 0, 512, 512)
     grid = TileGrid.for_image(1000, 700, 512, 512)
-    assert tile_bounds(grid, 1, 1000, 700) == (512, 0, 488, 512)
+    assert tile_bounds(grid, 1) == (512, 0, 488, 512)
     with pytest.raises(IndexError):
-        tile_bounds(grid, grid.tile_count, 1000, 700)
+        tile_bounds(grid, grid.tile_count)
+
+
+def test_a_tile_grid_names_its_image():
+    grid = TileGrid(1000, 700, 512, 512)
+    assert grid == TileGrid.for_image(1000, 700, 512, 512)
+    assert (grid.tiles_x, grid.tiles_y, grid.tile_count) == (2, 2, 4)
+    # the same 2x2 tiles of 512x512 on another image are another grid
+    assert grid != TileGrid(1024, 1024, 512, 512)
+    assert dataclasses.replace(grid, width=1025).tile_count == 6
+    for sizes in ((0, 700, 512, 512), (1000, 700, 512, 0)):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            TileGrid(*sizes)
 
 
 def test_tiles_partition_image_exactly():
@@ -116,7 +129,7 @@ def test_tiles_partition_image_exactly():
         grid = TileGrid.for_image(w, h, tw, th)
         cover = np.zeros((h, w), dtype=np.int32)
         for i in range(grid.tile_count):
-            x, y, bw, bh = tile_bounds(grid, i, w, h)
+            x, y, bw, bh = tile_bounds(grid, i)
             assert bw >= 1 and bh >= 1
             cover[y : y + bh, x : x + bw] += 1
         assert (cover == 1).all()
