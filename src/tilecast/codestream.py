@@ -20,11 +20,11 @@ c < 0, always >= 1 for nonzero c). Every token is below 2**32 and both
 sides work in uint32: the writer takes only integer bands within int32
 (lifting keeps the codec's own below 129 * 2**15 at depth 7), and a run
 cannot outgrow its band; the reader refuses a larger token where it reads
-it. A tile-component's segments
-1..r are adjacent in the payload, and that run is the unit of reading:
-``Codestream.segments`` returns it, and ``extract`` builds
-sub-codestreams by copying each tile-component's run verbatim, since
-tiles, components and resolutions are byte-separable.
+it. A tile-component's segments 1..r are adjacent in the payload, and
+that run is the unit of reading: ``_runs`` alone turns segment lengths
+into runs, in one walk of the table in wire order, and ``extract``
+builds sub-codestreams by copying each tile-component's run verbatim,
+since tiles, components and resolutions are byte-separable.
 
 Every header and table, however made, passes the checks of
 ``CodestreamTable``'s constructor: the header rules, at least one tile,
@@ -71,8 +71,7 @@ import dataclasses
 import io
 import struct
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import accumulate, islice, pairwise
+from itertools import islice, pairwise
 
 import numpy as np
 
@@ -343,33 +342,12 @@ class CodestreamTable:
     def grid(self) -> TileGrid:
         return TileGrid.for_image(self.width, self.height, self.tile_w, self.tile_h)
 
-    def entry_for(self, index: int) -> TileEntry:
-        e = self._index_map.get(index)
-        if e is None:
-            raise CodestreamError(f"tile {index} not present in codestream")
-        return e
-
-    @cached_property
-    def _index_map(self) -> dict[int, TileEntry]:
-        return {e.index: e for e in self.entries}
-
 
 @dataclass(frozen=True)
 class Codestream(CodestreamTable):
     """A table plus its payload: the segments, concatenated in table order."""
 
     payload: bytes
-
-    def segments(self, index: int, component: int, resolution: int) -> memoryview:
-        """Segments 1..resolution of a tile-component: one run of the payload."""
-        comps = self.entry_for(index).seg_lengths
-        pos = self._tile_starts[index] + sum(map(sum, comps[:component]))
-        return memoryview(self.payload)[pos : pos + sum(comps[component][:resolution])]
-
-    @cached_property
-    def _tile_starts(self) -> dict[int, int]:
-        sizes = (e.total(self.max_resolution) for e in self.entries)
-        return {e.index: pos for e, pos in zip(self.entries, accumulate(sizes, initial=0))}
 
 
 def _low(n: int, splits: int) -> int:
@@ -549,17 +527,18 @@ def encode(img: Image, grid: TileGrid, levels: int) -> Codestream:
 
     Consecutive tile-components are adjacent on the wire, so each batch
     of them is lifted with one ``forward_53`` call per tile size and
-    written by one ``encode_bands`` pass.
+    written by one ``encode_bands`` pass into one buffer; ``getvalue``
+    hands it over uncopied, so the payload is held once.
     """
-    chunks = []
+    payload = io.BytesIO()
 
     def coder(bands):
         coded, band_lengths = encode_bands(bands)
-        chunks.append(coded)
+        payload.write(coded)
         return band_lengths
 
     entries = _coded_entries(img, grid, levels, coder)
-    return Codestream(**_header(img, grid, levels), entries=entries, payload=b"".join(chunks))
+    return Codestream(**_header(img, grid, levels), entries=entries, payload=payload.getvalue())
 
 
 def measure(img: Image, grid: TileGrid, levels: int) -> CodestreamTable:
@@ -578,8 +557,10 @@ def _check_indices(cs: CodestreamTable, indices) -> list[int]:
     indices = list(indices)
     if len(set(indices)) != len(indices):
         raise CodestreamError("duplicate tile indices")
+    present = {e.index for e in cs.entries}
     for i in indices:
-        cs.entry_for(i)
+        if i not in present:
+            raise CodestreamError(f"tile {i} not present in codestream")
     return indices
 
 
@@ -588,6 +569,22 @@ def _check_resolution(cs: CodestreamTable, resolution: int) -> None:
         raise CodestreamError(
             f"resolution {resolution} not available (stream holds 1..{cs.max_resolution})"
         )
+
+
+def _runs(cs: Codestream, indices, resolution: int):
+    """Yield (tile index, component, segment lengths 1..resolution, run) of the given tiles.
+
+    The one walk from segment lengths to payload positions: the table in
+    wire order, with a running offset; a run is a ``memoryview`` slice.
+    """
+    wanted = set(indices)
+    payload, pos = memoryview(cs.payload), 0
+    for e in cs.entries:
+        for c, comp in enumerate(e.seg_lengths):
+            if e.index in wanted:
+                lengths = comp[:resolution]
+                yield e.index, c, lengths, payload[pos : pos + sum(lengths)]
+            pos += sum(comp)
 
 
 def _planes(cs: Codestream, indices, resolution: int):
@@ -604,24 +601,22 @@ def _planes(cs: Codestream, indices, resolution: int):
     and a tile's planes come in component order.
     """
     grid = cs.grid
-    units = []  # (tile index, component, tile size)
+    units = []  # (tile index, component, tile size, segment lengths, run)
     shapes = {}  # tile size -> band shapes per segment
-    for index in sorted(indices):
+    for index, c, lengths, run in _runs(cs, indices, resolution):
         size = tile_bounds(grid, index)[2:]
         if size not in shapes:
             shapes[size] = _band_shapes(*size, cs.levels)[:resolution]
-        units += ((index, c, size) for c in range(cs.components))
+        units.append((index, c, size, lengths, run))
     band_counts = {size: [h * w for shp in segs for h, w in shp] for size, segs in shapes.items()}
     nbands = 3 * resolution - 2  # per tile-component
     for batch in _batches(units, lambda unit: sum(band_counts[unit[2]])):
-        runs, counts, segments = [], [], []
-        for index, c, size in batch:
-            runs.append(cs.segments(index, c, resolution))
+        counts, segments = [], []
+        for _, _, size, lengths, _ in batch:
             counts += band_counts[size]
-            lengths = cs.entry_for(index).seg_lengths[c]
             segments += ((n, len(shp)) for n, shp in zip(lengths, shapes[size]))
-        bands = decode_bands(b"".join(runs), counts, segments)
-        for size, group in _shape_groups(size for _, _, size in batch):
+        bands = decode_bands(b"".join(unit[4] for unit in batch), counts, segments)
+        for size, group in _shape_groups(unit[2] for unit in batch):
             ll, *details = [
                 _stack([bands[pos * nbands + j] for pos in group]).reshape(len(group), *shape)
                 for j, shape in enumerate(shape for shp in shapes[size] for shape in shp)
@@ -660,14 +655,13 @@ def extract(cs: Codestream, indices, resolution: int) -> Codestream:
     """
     indices = _check_indices(cs, indices)
     _check_resolution(cs, resolution)
-    entries = []
-    chunks = []
-    for index in sorted(indices):
-        comps = cs.entry_for(index).seg_lengths
-        entries.append(TileEntry(index, tuple(comp[:resolution] for comp in comps)))
-        chunks += (cs.segments(index, c, resolution) for c in range(cs.components))
+    comps, chunks = {}, []
+    for index, _, lengths, run in _runs(cs, indices, resolution):
+        comps.setdefault(index, []).append(lengths)
+        chunks.append(run)
+    entries = tuple(TileEntry(index, tuple(lengths)) for index, lengths in comps.items())
     return dataclasses.replace(
-        cs, max_resolution=resolution, entries=tuple(entries), payload=b"".join(chunks)
+        cs, max_resolution=resolution, entries=entries, payload=b"".join(chunks)
     )
 
 
@@ -676,9 +670,9 @@ def size_of(cs: CodestreamTable, indices, resolution: int) -> int:
 
     Counts segment bytes only; container header and table are excluded.
     """
-    indices = _check_indices(cs, indices)
+    wanted = set(_check_indices(cs, indices))
     _check_resolution(cs, resolution)
-    return sum(cs.entry_for(i).total(resolution) for i in indices)
+    return sum(e.total(resolution) for e in cs.entries if e.index in wanted)
 
 
 # --- serialization ------------------------------------------------------

@@ -28,7 +28,7 @@ from . import channel as ch_mod
 from . import codestream as cs_mod
 from .annotate import AnnotationSet, human_annotate
 from .channel import ChannelSpec, transmit
-from .metrics import TimelineEvent, TimelineReport, recall_by_step
+from .metrics import TimelineEvent, TimelineReport, human_time, recall_by_step
 from .metrics import recall  # noqa: F401  bench/spans.py traces pipeline.recall by name
 from .raster import GroundTruthBox, Image, TileGrid
 
@@ -188,7 +188,7 @@ def _human_timeline(
     recalls = recall_by_step(merged, first_step, len(selected), gt, iou_threshold)
     events = [TimelineEvent(dl_time, recalls[0], "DL")]
     for k in range(1, len(selected) + 1):
-        events.append(TimelineEvent(t_tr + mu_t_hum * k, recalls[k], f"HUM-tile-{k}"))
+        events.append(TimelineEvent(t_tr + human_time(k, mu_t_hum), recalls[k], f"HUM-tile-{k}"))
     return events, merged
 
 
@@ -204,13 +204,18 @@ def _run_plan(
     those tiles come back at ``cs.levels``: a zero-byte transfer when
     ``plan.lr`` is already full resolution. An infeasible plan sends
     nothing. A human time per tile that is not positive is refused
-    before any transfer, and so is a detector on another tile grid than
-    the table's (the grid names its image size, so this covers the
-    image too), whose tile indices would name other tiles, or an oracle
-    of another depth than the table's; a replay names no depth.
+    before any transfer, and so is a ground-truth box that leaves the
+    table's image, which no tile could hold, a detector on another tile
+    grid than the table's (the grid names its image size, so this covers
+    the image too), whose tile indices would name other tiles, or an
+    oracle of another depth than the table's; a replay names no depth.
     """
     if not mu_t_hum > 0:
         raise ValueError(f"mu_t_hum must be > 0, got {mu_t_hum!r}")
+    for b in gt:
+        if b.x + b.w > cs.width or b.y + b.h > cs.height:
+            raise ValueError(f"ground-truth object {b.object_id} at ({b.x}, {b.y}) size "
+                             f"{b.w}x{b.h} lies outside the {cs.width}x{cs.height} image")
     grid = cs.grid
     if detector.grid != grid:
         ours, theirs = (f"{g.tile_count} tiles of {g.tile_w}x{g.tile_h} on {g.width}x{g.height}"
@@ -236,7 +241,7 @@ def _run_plan(
     events, merged = _human_timeline(
         dl_anns, selected, gt, grid, dl_time, t_tr, mu_t_hum, iou_threshold
     )
-    timeline = TimelineReport(events=tuple(events), t_tr=t_tr, t_hum=mu_t_hum * len(selected))
+    timeline = TimelineReport(tuple(events), t_tr, human_time(len(selected), mu_t_hum))
     return RunResult(annotations=merged, plan=plan, timeline=timeline)
 
 

@@ -5,7 +5,6 @@ import os
 import struct
 import threading
 import tracemalloc
-from itertools import accumulate, pairwise
 
 import numpy as np
 import pytest
@@ -636,7 +635,8 @@ def test_writing_a_256_square_tile_component_peaks_below_2_5_mb():
 
 def test_decoding_holds_the_output_plus_one_batch():
     # below ~1.5 Mpx RGB one batch's working set (~4.4 MB) outweighs the
-    # output, so only a large image shows whether the output is held twice
+    # output, so only a large image shows whether the output is held twice;
+    # encode's output is its payload, held once
     img, _ = generate_scene(3, 2048, 2048, 40)
     stream = encode(img, TileGrid.for_image(2048, 2048, 256, 256), 5)
     assembled = _traced_excess(lambda: cs.assemble(stream, 5), lambda out: out.pixels.nbytes)
@@ -644,8 +644,13 @@ def test_decoding_holds_the_output_plus_one_batch():
         lambda: decode(stream, range(stream.tile_count), 5),
         lambda out: sum(tile.pixels.nbytes for _, tile in out),
     )
+    encoded = _traced_excess(
+        lambda: encode(img, TileGrid.for_image(2048, 2048, 256, 256), 5),
+        lambda out: len(out.payload),
+    )
     assert assembled <= 8_000_000
     assert decoded <= 8_000_000
+    assert encoded <= 8_000_000
 
 
 def test_decode_dimensions_follow_dyadic_rule():
@@ -1251,18 +1256,33 @@ def test_a_batch_lifts_one_stack_per_tile_shape():
             assert len(lifts) < everything / 10
 
 
+def _segments_of(stream):
+    """Each tile-component's segments as bytes, keyed by (tile index, component).
+
+    The payload is walked here with its own running offset, so a
+    reference built on this shares no offset code with the reader.
+    """
+    segments, pos = {}, 0
+    for e in stream.entries:
+        for c, lengths in enumerate(e.seg_lengths):
+            segments[e.index, c] = []
+            for n in lengths:
+                segments[e.index, c].append(stream.payload[pos : pos + n])
+                pos += n
+    return segments
+
+
 def _with_segments(stream, replace):
     """``stream`` with some tile-components' segments replaced, parsed back from bytes.
 
     ``replace`` maps (tile index, component) to the new segments' bytes.
     """
     entries, chunks = [], []
+    segments = _segments_of(stream)
     for e in stream.entries:
         comps = []
-        for c, lengths in enumerate(e.seg_lengths):
-            run = bytes(stream.segments(e.index, c, stream.max_resolution))
-            segs = [run[a:b] for a, b in pairwise(accumulate(lengths, initial=0))]
-            segs = replace.get((e.index, c), segs)
+        for c in range(stream.components):
+            segs = replace.get((e.index, c), segments[e.index, c])
             comps.append(tuple(map(len, segs)))
             chunks += segs
         entries.append(cs.TileEntry(e.index, tuple(comps)))
@@ -1294,11 +1314,9 @@ def test_a_fault_anywhere_in_a_batch_is_refused():
             "crosses a band": crossing,
             "short": coded[:-1],
         }
-        run = bytes(stream.segments(index, c, 3))
-        low, mid, _ = stream.entry_for(index).seg_lengths[c]
+        low, mid, _ = _segments_of(stream)[index, c]
         for message, top_segment in faults.items():
-            bad = _with_segments(
-                stream, {(index, c): [run[:low], run[low : low + mid], top_segment]})
+            bad = _with_segments(stream, {(index, c): [low, mid, top_segment]})
             with pytest.raises(CodestreamError, match=message):
                 cs.assemble(bad, 3)
             with pytest.raises(CodestreamError, match=message):
@@ -1310,13 +1328,14 @@ def test_a_fault_anywhere_in_a_batch_is_refused():
 def _reference_assemble(stream):
     """Full-resolution mosaic, one ``reference_decode_segments`` call per tile-component."""
     canvas = np.zeros((stream.height, stream.width, stream.components), dtype=np.uint8)
+    segments = _segments_of(stream)
     for e in stream.entries:
         x, y, tw, th = cs.tile_bounds(stream.grid, e.index)
         shapes = cs._band_shapes(tw, th, stream.levels)
         flat = [shape for seg in shapes for shape in seg]
         for c, lengths in enumerate(e.seg_lengths):
             bands = reference_decode_segments(
-                stream.segments(e.index, c, stream.levels), [h * w for h, w in flat],
+                b"".join(segments[e.index, c]), [h * w for h, w in flat],
                 [(n, len(seg)) for n, seg in zip(lengths, shapes)])
             ll, *details = [band.reshape(shape) for band, shape in zip(bands, flat)]
             pyramid = cs.wavelet.CoefficientPyramid(

@@ -369,6 +369,32 @@ def test_a_run_refuses_a_non_positive_human_time(monkeypatch, mu, streamlined):
             run_baseline(img, grid, levels, ch, mu, 3, det, gt, 1, codestream=stream)
 
 
+@pytest.mark.parametrize("streamlined", [False, True])
+def test_a_run_refuses_ground_truth_outside_the_image(monkeypatch, streamlined):
+    img, gt, grid, stream, levels = make_scene()
+    det = perfect_detector(grid, 256, levels)
+    ch = ChannelSpec(data_rate=1e9, t_tr_limit=100)
+
+    def run(truth):
+        if streamlined:
+            return run_streamlined(img, grid, levels, ch, 30.0, 300.0, det, truth, 1,
+                                   codestream=stream)
+        return run_baseline(img, grid, levels, ch, 30.0, 16, det, truth, 1, codestream=stream)
+
+    # a box that ends on the image's last row and column is inside it
+    corner = GroundTruthBox(98, 0, 236, 236, 20, 20)
+    assert run([*gt, corner]).timeline.final_recall == 1.0
+
+    def no_transfer(*args, **kwargs):
+        raise AssertionError("a transfer before the ground truth was checked")
+
+    monkeypatch.setattr(pipeline_mod, "transmit", no_transfer)
+    outside = GroundTruthBox(99, 0, 300, 10, 20, 20)
+    with pytest.raises(ValueError, match=r"^ground-truth object 99 at \(300, 10\) size 20x20 "
+                                         r"lies outside the 256x256 image$"):
+        run([*gt, outside])
+
+
 def test_a_run_refuses_a_detector_on_another_tile_grid(monkeypatch):
     img, gt = generate_scene(3, 512, 512, 12)
     grid = TileGrid.for_image(512, 512, 128, 128)
