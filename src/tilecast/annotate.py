@@ -240,9 +240,13 @@ def human_annotate(
 
     Emits every ground-truth box intersecting a chosen tile, once, with
     exact coordinates and confidence 1.0; its tile is the first chosen
-    tile it meets. Time accounting is the pipeline's job.
+    tile it meets. A tile off ``grid`` raises ``ValueError``. Time
+    accounting is the pipeline's job.
     """
     chosen = list(dict.fromkeys(tiles))
+    off = [t for t in chosen if not 0 <= t < grid.tile_count]
+    if off:
+        raise ValueError(f"annotation of tile {off[0]}, off the grid of {grid.tile_count} tiles")
     if not chosen or not gt:
         return AnnotationSet()
     rects = []

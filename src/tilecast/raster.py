@@ -27,8 +27,8 @@ class ImageIOError(ValueError):
 class Image:
     """An 8-bit raster with 1 or 3 interleaved components.
 
-    Accepts a 2-D (grayscale) or 3-D (h, w, c) uint8-compatible array;
-    grayscale input is normalized to shape (h, w, 1).
+    Accepts a 2-D (grayscale) or 3-D (h, w, c) uint8 array; grayscale
+    input is normalized to shape (h, w, 1). Equal by value, unhashable.
     """
 
     __slots__ = ("pixels",)
@@ -36,11 +36,7 @@ class Image:
     def __init__(self, pixels):
         arr = np.asarray(pixels)
         if arr.dtype != np.uint8:
-            if not np.issubdtype(arr.dtype, np.integer):
-                raise ValueError("pixel samples must be integers")
-            if arr.size and (arr.min() < 0 or arr.max() > 255):
-                raise ValueError("pixel samples out of 8-bit range")
-            arr = arr.astype(np.uint8)
+            raise ValueError(f"pixel samples must be uint8, got {arr.dtype}")
         if arr.ndim == 2:
             arr = arr[:, :, np.newaxis]
         if arr.ndim != 3:
@@ -72,9 +68,6 @@ class Image:
         return self.pixels.shape == other.pixels.shape and np.array_equal(
             self.pixels, other.pixels
         )
-
-    def __hash__(self):
-        return hash((self.pixels.shape, self.samples))
 
     def __repr__(self) -> str:
         return f"Image({self.width}x{self.height}x{self.components})"
@@ -159,37 +152,47 @@ _PNM_SEP = rb"(?:\s|#[^\r\n]*[\r\n])+"
 _PNM_HEADER = re.compile(
     rb"^(P[56])" + _PNM_SEP + rb"(\d+)" + _PNM_SEP + rb"(\d+)" + _PNM_SEP + rb"(\d+)\s"
 )
+_PNM_HEADER_MAX = 1 << 16  # bytes a header may take, comments included
 
 
 def load_image(path) -> Image:
-    """Read a binary PGM (P5) or PPM (P6) file with maxval 255."""
+    """Read a binary PGM (P5) or PPM (P6) file with maxval 255.
+
+    The header must end within the first 64 KiB. It is checked, pixel
+    count and the file's size included, before the raster is read, once.
+    A source that cannot report its size, such as a pipe, is read whole.
+    """
     with open(path, "rb") as fh:
-        data = fh.read()
-    m = _PNM_HEADER.match(data)
-    if m is None:
-        if data[:2] in (b"P5", b"P6"):
-            raise ImageIOError(f"{path}: malformed PNM header")
-        raise ImageIOError(f"{path}: not a binary PGM/PPM (P5/P6) file")
-    try:
-        width, height, maxval = (int(v) for v in m.group(2, 3, 4))
-    except ValueError:  # more digits than int() converts
-        raise ImageIOError(f"{path}: malformed PNM header") from None
-    magic = m.group(1)
-    if maxval != 255:
-        raise ImageIOError(f"{path}: unsupported maxval {maxval} (must be 255)")
-    if width < 1 or height < 1:
-        raise ImageIOError(f"{path}: degenerate dimensions {width}x{height}")
-    components = 1 if magic == b"P5" else 3
-    payload = data[m.end():]
-    expected = width * height * components
-    if len(payload) < expected:
-        raise ImageIOError(
-            f"{path}: truncated payload: expected {expected} bytes, found {len(payload)}"
-        )
-    if len(payload) > expected:
+        src = fh if fh.seekable() else io.BytesIO(fh.read())
+        head = src.read(_PNM_HEADER_MAX)
+        size = src.seek(0, io.SEEK_END)
+        m = _PNM_HEADER.match(head)
+        if m is None:
+            if head[:2] in (b"P5", b"P6"):
+                raise ImageIOError(f"{path}: malformed PNM header")
+            raise ImageIOError(f"{path}: not a binary PGM/PPM (P5/P6) file")
+        try:
+            width, height, maxval = (int(v) for v in m.group(2, 3, 4))
+        except ValueError:  # more digits than int() converts
+            raise ImageIOError(f"{path}: malformed PNM header") from None
+        if maxval != 255:
+            raise ImageIOError(f"{path}: unsupported maxval {maxval} (must be 255)")
+        if width < 1 or height < 1:
+            raise ImageIOError(f"{path}: degenerate dimensions {width}x{height}")
+        if width * height > MAX_PIXELS:
+            raise ImageIOError(f"{path}: image of {width}x{height} exceeds {MAX_PIXELS} pixels")
+        components = 1 if m.group(1) == b"P5" else 3
+        expected = width * height * components
+        found = size - m.end()
+        if found == expected:
+            src.seek(m.end())
+            payload = src.read(expected)
+            found = len(payload)  # fewer if the file shrank since its size was taken
+    if found < expected:
+        raise ImageIOError(f"{path}: truncated payload: expected {expected} bytes, found {found}")
+    if found > expected:
         raise ImageIOError(f"{path}: trailing data after pixel payload")
-    arr = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, components)
-    return Image(arr)
+    return Image(np.frombuffer(payload, dtype=np.uint8).reshape(height, width, components))
 
 
 def save_image(img: Image, path) -> None:

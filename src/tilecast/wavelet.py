@@ -66,33 +66,22 @@ class CoefficientPyramid:
     """Wavelet coefficients of one grid, or of a stack of same-shape grids.
 
     ``ll`` is the deepest low-pass band. ``details[i]`` holds the
-    (HL, LH, HH) bands at depth ``depth - i``, i.e. synthesis order:
-    merging ``ll`` with ``details[0]`` yields the LL band one level up.
-    The bands of a stack carry a leading axis, one entry per grid.
+    (HL, LH, HH) bands at depth ``len(details) - i``, i.e. synthesis
+    order: merging ``ll`` with ``details[0]`` yields the LL band one
+    level up. The bands of a stack carry a leading axis, one entry per
+    grid.
     """
 
     ll: Band
     details: tuple[DetailBands, ...]
 
-    @property
-    def depth(self) -> int:
-        return len(self.details)
-
-    @property
-    def levels(self) -> int:
-        """Number of addressable resolution levels (depth + 1)."""
-        return len(self.details) + 1
-
 
 def _integral_grid(a) -> np.ndarray:
-    """``a`` as a grid, or a stack of grids, of whole numbers; floats must be integral."""
+    """``a`` as a grid, or a stack of grids, of a bool or integer dtype."""
     arr = np.asarray(a)
     if arr.ndim not in (2, 3):
         raise ValueError(f"expected a 2-D grid or a 3-D stack of grids, got ndim={arr.ndim}")
-    if arr.dtype.kind == "f":
-        if not (np.isfinite(arr).all() and (arr == np.trunc(arr)).all()):
-            raise ValueError("grid holds a non-integral value")
-    elif arr.dtype.kind not in "biu":
+    if arr.dtype.kind not in "biu":
         raise ValueError(f"expected an integer grid, got dtype {arr.dtype}")
     return arr
 
@@ -201,11 +190,11 @@ def forward_53(samples, depth: int) -> CoefficientPyramid:
     band of ``forward_53(samples[k], depth)``. ``depth`` 0 returns the
     input unchanged as a single LL band. Input is expected DC-shifted
     (e.g. 8-bit value - 128) when coding images, but any integer grid
-    is accepted, and so is a float grid of whole numbers; a
-    non-integral value raises ``ValueError``, and so does a grid too
-    large for exact lifting in int64. The bands come out in the
-    working width: int32 when the peak magnitude of the whole input
-    and ``depth`` keep every lifted value inside it (see the module
+    (bool, signed or unsigned) is accepted; a grid of another dtype,
+    float included, raises ``ValueError``, and so does a grid too large
+    for exact lifting in int64. The bands come out in the working
+    width: int32 when the peak magnitude of the whole input and
+    ``depth`` keep every lifted value inside it (see the module
     docstring), else int64.
     """
     grid = _integral_grid(samples)

@@ -105,6 +105,9 @@ def reference_oracle_detect(gt, resolution, model, seed, grid):
 
 def reference_human_annotate(tiles, gt, grid):
     chosen = list(dict.fromkeys(tiles))
+    for t in chosen:
+        if not 0 <= t < grid.tile_count:
+            raise ValueError(f"annotation of tile {t}, off the grid of {grid.tile_count} tiles")
     boxes = []
     for g in gt:
         for t in chosen:

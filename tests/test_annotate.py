@@ -141,6 +141,15 @@ def test_human_annotate_cases():
     assert {(b.x, b.y) for b in both.boxes} == {(10.0, 10.0), (20.0, 30.0), (60.0, 10.0)}
 
 
+def test_human_annotate_refuses_a_tile_off_its_grid():
+    grid = TileGrid.for_image(256, 256, 128, 128)
+    gt = [GroundTruthBox(0, 0, 10, 10, 20, 20), GroundTruthBox(1, 0, 300, 300, 20, 20)]
+    for tiles, off in (([20], 20), ([-1], -1), ([0, 4, 1], 4), ([3, 3, 12, -2], 12)):
+        for truth in (gt, []):
+            with pytest.raises(ValueError, match=re.escape(f"tile {off}, off the grid of 4 tiles")):
+                human_annotate(tiles, truth, grid)
+
+
 def test_human_annotate_recall_on_chosen_tiles_is_total():
     rng = np.random.default_rng(4)
     grid = TileGrid.for_image(512, 512, 64, 64)
@@ -202,6 +211,13 @@ def test_file_detect_names_path_and_line_of_unreadable_rows(tmp_path):
         with pytest.raises(ValueError, match=re.escape(f"{path}: line 3: {message}")) as info:
             file_detect(path, grid)
         assert type(info.value) is ValueError
+
+
+def test_file_detect_names_an_unknown_source(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("tile_index,class_id,x,y,w,h,confidence,source\n3,0,1,1,4,2,0.5,XYZ\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: line 2: unknown source 'XYZ'")):
+        file_detect(path, TileGrid.for_image(256, 256, 64, 64))
 
 
 _DETECTION_FIELDS = ["0", "3", "99", "-1", "0.5", "1.0", "1.5", "nan", "inf", "DL", "HUM", "", "x"]

@@ -393,6 +393,56 @@ def test_global_flags_accepted_after_subcommand(tmp_path):
     assert (before / "grid.csv").read_bytes() == (after / "grid.csv").read_bytes()
 
 
+def test_run_seed_overrides_the_config_before_or_after_the_subcommand(tmp_path):
+    cfg = write_cfg(tmp_path)
+    grids = {}
+    for name, argv in (("default", ["run", cfg]), ("before", ["--seed", "9", "run", cfg]),
+                       ("after", ["run", cfg, "--seed", "9"])):
+        out = tmp_path / name
+        assert main(["--quiet", "--out-dir", str(out), *argv]) == 0
+        grids[name] = (out / "grid.csv").read_bytes()
+    assert grids["before"] == grids["after"] != grids["default"]
+
+
+def test_a_relative_output_lands_under_out_dir(tmp_path, scene, monkeypatch):
+    _, _, ipath, _ = scene
+    out, cwd = tmp_path / "out", tmp_path / "cwd"
+    out.mkdir()
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    assert run("--out-dir", out, "gen-scene", "-o", "s.ppm", "--gt", "s.csv", "--width", 64,
+               "--height", 48, "--objects", 2, "--size-range", 8, 16) == 0
+    assert run("--out-dir", out, "encode", ipath, "-o", "a.ssc", "--tile-w", 32, "--tile-h", 32,
+               "--levels", 3) == 0
+    assert run("--out-dir", out, "extract", out / "a.ssc", "-o", "sub.ssc", "--res", 2,
+               "--tiles", "1,2") == 0
+    assert run("--out-dir", out, "decode", out / "a.ssc", "-o", "back.ppm") == 0
+    assert run("--out-dir", out, "decode", out / "sub.ssc", "-o", "t.ppm") == 0
+    assert sorted(os.listdir(out)) == [
+        "a.ssc", "back.ppm", "s.csv", "s.ppm", "sub.ssc", "t_t1.ppm", "t_t2.ppm"]
+    assert os.listdir(cwd) == []
+    assert raster.load_image(out / "back.ppm") == raster.load_image(ipath)
+
+
+def test_each_file_command_prints_one_summary_line(tmp_path, capsys):
+    scene_path, ssc, sub, back = (tmp_path / n for n in ("s.ppm", "a.ssc", "sub.ssc", "b.ppm"))
+
+    def lines(*argv):
+        assert main(list(map(str, argv))) == 0
+        return capsys.readouterr().out.splitlines()
+
+    assert lines("gen-scene", "-o", scene_path, "--width", 64, "--height", 48, "--objects", 2,
+                 "--size-range", 8, 16) == [f"{scene_path}: 64x48, 2 objects"]
+    printed = lines("encode", scene_path, "-o", ssc, "--tile-w", 32, "--tile-h", 32,
+                    "--levels", 3)
+    payload = len(cs_mod.parse_codestream(str(ssc)).payload)
+    assert printed == [f"{ssc}: 4 tiles, 3 levels, {payload} payload bytes"]
+    printed = lines("extract", ssc, "-o", sub, "--res", 2, "--tiles", "1,2")
+    payload = len(cs_mod.parse_codestream(str(sub)).payload)
+    assert printed == [f"{sub}: 2 tiles at R<=2, {payload} payload bytes"]
+    assert lines("decode", ssc, "-o", back, "--res", 2) == [f"{back}: 32x24x3 at R=2"]
+
+
 def test_cli_error_paths(tmp_path, capsys):
     assert main(["info", str(tmp_path / "missing.ssc")]) == 1
     assert "error:" in capsys.readouterr().err

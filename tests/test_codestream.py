@@ -937,6 +937,19 @@ def test_parse_refuses_a_bad_table():
         parse_codestream(_table_blob(stream, [])[: -len(stream.payload)])
 
 
+def test_parse_refuses_a_header_of_zero_width():
+    blob = write_codestream(_small_stream())
+    assert parse_codestream(blob) == _small_stream()
+    with pytest.raises(CodestreamError, match="degenerate dimensions in header"):
+        parse_codestream(blob[:4] + struct.pack(">I", 0) + blob[8:])
+
+
+def test_assemble_refuses_a_codestream_missing_a_tile():
+    sub = extract(_small_stream(), [0, 3], 2)
+    with pytest.raises(CodestreamError, match="assemble requires a codestream holding every tile"):
+        cs.assemble(sub, 2)
+
+
 def _traced_peak(run) -> int:
     """``tracemalloc`` peak of ``run()``."""
     return _traced_excess(run, lambda out: 0)

@@ -1,6 +1,9 @@
 import dataclasses
 import math
+import os
 import re
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -75,6 +78,87 @@ def test_maxval_rejected(tmp_path):
     p.write_bytes(b"P5\n1 1\n65535\n\x00\x00")
     with pytest.raises(ImageIOError, match="maxval"):
         load_image(p)
+
+
+def _traced_peak(run) -> int:
+    """``tracemalloc`` peak of ``run()``."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _sparse(path, header, size):
+    """A file of ``size`` bytes: ``header``, then zeros that take no disk."""
+    path.write_bytes(header)
+    with open(path, "r+b") as fh:
+        fh.truncate(size)
+
+
+def test_a_header_is_checked_before_the_raster_is_read(tmp_path):
+    p = tmp_path / "big.pgm"
+
+    def refused(message):
+        with pytest.raises(ImageIOError, match=re.escape(f"{p}: {message}")):
+            load_image(p)
+
+    # one row over the pixel ceiling, with every raster byte present
+    header = b"P5\n8193 8192\n255\n"
+    _sparse(p, header, len(header) + 8193 * 8192)
+    assert _traced_peak(lambda: refused(f"image of 8193x8192 exceeds {MAX_PIXELS} pixels")) < 1 << 20
+    # a 1x1 image followed by 64 MB it does not declare
+    _sparse(p, b"P5 1 1 255\n", 64 << 20)
+    assert _traced_peak(lambda: refused("trailing data after pixel payload")) < 1 << 20
+    _sparse(p, b"P6 4096 4096 255\n", 1 << 20)
+    assert _traced_peak(lambda: refused(
+        f"truncated payload: expected {3 << 24} bytes, found {(1 << 20) - 17}")) < 1 << 20
+
+
+def test_a_header_longer_than_64_kib_is_malformed(tmp_path):
+    p = tmp_path / "c.pgm"
+    for comment, loads in ((b"#" * ((1 << 16) - 20), True), (b"#" * (1 << 16), False)):
+        p.write_bytes(b"P5\n" + comment + b"\n1 1\n255\n\x07")
+        if loads:
+            assert load_image(p).samples == b"\x07"
+        else:
+            with pytest.raises(ImageIOError, match=re.escape(f"{p}: malformed PNM header")):
+                load_image(p)
+
+
+def test_loading_reads_the_raster_once(tmp_path):
+    img = Image(np.random.default_rng(2).integers(0, 256, size=(512, 768, 3), dtype=np.uint8))
+    p = tmp_path / "a.ppm"
+    save_image(img, p)
+    loaded = []
+    peak = _traced_peak(lambda: loaded.append(load_image(p)))
+    assert loaded == [img]
+    # the raster is 1.125 MiB; reading the file whole, then slicing it, held two
+    assert peak - img.pixels.nbytes < 1 << 17
+
+
+def test_a_pipe_is_read_whole(tmp_path):
+    img = Image(np.arange(60, dtype=np.uint8).reshape(4, 5, 3))
+    p = tmp_path / "a.ppm"
+    save_image(img, p)
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=lambda: fifo.write_bytes(p.read_bytes()), daemon=True)
+    writer.start()
+    assert load_image(fifo) == img
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+
+
+def test_an_image_takes_uint8_samples_only():
+    for dtype in (np.int64, np.uint16, np.float64, np.bool_):
+        with pytest.raises(ValueError, match=f"pixel samples must be uint8, got {np.dtype(dtype)}"):
+            Image(np.zeros((2, 2), dtype))
+    img = Image(np.zeros((2, 3), np.uint8))
+    assert img.pixels.shape == (2, 3, 1)
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(img)
 
 
 def test_save_load_round_trip(tmp_path):
@@ -207,6 +291,13 @@ def test_ground_truth_names_path_and_line_of_unreadable_rows(tmp_path):
         load_ground_truth(p)
     p.write_bytes(header + b"0,1,2,3,4,5\n1,1,2,3,\xff,5\n")
     with pytest.raises(ImageIOError, match=re.escape(f"{p}: line 3: not UTF-8")):
+        load_ground_truth(p)
+
+
+def test_a_degenerate_ground_truth_box_names_path_and_line(tmp_path):
+    p = tmp_path / "gt.csv"
+    p.write_text("object_id,class_id,x,y,w,h\n0,1,2,3,4,5\n1,1,2,3,0,5\n")
+    with pytest.raises(ImageIOError, match=re.escape(f"{p}: line 3: degenerate ground-truth box 0x5")):
         load_ground_truth(p)
 
 

@@ -35,7 +35,7 @@ def test_inverse_of_hand_pyramid():
 def test_depth_zero_is_identity():
     g = np.arange(12).reshape(3, 4)
     pyr = forward_53(g, 0)
-    assert pyr.depth == 0
+    assert pyr.details == ()
     assert np.array_equal(pyr.ll, g)
     assert np.array_equal(inverse_53(pyr), g)
 
@@ -177,16 +177,25 @@ def test_every_small_shape_matches_scalar_reference():
 
 
 def test_non_integral_input_is_refused():
-    # the lifting used to truncate these to [[0, 1], [2, -3]] without a word
-    for bad in ([[0.5, 1.7], [2.2, -3.9]], [[1.0, np.nan]], [[np.inf, 0.0]]):
-        with pytest.raises(ValueError, match="non-integral"):
+    # the lifting used to truncate these to [[0, 1], [2, -3]] without a word;
+    # a float grid is refused by its dtype, whole numbers included
+    whole = [[1.0, -2.0, 3.0], [4.0, 5.0, -6.0]]
+    for bad in ([[0.5, 1.7], [2.2, -3.9]], [[1.0, np.nan]], [[np.inf, 0.0]], whole):
+        with pytest.raises(ValueError, match="integer grid, got dtype float64"):
             forward_53(bad, 1)
-    with pytest.raises(ValueError, match="non-integral"):
+    with pytest.raises(ValueError, match="integer grid"):
         inverse_53(CoefficientPyramid(ll=np.array([[0.5]]), details=()))
     with pytest.raises(ValueError, match="integer grid"):
         forward_53(np.array([["a", "b"]]), 1)
-    whole = [[1.0, -2.0, 3.0], [4.0, 5.0, -6.0]]
-    assert inverse_53(forward_53(whole, 1)).tolist() == whole
+
+
+def test_the_lifting_takes_integer_grids_only():
+    g = [[1, 0, 1], [0, 1, 1]]
+    for dtype in (np.bool_, np.int8, np.uint8, np.int64, np.uint64):
+        assert inverse_53(forward_53(np.array(g, dtype=dtype), 1)).tolist() == g
+    for bad in ([[1.0]], np.ones((2, 2), np.float32), np.ones((2, 2), complex)):
+        with pytest.raises(ValueError, match="expected an integer grid"):
+            forward_53(bad, 0)
 
 
 def _extreme_patterns(h, w):
