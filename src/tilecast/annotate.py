@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import compress
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -63,20 +63,97 @@ class DetectionBox:
             raise ValueError("human annotations must have confidence 1.0")
 
 
-@dataclass(frozen=True)
+_COLUMNS = ("tile", "class_id", "x", "y", "w", "h", "confidence", "human")
+_INT64_MIN, _INT64_END = -(2**63), 2**63
+
+
 class AnnotationSet:
-    """Detections; human boxes always carry confidence 1.0."""
+    """Detections as columns: one read-only array per field, in box order.
 
-    boxes: tuple[DetectionBox, ...] = field(default_factory=tuple)
+    ``tile`` and ``class_id`` are int64; ``x``, ``y``, ``w``, ``h`` and
+    ``confidence`` are float64; ``human`` is bool, True for a human
+    (``HUM``) box and False for a detector (``DL``) one. Human boxes
+    always carry confidence 1.0.
 
-    def __post_init__(self):
-        object.__setattr__(self, "boxes", tuple(self.boxes))
+    ``AnnotationSet(boxes)`` takes ``DetectionBox``es, each checked when
+    it was built, and refuses a tile or class id outside int64. The
+    annotators build their columns directly with ``from_columns``, which
+    checks them once with array operations. ``boxes`` is a per-box view,
+    built from the columns on each access. Sets compare by their columns
+    and are unhashable.
+    """
+
+    __slots__ = _COLUMNS
+    __hash__ = None
+
+    def __init__(self, boxes: Iterable[DetectionBox] = ()):
+        boxes = tuple(boxes)
+        for name, field in (("tile", "tile_index"), ("class_id", "class_id")):
+            values = [getattr(b, field) for b in boxes]
+            for v in values:
+                if not _INT64_MIN <= v < _INT64_END:
+                    raise ValueError(f"{field} {v} outside int64")
+            self._put(name, np.array(values, dtype=np.int64))
+        for name in ("x", "y", "w", "h", "confidence"):
+            self._put(name, np.array([getattr(b, name) for b in boxes], dtype=np.float64))
+        self._put("human", np.array([b.source == SOURCE_HUM for b in boxes], dtype=bool))
+
+    def _put(self, name, column):
+        column.flags.writeable = False
+        setattr(self, name, column)
+
+    @classmethod
+    def _of(cls, *columns) -> "AnnotationSet":
+        """A set of columns known to be good, in ``_COLUMNS`` order."""
+        anns = cls.__new__(cls)
+        for name, column in zip(_COLUMNS, columns):
+            anns._put(name, column)
+        return anns
+
+    @classmethod
+    def from_columns(cls, tile, class_id, x, y, w, h, confidence, human) -> "AnnotationSet":
+        """A set from its columns, checked once with array operations.
+
+        The checks are ``DetectionBox``'s: the first box that fails one
+        raises the message building that box alone would.
+        """
+        ints = [np.array(c, dtype=np.int64) for c in (tile, class_id)]
+        floats = [np.array(c, dtype=np.float64) for c in (x, y, w, h, confidence)]
+        human = np.array(human, dtype=bool)
+        x, y, w, h, confidence = floats
+        if len({len(c) for c in (*ints, *floats, human)}) != 1:
+            raise ValueError("columns of different lengths")
+        good = (
+            (0.0 <= confidence) & (confidence <= 1.0)
+            & np.isfinite(x) & np.isfinite(y) & (1 <= w) & (w < math.inf) & (1 <= h) & (h < math.inf)
+            & ((confidence == 1.0) | ~human)
+        )
+        if not good.all():
+            i = int(good.argmin())
+            row = [c[i].item() for c in (*ints, *floats)]
+            DetectionBox(*row, SOURCE_HUM if human[i] else SOURCE_DL)  # raises its message
+        return cls._of(*ints, *floats, human)
+
+    @property
+    def boxes(self) -> tuple[DetectionBox, ...]:
+        rows = zip(*(getattr(self, name).tolist() for name in _COLUMNS))
+        return tuple(DetectionBox(*row[:-1], SOURCE_HUM if row[-1] else SOURCE_DL)
+                     for row in rows)
 
     def __len__(self) -> int:
-        return len(self.boxes)
+        return len(self.tile)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, AnnotationSet):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, n), getattr(other, n)) for n in _COLUMNS)
+
+    def __repr__(self) -> str:
+        return f"AnnotationSet(boxes={self.boxes!r})"
 
     def merged_with(self, other: "AnnotationSet") -> "AnnotationSet":
-        return AnnotationSet(self.boxes + other.boxes)
+        return AnnotationSet._of(
+            *(np.concatenate((getattr(self, n), getattr(other, n))) for n in _COLUMNS))
 
 
 @dataclass(frozen=True)
@@ -174,7 +251,8 @@ def oracle_detect(
     ``math``'s, so the boxes are the per-object rule's bit for bit. A
     tile sprouts false positives only when its first uniform exceeds
     exp(-fp_rate); only such tiles run their Poisson count and boxes on
-    a ``rng.Stream``.
+    a ``rng.Stream``. The set's columns hold the hits in ground-truth
+    order, then the false positives tile by tile.
     """
     if not 1 <= resolution <= model.levels:
         raise ValueError(f"resolution {resolution} outside 1..{model.levels}")
@@ -203,14 +281,10 @@ def oracle_detect(
     x = _min(_max(x, 0.0), grid.width - w)
     y = _min(_max(y, 0.0), grid.height - h)
     conf = _min(_max(c_mean + model.conf_sigma * gc, 0.0), 1.0)
-    boxes = [
-        DetectionBox(home, gt[i].class_id, *box, SOURCE_DL)
-        for i, home, *box in zip(
-            hits.tolist(), homes[hits].tolist(),
-            x.tolist(), y.tolist(), w.tolist(), h.tolist(), conf.tolist(),
-        )
-    ]
+    class_ids = np.array([g.class_id for g in gt], dtype=np.int64)
+    columns = [homes[hits], class_ids[hits], x, y, w, h, conf]
 
+    false_positives = []
     if model.fp_rate > 0:
         tiles = range(grid.tile_count)
         firsts = rng.stream_draws((seed, rng.DOMAIN_FALSE_POSITIVE), tiles, (resolution,), 1)
@@ -229,8 +303,10 @@ def oracle_detect(
                 gc, _ = st.normal_pair()
                 conf = min(max(c_mean / 2 + model.conf_sigma * gc, 0.0), 1.0)
                 class_id = st.below(_NUM_CLASSES)
-                boxes.append(DetectionBox(t, class_id, float(x), float(y), w, h, conf, SOURCE_DL))
-    return AnnotationSet(tuple(boxes))
+                false_positives.append((t, class_id, float(x), float(y), w, h, conf))
+    if false_positives:
+        columns = [np.concatenate((c, f)) for c, f in zip(columns, zip(*false_positives))]
+    return AnnotationSet.from_columns(*columns, np.zeros(len(columns[0]), dtype=bool))
 
 
 def human_annotate(
@@ -249,21 +325,17 @@ def human_annotate(
         raise ValueError(f"annotation of tile {off[0]}, off the grid of {grid.tile_count} tiles")
     if not chosen or not gt:
         return AnnotationSet()
-    rects = []
-    for t in chosen:
-        row, col = divmod(t, grid.tiles_x)
-        tx, ty = col * grid.tile_w, row * grid.tile_h
-        rects.append((tx, tx + grid.tile_w, ty, ty + grid.tile_h))
-    left, right, top, bottom = np.array(rects).T[:, None, :]
-    x0, x1, y0, y1 = np.array([(g.x, g.x + g.w, g.y, g.y + g.h) for g in gt]).T[:, :, None]
-    meets = (x0 < right) & (x1 > left) & (y0 < bottom) & (y1 > top)
-    first = meets.argmax(axis=1).tolist()
-    boxes = []
-    for i in np.flatnonzero(meets.any(axis=1)).tolist():
-        g = gt[i]
-        box = (float(g.x), float(g.y), float(g.w), float(g.h))
-        boxes.append(DetectionBox(chosen[first[i]], g.class_id, *box, 1.0, SOURCE_HUM))
-    return AnnotationSet(tuple(boxes))
+    tiles = np.array(chosen, dtype=np.int64)
+    rows, cols = np.divmod(tiles, grid.tiles_x)
+    left, top = cols * grid.tile_w, rows * grid.tile_h
+    # a ground-truth box lies in 0..MAX_PIXELS, so int64 and float64 hold it exactly
+    cxywh = np.array([(g.class_id, g.x, g.y, g.w, g.h) for g in gt], dtype=np.int64)
+    x, y, w, h = cxywh[:, 1:].T[:, :, None]
+    meets = (x < left + grid.tile_w) & (x + w > left) & (y < top + grid.tile_h) & (y + h > top)
+    hits = np.flatnonzero(meets.any(axis=1))
+    return AnnotationSet.from_columns(
+        tiles[meets[hits].argmax(axis=1)], cxywh[hits, 0], *cxywh[hits, 1:].T.astype(np.float64),
+        np.ones(len(hits)), np.ones(len(hits), dtype=bool))
 
 
 _DETECTIONS_HEADER = ["tile_index", "class_id", "x", "y", "w", "h", "confidence", "source"]
@@ -280,6 +352,8 @@ def file_detect(path, grid: TileGrid) -> AnnotationSet:
             x, y, w, h, conf = (float(v) for v in row[2:7])
         except ValueError:
             raise ValueError("malformed value") from None
+        if not _INT64_MIN <= class_id < _INT64_END:  # the class column is int64
+            raise ValueError("malformed value")
         if not 0 <= tile_index < grid.tile_count:
             raise ValueError(f"tile index {tile_index} out of range")
         return DetectionBox(tile_index, class_id, x, y, w, h, conf, row[7].strip())
@@ -293,10 +367,10 @@ def save_detections(path, anns: AnnotationSet) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_DETECTIONS_HEADER)
-        for b in anns.boxes:
-            writer.writerow(
-                [b.tile_index, b.class_id, repr(b.x), repr(b.y), repr(b.w), repr(b.h), repr(b.confidence), b.source]
-            )
+        # Python floats, whose repr is the shortest round trip ('1.0', not 'np.float64(1.0)')
+        columns = (getattr(anns, name).tolist() for name in _COLUMNS)
+        for tile, class_id, *xywhc, human in zip(*columns):
+            writer.writerow([tile, class_id, *map(repr, xywhc), SOURCE_HUM if human else SOURCE_DL])
 
 
 class OracleDetector:
@@ -332,8 +406,8 @@ class FileDetector:
     levels = None
 
     def __init__(self, annotations: AnnotationSet, grid: TileGrid):
-        off = [b.tile_index for b in annotations.boxes if not 0 <= b.tile_index < grid.tile_count]
-        if off:
+        off = annotations.tile[(annotations.tile < 0) | (annotations.tile >= grid.tile_count)]
+        if off.size:
             raise ValueError(f"detection on tile {off[0]}, off the grid of {grid.tile_count} tiles")
         self.annotations = annotations
         self.grid = grid

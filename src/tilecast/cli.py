@@ -42,10 +42,11 @@ def cmd_encode(args) -> int:
     img = raster.load_image(args.input)
     grid = raster.TileGrid.for_image(img.width, img.height, args.tile_w, args.tile_h)
     stream = cs_mod.encode(img, grid, args.levels)
-    cs_mod.write_codestream(stream, _out_path(args, args.output))
+    path = _out_path(args, args.output)
+    cs_mod.write_codestream(stream, path)
     if not args.quiet:
         print(
-            f"{args.output}: {grid.tile_count} tiles, {stream.levels} levels, "
+            f"{path}: {grid.tile_count} tiles, {stream.levels} levels, "
             f"{len(stream.payload)} payload bytes"
         )
     return 0
@@ -56,9 +57,10 @@ def cmd_decode(args) -> int:
     resolution = args.res if args.res is not None else stream.max_resolution
     if args.tiles is None and stream.tile_count == stream.grid.tile_count:
         img = cs_mod.assemble(stream, resolution)
-        raster.save_image(img, _out_path(args, args.output))
+        path = _out_path(args, args.output)
+        raster.save_image(img, path)
         if not args.quiet:
-            print(f"{args.output}: {img.width}x{img.height}x{img.components} at R={resolution}")
+            print(f"{path}: {img.width}x{img.height}x{img.components} at R={resolution}")
     else:
         # a partial codestream has no mosaic: write each decoded tile to its own file
         if args.tiles is None:
@@ -78,10 +80,11 @@ def cmd_decode(args) -> int:
 def cmd_extract(args) -> int:
     stream = cs_mod.parse_codestream(args.input)
     sub = cs_mod.extract(stream, _parse_tiles(args.tiles), args.res)
-    cs_mod.write_codestream(sub, _out_path(args, args.output))
+    path = _out_path(args, args.output)
+    cs_mod.write_codestream(sub, path)
     if not args.quiet:
         print(
-            f"{args.output}: {sub.tile_count} tiles at R<={sub.max_resolution}, "
+            f"{path}: {sub.tile_count} tiles at R<={sub.max_resolution}, "
             f"{len(sub.payload)} payload bytes"
         )
     return 0
@@ -110,11 +113,12 @@ def cmd_gen_scene(args) -> int:
     img, boxes = raster.generate_scene(
         args.seed, args.width, args.height, args.objects, tuple(args.size_range)
     )
-    raster.save_image(img, _out_path(args, args.output))
+    path = _out_path(args, args.output)
+    raster.save_image(img, path)
     if args.gt:
         raster.save_ground_truth(_out_path(args, args.gt), boxes)
     if not args.quiet:
-        print(f"{args.output}: {img.width}x{img.height}, {len(boxes)} objects")
+        print(f"{path}: {img.width}x{img.height}, {len(boxes)} objects")
     return 0
 
 

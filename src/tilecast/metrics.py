@@ -15,9 +15,13 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-# Largest boxes x ground-truth product scored at once. iou_matrix holds
-# about five float64 matrices of that shape at its peak, 40 bytes per
-# pair: 640 MiB at this bound.
+# Largest boxes x ground-truth product scored at once, checked before
+# anything is allocated. Recall holds only the pairs in each box's x
+# window (iou_pairs), so its memory follows the overlapping pairs: under
+# tracemalloc, 4,096 scattered boxes against 4,096 ground-truth boxes, at
+# this bound, peak at 1.2 MB. The worst case is every pair overlapping,
+# about 56 bytes per pair (235 MB for 2,048 x 2,048 boxes): about 0.94 GB
+# at this bound.
 MAX_IOU_PAIRS = 1 << 24
 
 
@@ -36,29 +40,85 @@ def iou(a, b) -> float:
     return inter / union
 
 
-def iou_matrix(boxes: Sequence, gt: Sequence) -> np.ndarray:
-    """``iou`` of every box (rows) against every ground-truth box (columns).
+def iou_pairs(anns, gt: Sequence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``iou`` of every (box, ground-truth) pair that may overlap: rows, columns, IoUs.
 
-    The float64 operations are ``iou``'s, in the same order, so each
-    entry equals ``iou(boxes[i], gt[j])`` bit for bit for finite
-    coordinates. Boxes that do not overlap get 0.0 from ``0 / union``.
-    More than ``MAX_IOU_PAIRS`` pairs raise ``ValueError`` before any
-    matrix is allocated.
+    ``anns`` gives the boxes' ``x``, ``y``, ``w`` and ``h`` columns. The
+    pairs are found by one window per box over the ground truth sorted
+    by x: the ground-truth boxes that start before the box ends, and
+    whose start plus the widest ground-truth width passes the box's
+    start. Float rounding is monotone, so the window holds every pair
+    that overlaps in x, and so every pair of positive IoU; a pair left
+    out has IoU 0. The pairs come box by box. The float64 operations
+    are ``iou``'s, in the same order, so each IoU equals
+    ``iou(anns.boxes[i], gt[j])`` bit for bit for finite coordinates;
+    a pair that does not overlap gets 0.0 from ``0 / union``.
     """
-    pairs = len(boxes) * len(gt)
-    if pairs > MAX_IOU_PAIRS:
-        raise ValueError(
-            f"{len(boxes)} detections against {len(gt)} ground-truth boxes make "
-            f"{pairs} IoU pairs, more than the {MAX_IOU_PAIRS} scored at once"
-        )
-    a = np.array([(b.x, b.y, b.w, b.h) for b in boxes], dtype=np.float64).reshape(-1, 4)
-    g = np.array([(b.x, b.y, b.w, b.h) for b in gt], dtype=np.float64).reshape(-1, 4)
-    ax, ay, aw, ah = (a[:, k, None] for k in range(4))
-    gx, gy, gw, gh = g.T
-    ix = np.minimum(ax + aw, gx + gw) - np.maximum(ax, gx)
-    iy = np.minimum(ay + ah, gy + gh) - np.maximum(ay, gy)
-    inter = np.maximum(ix, 0.0) * np.maximum(iy, 0.0)
-    return inter / ((aw * ah + gw * gh) - inter)
+    if not len(anns) or not len(gt):
+        none = np.zeros(0, dtype=np.intp)
+        return none, none, np.zeros(0)
+    gx, gy, gw, gh = np.array(
+        [[b.x for b in gt], [b.y for b in gt], [b.w for b in gt], [b.h for b in gt]], dtype=np.float64)
+    order = np.argsort(gx, kind="stable")
+    starts = gx[order]
+    x, y, w, h = anns.x, anns.y, anns.w, anns.h
+    x_end = x + w
+    lo = np.searchsorted(starts + gw.max(), x, side="right")
+    hi = np.searchsorted(starts, x_end, side="left")
+    counts = np.maximum(hi - lo, 0)
+    rows = np.repeat(np.arange(len(anns)), counts)
+    ends = np.cumsum(counts)
+    cols = order[np.arange(ends[-1]) + np.repeat(lo - ends + counts, counts)]
+    ix = np.minimum(x_end[rows], (gx + gw)[cols])
+    ix -= np.maximum(x[rows], gx[cols])
+    iy = np.minimum((y + h)[rows], (gy + gh)[cols])
+    iy -= np.maximum(y[rows], gy[cols])
+    inter = np.maximum(ix, 0.0, out=ix)
+    inter *= np.maximum(iy, 0.0, out=iy)
+    union = (w * h)[rows] + (gw * gh)[cols]
+    union -= inter
+    return rows, cols, np.divide(inter, union, out=union)
+
+
+def _candidates(anns, gt: Sequence, iou_threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """The (box, ground-truth) pairs of IoU above the threshold, in matching order.
+
+    Boxes go by descending confidence, human boxes first on ties, then
+    by index; each box's pairs by best IoU, then lowest column.
+    """
+    rows, cols, ious = iou_pairs(anns, gt)
+    above = ious > iou_threshold
+    rows, cols, ious = rows[above], cols[above], ious[above]
+    ranked = np.lexsort((cols, -ious, rows, ~anns.human[rows], -anns.confidence[rows]))
+    return rows[ranked], cols[ranked]
+
+
+def _run_starts(a: np.ndarray) -> np.ndarray:
+    """Index of the first element of each run of equal values in ``a``."""
+    starts = np.ones(len(a), dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=starts[1:])
+    return np.flatnonzero(starts)
+
+
+def _components(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """Root of each of ``n`` nodes in the graph with edges ``a[k]``-``b[k]``.
+
+    Each round hooks every root that an edge joins to a lower root onto
+    the lowest such root, then points every node at its root, so a
+    round leaves at least one root fewer. A component's root is its
+    lowest node.
+    """
+    root = np.arange(n)
+    while True:
+        ra, rb = root[a], root[b]
+        if np.array_equal(ra, rb):
+            return root
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
 
 
 def recall_by_step(
@@ -68,42 +128,75 @@ def recall_by_step(
 
     Box ``i`` counts from step ``first_step[i]`` on. Step k scores the
     boxes present by then exactly as ``recall`` scores them on their
-    own: one IoU matrix serves every step, and each step replays the
-    greedy matching over the rows present. A row claims the unmatched
-    ground-truth box of highest IoU strictly above the threshold, the
-    lowest column on ties (a masked argmax).
+    own: a box, in descending confidence with human boxes first on ties,
+    then by index, claims the unmatched ground-truth box of highest IoU
+    strictly above the threshold, the lowest column on ties.
+
+    It reads the set's columns. ``iou_pairs`` scores only the pairs in
+    each box's x window, and the pairs above the threshold, the
+    candidates, stay arrays until the replay. Greedy matching never
+    crosses a connected component of the box / ground-truth candidate
+    graph, so a component's match count changes only at a step where
+    one of its boxes arrives. A component of one ground-truth box
+    matches it from the first such step on. A wider component is
+    replayed at each such step, each box scanning its candidates for the
+    first free column, and ``recall[k]`` carries ``recall[k - 1]`` plus
+    the changes at step k.
     """
     if not 0 < iou_threshold <= 1:
         raise ValueError("iou_threshold must be in (0, 1]")
-    if len(first_step) != len(anns.boxes):
+    if len(first_step) != len(anns):
         raise ValueError("first_step needs one step per box")
     if not gt:
         return [1.0] * (steps + 1)
-    ious = iou_matrix(anns.boxes, gt)
-    rows, cols = np.nonzero(ious > iou_threshold)
-    ranked = np.lexsort((cols, -ious[rows, cols], rows))  # by row, best IoU, lowest column
-    candidates: dict[int, list[int]] = {}
-    for i, j in zip(rows[ranked].tolist(), cols[ranked].tolist()):
-        candidates.setdefault(i, []).append(j)
-    # rows by descending confidence, human boxes first on ties, then index;
-    # a row without a candidate never matches, so it is left out
-    boxes = anns.boxes
-    order = sorted(
-        candidates,
-        key=lambda i: (-boxes[i].confidence, 0 if boxes[i].source == "HUM" else 1, i),
-    )
-    out = []
-    for k in range(steps + 1):
-        matched = set()
-        for i in order:
-            if first_step[i] > k:
-                continue
-            for j in candidates[i]:
-                if j not in matched:
-                    matched.add(j)
-                    break
-        out.append(len(matched) / len(gt))
-    return out
+    pairs = len(anns) * len(gt)
+    if pairs > MAX_IOU_PAIRS:
+        raise ValueError(
+            f"{len(anns)} detections against {len(gt)} ground-truth boxes make "
+            f"{pairs} IoU pairs, more than the {MAX_IOU_PAIRS} scored at once"
+        )
+    rows, cols = _candidates(anns, gt, iou_threshold)
+    # a row is one box with a candidate; its candidates sit together
+    heads = _run_starts(rows)
+    arrive = np.clip(np.asarray(first_step, dtype=np.int64)[rows[heads]], 0, steps + 1)
+    del rows  # one int64 per candidate, not needed past here
+    bounds = np.append(heads, len(cols))
+    spans = bounds[1:] - bounds[:-1]
+    component = _components(np.repeat(cols[heads], spans), cols, len(gt))[cols[heads]]
+
+    # gained[k] counts the matches gained at step k; slot steps + 1 takes the
+    # rows that never arrive. A component of one column matches it once, from
+    # the step its first row arrives.
+    wide = np.zeros(len(gt), dtype=bool)
+    wide[component[spans > 1]] = True
+    narrow = ~wide[component]
+    first = np.full(len(gt), steps + 1)
+    np.minimum.at(first, component[narrow], arrive[narrow])
+    gained = np.bincount(first, minlength=steps + 2).tolist()
+
+    # A wider component is replayed at each step where one of its rows
+    # arrives, and adds the change in its match count.
+    members = np.flatnonzero(~narrow)
+    members = members[np.argsort(component[members], kind="stable")]
+    groups = _run_starts(component[members]).tolist()
+    members = members.tolist()
+    cands = cols.tolist()
+    bounds = bounds.tolist()
+    arrive = arrive.tolist()
+    for lo, hi in zip(groups, groups[1:] + [len(members)]):
+        rows_of = members[lo:hi]
+        count = 0
+        for k in sorted({arrive[r] for r in rows_of if arrive[r] <= steps}):
+            taken = set()
+            for r in rows_of:
+                if arrive[r] <= k:
+                    for j in cands[bounds[r]:bounds[r + 1]]:
+                        if j not in taken:
+                            taken.add(j)
+                            break
+            gained[k] += len(taken) - count
+            count = len(taken)
+    return (np.cumsum(gained[:-1]) / len(gt)).tolist()
 
 
 def recall(anns, gt: Sequence, iou_threshold: float = 0.1) -> float:
@@ -111,7 +204,7 @@ def recall(anns, gt: Sequence, iou_threshold: float = 0.1) -> float:
 
     Empty ground truth counts as recall 1.0 (nothing was missed).
     """
-    return recall_by_step(anns, [0] * len(anns.boxes), 0, gt, iou_threshold)[0]
+    return recall_by_step(anns, [0] * len(anns), 0, gt, iou_threshold)[0]
 
 
 def human_time(n_tiles: int, mu_t_hum: float) -> float:

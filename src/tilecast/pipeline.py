@@ -24,6 +24,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import channel as ch_mod
 from . import codestream as cs_mod
 from .annotate import AnnotationSet, human_annotate
@@ -149,14 +151,15 @@ def select_tiles_for_human(anns: AnnotationSet, budget: int) -> list[int]:
     """Tiles owning the lowest-confidence detections, up to ``budget``.
 
     Boxes are ranked by ascending confidence (ties: lower tile index,
-    then earlier box, as the sort is stable); each tile takes the place
-    of its first box in that ranking, and the first ``budget`` tiles are
-    chosen. Tiles with no detections are never selected.
+    then earlier box), one stable ``lexsort`` of the set's confidence
+    and tile columns; each tile takes the place of its first box in that
+    ranking, and the first ``budget`` tiles are chosen. Tiles with no
+    detections are never selected.
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
-    ranked = sorted(anns.boxes, key=lambda b: (b.confidence, b.tile_index))
-    return list(dict.fromkeys(b.tile_index for b in ranked))[:budget]
+    ranked = anns.tile[np.lexsort((anns.tile, anns.confidence))]
+    return list(dict.fromkeys(ranked.tolist()))[:budget]
 
 
 def _human_timeline(
@@ -177,13 +180,13 @@ def _human_timeline(
     ``human_annotate(selected[:k], gt, grid)``. That set is the boxes of
     ``human_annotate(selected, ...)`` whose tile, the first selected
     tile the box meets, is among the first k, so one annotation and one
-    IoU matrix serve every sample.
+    ``recall_by_step`` serve every sample: a human box arrives at the
+    step of its tile, read from the tile column.
     """
     human = human_annotate(selected, gt, grid)
-    first_k = {}
-    for k, t in enumerate(selected, start=1):
-        first_k.setdefault(t, k)
-    first_step = [0] * len(dl_anns) + [first_k[b.tile_index] for b in human.boxes]
+    tiles, first = np.unique(np.array(selected, dtype=np.int64), return_index=True)
+    first_step = np.concatenate((np.zeros(len(dl_anns), dtype=np.int64),
+                                 first[np.searchsorted(tiles, human.tile)] + 1))
     merged = dl_anns.merged_with(human)
     recalls = recall_by_step(merged, first_step, len(selected), gt, iou_threshold)
     events = [TimelineEvent(dl_time, recalls[0], "DL")]

@@ -110,7 +110,8 @@ class GroundTruthBox:
 
     The box lies in the frame ``0..MAX_PIXELS`` on both axes, which holds
     every image side, so each coordinate is exact in int64 and in
-    float64; ``object_id`` is only an RNG key and any int.
+    float64. ``class_id`` lies in int64, the annotators' class column;
+    ``object_id`` is only an RNG key and any int.
     """
 
     object_id: int
@@ -130,6 +131,9 @@ class GroundTruthBox:
                 f"ground-truth object {self.object_id} at ({self.x}, {self.y}) size "
                 f"{self.w}x{self.h} lies outside 0..{MAX_PIXELS}"
             )
+        if not -(2**63) <= self.class_id < 2**63:
+            raise ValueError(f"ground-truth object {self.object_id} has class id "
+                             f"{self.class_id}, outside int64")
 
 
 def tile_bounds(grid: TileGrid, index: int) -> tuple[int, int, int, int]:

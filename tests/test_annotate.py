@@ -171,6 +171,68 @@ def test_annotation_set_validates_human_confidence():
         AnnotationSet((DetectionBox(0, 0, 1, 1, 2, 2, 0.5, "HUM"),))
 
 
+_COORD = st.one_of(st.just(-0.0), st.just(0.0), st.floats(-1e6, 1e6),
+                   st.integers(0, 2**20).map(float))
+_SIDE = st.one_of(st.just(1.0), st.floats(1, 1e6))
+_BOX = st.one_of(
+    st.builds(DetectionBox, st.integers(0, 2**63 - 1), st.integers(-(2**63), 2**63 - 1), _COORD,
+              _COORD, _SIDE, _SIDE, st.one_of(st.just(1.0), st.just(-0.0), st.floats(0, 1)),
+              st.just("DL")),
+    st.builds(DetectionBox, st.integers(0, 99), st.integers(0, 2), _COORD, _COORD, _SIDE, _SIDE,
+              st.just(1.0), st.just("HUM")),
+)
+
+
+@given(a=st.lists(_BOX, max_size=6), b=st.lists(_BOX, max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_annotation_set_columns_round_trip_the_boxes(a, b):
+    one, other = AnnotationSet(a), AnnotationSet(tuple(b))
+    assert one.boxes == tuple(a) and len(one) == len(a)
+    assert repr(one) == f"AnnotationSet(boxes={tuple(a)!r})"  # -0.0 keeps its sign
+    merged = one.merged_with(other)
+    assert merged == AnnotationSet(one.boxes + other.boxes)
+    assert repr(merged) == repr(AnnotationSet(tuple(a) + tuple(b)))
+    columns = [getattr(merged, n) for n in ("tile", "class_id", "x", "y", "w", "h", "confidence")]
+    assert AnnotationSet.from_columns(*columns, merged.human) == merged
+    assert [c.dtype for c in columns] == [np.int64] * 2 + [np.float64] * 5
+    assert not any(c.flags.writeable for c in columns)
+
+
+@pytest.mark.parametrize("bad", [
+    {"x": math.nan}, {"y": math.inf}, {"w": 0.5}, {"h": -math.inf}, {"confidence": 1.5},
+    {"confidence": math.nan}, {"human": True, "confidence": 0.5},
+])
+def test_column_check_raises_what_the_first_bad_box_would(bad):
+    good = {"tile": 0, "class_id": 1, "x": 2.0, "y": 3.0, "w": 4.0, "h": 5.0, "confidence": 0.5,
+            "human": False}
+    rows = [good, {**good, **bad}, {**good, "w": 0.0}]  # the second box is the first bad one
+    columns = {name: [r[name] for r in rows] for name in good}
+    row = {**good, **bad}
+    with pytest.raises(ValueError) as want:
+        DetectionBox(*list(row.values())[:-1], "HUM" if row["human"] else "DL")
+    with pytest.raises(ValueError) as got:
+        AnnotationSet.from_columns(**columns)
+    assert type(got.value) is ValueError and str(got.value) == str(want.value)
+
+
+def test_annotation_set_refuses_ids_outside_int64():
+    for field, box in (("tile_index", DetectionBox(2**63, 0, 1, 1, 2, 2, 0.5, "DL")),
+                       ("class_id", DetectionBox(0, -(2**63) - 1, 1, 1, 2, 2, 0.5, "DL"))):
+        with pytest.raises(ValueError, match=f"{field} .* outside int64"):
+            AnnotationSet((box,))
+
+
+def test_file_detect_refuses_a_class_id_outside_int64(tmp_path):
+    path = tmp_path / "d.csv"
+    header = "tile_index,class_id,x,y,w,h,confidence,source\n"
+    path.write_text(header + "0,9223372036854775807,1,1,4,2,0.5,DL\n")
+    assert file_detect(path, TileGrid.for_image(256, 256, 64, 64)).class_id.tolist() == [2**63 - 1]
+    for big in (10**30, 2**63, -(2**63) - 1):
+        path.write_text(header + f"0,0,1,1,4,2,0.5,DL\n0,{big},1,1,4,2,0.5,DL\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 3: malformed value")):
+            file_detect(path, TileGrid.for_image(256, 256, 64, 64))
+
+
 def test_file_detect_round_trip_and_errors(tmp_path):
     grid = TileGrid.for_image(256, 256, 64, 64)
     path = tmp_path / "d.csv"

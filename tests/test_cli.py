@@ -452,6 +452,25 @@ def test_cli_error_paths(tmp_path, capsys):
     assert "key = value" in capsys.readouterr().err
 
 
+def test_summary_lines_name_the_path_written_under_out_dir(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "out").mkdir()
+
+    def lines(*argv):
+        assert main(["--out-dir", "out", *map(str, argv)]) == 0
+        return capsys.readouterr().out.splitlines()
+
+    scene, ssc, sub, back = (os.path.join("out", n) for n in ("s.ppm", "a.ssc", "sub.ssc", "b.ppm"))
+    assert lines("gen-scene", "-o", "s.ppm", "--width", 64, "--height", 48, "--objects", 1,
+                 "--size-range", 8, 16) == [f"{scene}: 64x48, 1 objects"]
+    [printed] = lines("encode", scene, "-o", "a.ssc", "--tile-w", 32, "--tile-h", 32,
+                      "--levels", 3)
+    assert printed.startswith(f"{ssc}: 4 tiles, 3 levels, ")
+    [printed] = lines("extract", ssc, "-o", "sub.ssc", "--res", 2, "--tiles", "1,2")
+    assert printed.startswith(f"{sub}: 2 tiles at R<=2, ")
+    assert lines("decode", ssc, "-o", "b.ppm", "--res", 2) == [f"{back}: 32x24x3 at R=2"]
+    assert sorted(os.listdir("out")) == ["a.ssc", "b.ppm", "s.ppm", "sub.ssc"]
+
 
 @pytest.mark.parametrize(
     "overrides, message",

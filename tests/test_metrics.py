@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,7 +15,7 @@ from tilecast.metrics import (
     TimelineReport,
     human_time,
     iou,
-    iou_matrix,
+    iou_pairs,
     recall,
     recall_by_step,
     recall_difference,
@@ -174,7 +175,7 @@ def test_recall_monotone_and_invariant_to_noise_boxes():
         assert recall(AnnotationSet(noise), gt) == base
 
 
-def test_iou_matrix_bit_identical_to_iou():
+def test_iou_pairs_bit_identical_to_iou():
     import random
 
     r = random.Random(41)
@@ -184,11 +185,16 @@ def test_iou_matrix_bit_identical_to_iou():
                  r.randrange(1, 20), 0.5) for _ in range(40)]
     gt = [GroundTruthBox(i, 0, r.randrange(0, 50), r.randrange(0, 50), r.randrange(1, 20),
                          r.randrange(1, 20)) for i in range(30)]
-    m = iou_matrix(boxes, gt)
-    assert m.shape == (80, 30)
-    assert m.tolist() == [[iou(b, g) for g in gt] for b in boxes]
-    assert iou_matrix([], gt).shape == (0, 30)
-    assert iou_matrix(boxes, []).shape == (80, 0)
+    rows, cols, ious = iou_pairs(AnnotationSet(tuple(boxes)), gt)
+    scored = dict(zip(zip(rows.tolist(), cols.tolist()), ious.tolist()))
+    assert len(scored) == len(rows)  # no pair twice
+    # every pair: scored bit for bit, or left out with IoU 0
+    want = [[iou(b, g) for g in gt] for b in boxes]
+    got = [[scored.get((i, j), 0.0) for j in range(len(gt))] for i in range(len(boxes))]
+    assert got == want
+    assert sum(v > 0 for row in want for v in row) < len(scored) < 80 * 30
+    for anns, truth in ((AnnotationSet(), gt), (AnnotationSet(tuple(boxes)), [])):
+        assert [a.size for a in iou_pairs(anns, truth)] == [0, 0, 0]
 
 
 def test_recall_equals_reference_randomized():
@@ -260,7 +266,7 @@ def _staged_boxes(draw):
         confidence = draw(st.sampled_from([None, 1.0, 0.5, 0.5, 0.2]))
         boxes.append(hum(0, *spot) if confidence is None else dl(0, *spot, confidence))
     steps = draw(st.integers(0, 4))
-    first_step = draw(st.lists(st.integers(0, steps + 2), min_size=len(boxes),
+    first_step = draw(st.lists(st.integers(-1, steps + 2), min_size=len(boxes),
                                max_size=len(boxes)))
     return AnnotationSet(tuple(boxes)), first_step, steps, gt
 
@@ -281,6 +287,15 @@ _STRADDLE, _ON_FIRST = (4, 0, 8, 8), (0, 0, 8, 8)  # IoU 1/3 with each of the pa
 # duplicate ground truth, and a box that arrives after the last step
 @example(case=(AnnotationSet((hum(0, *_ON_FIRST), dl(0, *_ON_FIRST, 0.5))), [1, 3], 2,
                [_PAIR[0], _PAIR[0]]), thr=0.1)
+# a later human box takes the first of the pair from the straddling box, which moves on
+@example(case=(AnnotationSet((dl(0, *_STRADDLE, 0.5), hum(0, *_ON_FIRST))), [0, 1], 1, _PAIR),
+         thr=0.1)
+# the same two-column component, with the human box arriving after the last step
+@example(case=(AnnotationSet((dl(0, *_STRADDLE, 0.5), hum(0, *_ON_FIRST))), [0, 3], 2, _PAIR),
+         thr=0.1)
+# boxes present from step -1, in a two-column and in a one-column component
+@example(case=(AnnotationSet((dl(0, *_STRADDLE, 0.5), hum(0, *_ON_FIRST), dl(0, 40, 0, 8, 8, 0.2))),
+               [-1, 1, -1], 1, _PAIR + [GroundTruthBox(2, 0, 40, 0, 8, 8)]), thr=0.1)
 @settings(max_examples=300, deadline=None)
 def test_recall_by_step_equals_the_reference_at_every_step(case, thr):
     anns, first_step, steps, gt = case
@@ -303,6 +318,47 @@ def test_recall_refuses_too_many_pairs_before_allocating(monkeypatch):
     monkeypatch.setattr(np, "array", no_matrix)
     with pytest.raises(ValueError, match="3 detections against 3 ground-truth boxes make 9 IoU pairs"):
         recall_by_step(anns, [0, 0, 0], 0, gt)
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _boxes(x, y, size, confidence):
+    n = len(x)
+    return AnnotationSet.from_columns(np.zeros(n), np.zeros(n), x, y, np.full(n, size),
+                                      np.full(n, size), confidence, np.zeros(n))
+
+
+def test_recall_of_scattered_boxes_at_the_pair_bound_stays_small():
+    rng = np.random.default_rng(17)
+    gxy = rng.integers(0, 60_000, size=(4096, 2))
+    gt = [GroundTruthBox(i, 0, x, y, 20, 20) for i, (x, y) in enumerate(gxy.tolist())]
+    xy = rng.integers(0, 60_000, size=(4096, 2))
+    xy[:100] = gxy[:100] + 3  # a few hits
+    anns = _boxes(xy[:, 0], xy[:, 1], 20.0, rng.choice([0.3, 0.6, 0.9], size=4096))
+    assert len(anns) * len(gt) == metrics.MAX_IOU_PAIRS
+    got = []
+    assert _peak_bytes(lambda: got.append(recall(anns, gt))) < 16_000_000
+    assert got[0] >= 100 / 4096
+
+
+def test_recall_of_mutually_overlapping_boxes_peaks_below_the_iou_matrix():
+    # the dense IoU-matrix matcher peaked at 23.1 MB on these 512 x 512 boxes
+    rng = np.random.default_rng(19)
+    gxy = rng.integers(0, 8, size=(512, 2))
+    gt = [GroundTruthBox(i, 0, x, y, 64, 64) for i, (x, y) in enumerate(gxy.tolist())]
+    xy = rng.integers(0, 8, size=(512, 2))
+    anns = _boxes(xy[:, 0], xy[:, 1], 64.0, rng.choice([0.3, 0.6, 0.9, 1.0], size=512))
+    steps = rng.integers(0, 4, size=512)
+    got = []
+    assert _peak_bytes(lambda: got.append(recall_by_step(anns, steps, 3, gt))) < 23_100_000
+    assert got[0][-1] == 1.0
 
 
 def test_human_boxes_match_first():

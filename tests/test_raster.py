@@ -321,6 +321,16 @@ def test_ground_truth_outside_the_frame_names_path_and_line(tmp_path):
         load_ground_truth(p)
 
 
+
+def test_a_ground_truth_class_id_outside_int64_names_path_and_line(tmp_path):
+    assert GroundTruthBox(0, 2**63 - 1, 0, 0, 4, 4).class_id == 2**63 - 1
+    p = tmp_path / "gt.csv"
+    for big in (10**30, 2**63, -(2**63) - 1):
+        p.write_text(f"object_id,class_id,x,y,w,h\n0,1,2,3,4,5\n9,{big},2,3,4,5\n")
+        with pytest.raises(ImageIOError, match=re.escape(
+                f"{p}: line 3: ground-truth object 9 has class id {big}, outside int64")):
+            load_ground_truth(p)
+
 _WIDE = st.integers(-(2**70), 2**70)
 _WIDE_COORD = st.one_of(st.integers(-40, 300), _WIDE)
 _WIDE_SIZE = st.one_of(st.integers(1, 120), st.integers(1, 2**70))
