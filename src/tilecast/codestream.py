@@ -55,7 +55,11 @@ The decoder walks the requested tiles' components in batches of
 the same bound, counted at the decoded resolution. It joins a batch's
 runs and checks them in one ``decode_bands`` pass, against the band
 sizes the header implies and before it expands any run, and synthesizes
-the batch one stack per tile size. ``decode`` and ``assemble`` share
+the batch one stack per tile size. Decoding stays in 32 bits from token
+to pixel where the coefficients allow: ``decode_bands`` gives int32
+bands, and ``inverse_53`` lifts each level in int32 unless the level's
+measured peak could carry a value out of int32, which only literals far
+beyond what lifting 8-bit samples makes can do. ``decode`` and ``assemble`` share
 that walk and write each synthesized plane once, into its tile or
 straight into the canvas, so decoding holds the output plus one batch.
 Every run must end inside its band, and every segment end, the last one
@@ -107,7 +111,7 @@ def _varint_bytes(values: np.ndarray) -> bytes:
             keep[:, j] = values >= np.uint32(1 << 7 * j)
     plane &= 0x7F
     plane[:, :-1] |= keep[:, 1:].view(np.uint8) << 7
-    return plane[keep].tobytes()
+    return np.compress(keep.ravel(), plane.ravel()).tobytes()
 
 
 def _read_varints(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -118,25 +122,25 @@ def _read_varints(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     if data.size == 0:
         return np.empty(0, dtype=np.uint32), np.empty(0, dtype=np.intp)
-    cont = data >= 0x80
-    # follows[k - 1][p]: the k bytes before p all continue one varint, so
-    # p is byte k of a token that starts at p - k
-    follows = []
-    run = np.concatenate(([False], cont[:-1]))
-    while run.any():
-        if len(follows) == 4:
-            raise CodestreamError("overlong varint (more than 5 bytes)")
-        follows.append(run)
-        run = np.concatenate(([False], run[:-1] & cont[:-1]))
-    # a fifth byte holds bits 28 and up, so above 0x0F its token is 2**32 or more
-    if len(follows) == 4 and np.any(data[follows[3]] > 0x0F):
-        raise CodestreamError("varint token of 2**32 or more")
-    starts = np.flatnonzero(np.concatenate(([True], ~cont[:-1])))
-    low = (data & 0x7F).astype(np.uint32)
-    values = low[starts]
-    for k, inside in enumerate(follows, start=1):
-        # an index past the end clips to the last byte, which is not inside a token that short
-        values |= np.take(low * inside, starts + k, mode="clip") << np.uint32(7 * k)
+    # a token starts at the first byte and after every byte without the continuation bit
+    first = np.empty(data.size, dtype=bool)
+    first[0] = True
+    np.less(data[:-1], 0x80, out=first[1:])
+    starts = np.flatnonzero(first)
+    lengths = np.diff(starts, append=data.size)
+    longest = int(lengths.max())
+    if longest > 5:
+        raise CodestreamError("overlong varint (more than 5 bytes)")
+    values = np.bitwise_and(data[starts], 0x7F, dtype=np.uint32)
+    for k in range(1, longest):
+        # byte k of every token, zeroed where the token is shorter; an index past the end clips
+        group = np.take(data[k:], starts, mode="clip")
+        group &= 0x7F
+        group *= lengths > k
+        # a fifth byte holds bits 28 and up, so above 0x0F its token is 2**32 or more
+        if k == 4 and np.any(group > 0x0F):
+            raise CodestreamError("varint token of 2**32 or more")
+        values |= np.left_shift(group, 7 * k, dtype=np.uint32)
     return values, starts
 
 
@@ -179,12 +183,11 @@ def encode_bands(bands) -> tuple[bytes, list[int]]:
     inside = np.ones(zeros.size, dtype=bool)
     inside[firsts] = False
     heads = np.delete(flat, zeros[inside])
-    # the zigzag code in int32's wrapping arithmetic, read as uint32
-    codes = heads << 1
-    codes ^= heads >> 31
+    # the zigzag code in int32's wrapping arithmetic, in place, read as uint32
+    np.bitwise_xor(heads << 1, heads >> 31, out=heads)
     # run k's length goes after its zero token, which follows the nonzeros and k zero tokens before it
     after = zeros[firsts] - firsts + np.arange(1, firsts.size + 1)
-    tokens = np.insert(codes.view(np.uint32), after, runs)
+    tokens = np.insert(heads.view(np.uint32), after, runs)
     return _varint_bytes(tokens), _token_sizes(flat, cuts, zeros, firsts, runs).tolist()
 
 
@@ -243,6 +246,11 @@ def decode_bands(buf, counts: list[int], segments=None) -> list[np.ndarray]:
     introducer, and its tokens expand to exactly its bands'
     coefficients. Every run is checked against the band sizes before
     any is expanded.
+
+    The bands come back in int32, each a view of one array: tokens are
+    read and un-zigzagged in uint32, so every literal is in int32's
+    range; only the run lengths and their running sums, which a hostile
+    stream can push past 2**32, are int64.
     """
     data = np.frombuffer(buf, dtype=np.uint8)
     if segments is None:
@@ -258,17 +266,19 @@ def decode_bands(buf, counts: list[int], segments=None) -> list[np.ndarray]:
     at_token = np.searchsorted(starts, at_byte)
     is_zero = tokens == 0
     # every zero token starts a run, and the token after it is the run length
-    is_runlen = np.zeros_like(is_zero)
-    is_runlen[1:] = is_zero[:-1]
-    if np.any(is_zero & is_runlen):
+    if np.any(is_zero[1:] & is_zero[:-1]):
         raise CodestreamError("zero-length zero run")
     if np.any(is_zero[at_token[at_token > 0] - 1]):
         raise CodestreamError("dangling zero-run introducer")
-    codes = tokens.astype(np.int64)
     # coefficients each token expands to: a literal 1, a run's zero its
-    # length, the length itself none; ends[t] counts those of the first t
-    ends = np.zeros(codes.size + 1, dtype=np.int64)
-    np.cumsum(np.where(is_zero, np.append(codes[1:], 0), ~(is_zero | is_runlen)), out=ends[1:])
+    # length, the length itself none; ends[t] counts those of the first t.
+    # A run may be 2**32 - 1 long, so the counts and sums are int64.
+    zeros = np.flatnonzero(is_zero)
+    expand = np.ones(tokens.size, dtype=np.int64)
+    expand[zeros] = tokens[zeros + 1]
+    expand[zeros + 1] = 0
+    ends = np.zeros(tokens.size + 1, dtype=np.int64)
+    np.cumsum(expand, out=ends[1:])
     bounds = np.cumsum([0, *counts])
     inner = bounds[bounds > 0]
     # each band must end where a literal or a run ends; the -1 stands past the last
@@ -279,8 +289,10 @@ def decode_bands(buf, counts: list[int], segments=None) -> list[np.ndarray]:
         raise CodestreamError("zero run crosses a band boundary or segment is short")
     if np.any(got > want):
         raise CodestreamError("trailing tokens after final band")
-    values = (codes >> 1) ^ -(codes & 1)  # undo the zigzag; a zero stays zero
-    coeffs = np.repeat(values, np.diff(ends))
+    # undo the zigzag in uint32 and read the result as int32; a zero stays zero
+    values = tokens >> 1
+    values ^= -(tokens & 1)
+    coeffs = np.repeat(values.view(np.int32), expand)
     return [coeffs[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
@@ -596,7 +608,7 @@ def _planes(cs: Codestream, indices, resolution: int):
     resolution. Each batch's runs of segments are decoded by one
     ``decode_bands`` call, which checks the whole batch before it
     expands any run. A tile-component is then ``inverse_53`` of its
-    pyramid cut to that level, DC-unshifted and clamped to [0, 255], as
+    pyramid cut to that level, clamped to [-128, 127] and DC-unshifted, as
     one stack per tile size in a batch. A plane is a view of its stack,
     and a tile's planes come in component order.
     """
@@ -623,7 +635,8 @@ def _planes(cs: Codestream, indices, resolution: int):
             ]
             details = tuple(tuple(details[i : i + 3]) for i in range(0, len(details), 3))
             rec = wavelet.inverse_53(wavelet.CoefficientPyramid(ll=ll, details=details))
-            rec = np.clip(rec + 128, 0, 255).astype(np.uint8)
+            # clamp before the shift, which would wrap an int32 LL literal of 2**31 - 1
+            rec = (np.clip(rec, -128, 127) + 128).astype(np.uint8)
             for k, pos in enumerate(group):
                 yield *batch[pos][:2], rec[k]
 

@@ -7,6 +7,7 @@ graymap/pixmap files (P5/P6, maxval 255) are read and written.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import re
@@ -232,25 +233,45 @@ def read_csv_records(path, header: list[str], kind: str, parse, error: type[Valu
     A missing or different header raises ``error`` naming the path and
     the ``kind`` of file. Bytes that are not UTF-8, rows the csv module
     refuses (an oversized field, say) and a ValueError or TypeError from
-    ``parse`` raise ``error`` naming the path and the line.
+    ``parse`` raise ``error`` naming the path and the line. The file is
+    read as a stream: the header is checked before any row is read, and
+    each row is parsed as it is read, so no copy of the file is held. A
+    source that cannot seek, such as a pipe, is read whole first.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise error(f"{path}: line {line}: not UTF-8 text") from None
-    reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        found = next(reader, None)
-        if found == header:
-            return [parse(row) for row in reader if row]
-    except (csv.Error, ValueError, TypeError) as exc:
-        raise error(f"{path}: line {reader.line_num}: {exc}") from None
+        src = fh if fh.seekable() else io.BytesIO(fh.read())
+        reader = csv.reader(io.TextIOWrapper(src, encoding="utf-8", newline=""))
+        try:
+            found = next(reader, None)
+            if found == header:
+                return [parse(row) for row in reader if row]
+        except UnicodeDecodeError:
+            raise error(f"{path}: line {_first_non_utf8_line(src)}: not UTF-8 text") from None
+        except (csv.Error, ValueError, TypeError) as exc:
+            raise error(f"{path}: line {reader.line_num}: {exc}") from None
     if found is None:
         raise error(f"{path}: empty {kind} file")
     raise error(f"{path}: bad {kind} header {found!r}")
+
+
+def _first_non_utf8_line(src) -> int:
+    """The line, counted from 1, of the first byte of binary ``src`` that is not UTF-8.
+
+    ``src`` is read from its start in 64 KiB chunks, decoded and the text dropped.
+    A character cut by a chunk's end is held by the decoder and holds no
+    newline, so the newlines of the chunks already read count the lines
+    before the failing chunk.
+    """
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    lines = 1
+    src.seek(0)
+    for chunk in iter(lambda: src.read(1 << 16), b""):
+        try:
+            decoder.decode(chunk)
+        except UnicodeDecodeError as exc:
+            return lines + exc.object.count(b"\n", 0, exc.start)
+        lines += chunk.count(b"\n")
+    return lines  # the file ends inside a character
 
 
 def load_ground_truth(path) -> list[GroundTruthBox]:

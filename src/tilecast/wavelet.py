@@ -43,8 +43,20 @@ DC-shifted 8-bit samples (p = 128) that holds up to depth 11, and at
 depth 7, the deepest a codestream holds, the bound is 129 * 2**15, about
 2**22. Otherwise it is lifted in int64, and a grid whose bound exceeds
 2**63 is refused. A stack takes one width, from its largest peak.
-Synthesis runs in int64, since coefficients read from a stream carry
-no such bound.
+
+Synthesis picks a width per level, since coefficients read from a
+stream carry no bound but their own. A 1-D synthesis pass over values
+of magnitude at most m forms no magnitude of 3 * (m + 1) or more: the
+update sum d[k-1] + d[k] + 2 stays within 2m + 2, so the even samples
+stay within 1.5m + 1/2, their pairwise sums within 3m + 1 and the odd
+samples within 2.5m + 1. A level is a column pass and then a row pass
+over outputs within 3m + 2, so it forms no magnitude of 9 * (m + 1) or
+more, where m is the peak of the level's inputs: the LL so far and the
+three detail bands, measured. The level runs in int32 when that bound is
+at most 2**31, that is for m up to 238,609,293, else in int64, and a
+level whose bound exceeds 2**63 is refused. Decoded bands hold int32
+literals, and seven levels from peaks of 2**31 stay below 2**31 * 9**7,
+about 2**53, so a codestream never reaches the refusal.
 """
 
 from __future__ import annotations
@@ -86,10 +98,6 @@ def _integral_grid(a) -> np.ndarray:
     return arr
 
 
-def _as_coeffs(a) -> np.ndarray:
-    return _integral_grid(a).astype(np.int64, copy=False)
-
-
 def _lifting_dtype(peak: int, depth: int) -> np.dtype:
     """int32 or int64: the narrowest width exact for ``depth`` levels over |x| <= peak.
 
@@ -97,11 +105,30 @@ def _lifting_dtype(peak: int, depth: int) -> np.dtype:
     (peak + 1) * 2**(2 * depth + 1); see the module docstring.
     """
     bound = (peak + 1) << 2 * depth + 1
+    return _width(bound, f"values up to {peak} overflow int64 at depth {depth}")
+
+
+def _synthesis_dtype(peak: int) -> np.dtype:
+    """int32 or int64: the narrowest width exact for one synthesis level over |x| <= peak.
+
+    Every value a level forms has magnitude below 9 * (peak + 1); see the
+    module docstring.
+    """
+    return _width(9 * (peak + 1), f"coefficients up to {peak} overflow int64")
+
+
+def _width(bound: int, overflow: str) -> np.dtype:
+    """int32 when every magnitude stays below ``bound`` <= 2**31, else int64 up to 2**63."""
     if bound <= 1 << 31:
         return np.dtype(np.int32)
     if bound <= 1 << 63:
         return np.dtype(np.int64)
-    raise ValueError(f"values up to {peak} overflow int64 at depth {depth}")
+    raise ValueError(overflow)
+
+
+def _peak(*arrays: np.ndarray) -> int:
+    """The largest magnitude in any of ``arrays``."""
+    return max(max(-int(a.min(initial=0)), int(a.max(initial=0))) for a in arrays)
 
 
 def _update_term(d: np.ndarray, ns: int) -> np.ndarray:
@@ -202,8 +229,7 @@ def forward_53(samples, depth: int) -> CoefficientPyramid:
         raise ValueError("empty grid")
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    peak = max(-int(grid.min()), int(grid.max()))
-    cur = grid.astype(_lifting_dtype(peak, depth), copy=False)
+    cur = grid.astype(_lifting_dtype(_peak(grid), depth), copy=False)
     collected = []
     for _ in range(depth):
         ll, hl, lh, hh = _analyze2d(cur)
@@ -221,8 +247,16 @@ def inverse_53(pyramid: CoefficientPyramid) -> np.ndarray:
     the grid. A pyramid of stacked bands, each ``(n, h, w)`` with the
     same ``n``, synthesizes a stack of ``n`` grids, each as it would be
     alone; stack lengths that disagree raise ``PyramidShapeError``.
+
+    Each level is synthesized in int32 when the measured peak of its
+    inputs keeps every value it forms inside int32, else in int64 (see
+    the module docstring), so the result is int32 or int64, the width of
+    the last level. A pyramid with no detail level returns its LL band
+    as given.
     """
-    cur = _as_coeffs(pyramid.ll)
-    for hl, lh, hh in pyramid.details:
-        cur = _synthesize2d(cur, _as_coeffs(hl), _as_coeffs(lh), _as_coeffs(hh))
+    cur = _integral_grid(pyramid.ll)
+    for bands in pyramid.details:
+        level = [cur, *map(_integral_grid, bands)]
+        width = _synthesis_dtype(_peak(*level))
+        cur = _synthesize2d(*(a.astype(width, copy=False) for a in level))
     return cur

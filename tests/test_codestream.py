@@ -197,7 +197,7 @@ def test_band_round_trip_over_several_bands(band_list):
     got = decode_bands(buf, [band.size for band in band_list])
     assert len(got) == len(band_list)
     for out, band in zip(got, band_list):
-        assert out.dtype == np.int64 and np.array_equal(out, band)
+        assert out.dtype == np.int32 and np.array_equal(out, band)
 
 
 # literals either side of the 1-, 2- and 3-byte zigzag steps, in each band width
@@ -310,7 +310,7 @@ def test_decode_bands_agrees_with_reference(stream):
     got = decode_bands(buf, counts)
     assert len(got) == len(want)
     for a, b in zip(got, want):
-        assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert a.dtype == np.int32 and np.array_equal(a, b)
 
 
 def _coded_segments(rng):
@@ -357,7 +357,7 @@ def test_segmented_decode_agrees_with_reference():
         got = decode_bands(bytes(buf), counts, segments)
         assert len(got) == len(want)
         for a, b in zip(got, want):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
+            assert a.dtype == np.int32 and np.array_equal(a, b)
         outcomes["accepted"] += 1
     assert min(outcomes.values()) > 1000, outcomes
 
@@ -432,6 +432,27 @@ def test_edge_literals_decode_like_the_reference_synthesis():
         ((_, tile),) = decode(back, [0], resolution)
         assert tile.pixels[..., 0].tolist() == np.clip(np.array(want) + 128, 0, 255).tolist()
     assert max(abs(v) for row in want for v in row) > 2**32
+
+
+def test_ll_literals_at_int32_ends_decode_at_resolution_1():
+    # resolution 1 is the LL band itself, decoded in int32 and never
+    # synthesized: it is clamped before the DC shift, which would wrap at 2**31 - 1
+    w, h, levels = 6, 5, 3
+    stream = encode(Image(np.zeros((h, w, 1), dtype=np.uint8)), TileGrid.for_image(w, h, w, h), levels)
+    ((lh, lw),) = cs._band_shapes(w, h, levels)[0]
+    ll = np.resize([2**31 - 1, -(2**31 - 1), 127, -128, 128, -129], lh * lw)
+    coded = encode_band(ll)
+    (entry,) = stream.entries
+    lengths = (len(coded), *entry.seg_lengths[0][1:])
+    edged = dataclasses.replace(
+        stream,
+        entries=(dataclasses.replace(entry, seg_lengths=(lengths,)),),
+        payload=coded + stream.payload[entry.seg_lengths[0][0]:],
+    )
+    want = np.clip(ll + 128, 0, 255).tolist()
+    ((_, tile),) = decode(parse_codestream(write_codestream(edged)), [0], 1)
+    assert tile.pixels[..., 0].ravel().tolist() == want
+    assert cs.assemble(edged, 1).pixels[..., 0].ravel().tolist() == want
 
 
 def test_band_size_edge_cases():
@@ -631,6 +652,22 @@ def test_writing_a_256_square_tile_component_peaks_below_2_5_mb():
     bands = [band for seg in segs for band in seg]
     assert bands[0].dtype == np.int32 and sum(band.size for band in bands) == 256 * 256
     assert _traced_peak(lambda: encode_bands(bands)) <= 2.5e6
+
+
+def test_decoding_a_256_square_tile_component_peaks_below_the_int64_decoder():
+    # the writer test's tile-component, 110,812 bytes of tokens: the
+    # decoder that widened every token and coefficient to int64 peaked at
+    # 3,641,740 B here (2,526,398 B in int32)
+    cfg = config.parse_config(EXAMPLE_CFG)
+    img, _ = scenario.load_scene(cfg)
+    (segs,) = cs._lift_batch(img, [(0, 0, (0, 0, 256, 256))], cfg.levels)
+    bands = [band for seg in segs for band in seg]
+    buf, _ = encode_bands(bands)
+    counts = [band.size for band in bands]
+    assert len(buf) == 110_812
+    assert _traced_peak(lambda: decode_bands(buf, counts)) < 3_641_740
+    for got, band in zip(decode_bands(buf, counts), bands, strict=True):
+        assert got.dtype == np.int32 and np.array_equal(got, band.ravel())
 
 
 def test_decoding_holds_the_output_plus_one_batch():

@@ -331,6 +331,79 @@ def test_a_ground_truth_class_id_outside_int64_names_path_and_line(tmp_path):
                 f"{p}: line 3: ground-truth object 9 has class id {big}, outside int64")):
             load_ground_truth(p)
 
+def test_a_ground_truth_csv_with_a_bad_header_is_refused_unread(tmp_path):
+    # a 60 MB file whose first line is not the header: only that line is read
+    p = tmp_path / "gt.csv"
+    _sparse(p, b"object_id,class,x,y,w,h\n", 60 << 20)
+
+    def refused():
+        with pytest.raises(ImageIOError, match=re.escape(
+                f"{p}: bad ground-truth header ['object_id', 'class', 'x', 'y', 'w', 'h']")):
+            load_ground_truth(p)
+
+    assert _traced_peak(refused) < 1 << 20
+
+
+def _csv_with_bad_bytes(rows, at, cut=0):
+    """The ground-truth header, 7 blank lines and ``rows`` rows with a euro sign, spoiled.
+
+    Bytes ``at`` become 0xFF and the last ``cut`` bytes are dropped. The
+    blank lines put the euro sign of row 4095 on bytes 65534..65536, so
+    it straddles the first 64 KiB. Returns the bytes and the line of the
+    first byte that is not UTF-8.
+    """
+    data = bytearray(b"object_id,class_id,x,y,w,h\n" + b"\n" * 7
+                     + "0,1,2,3,4,5 \u20ac\n".encode() * rows)
+    assert data[(1 << 16) - 2 : (1 << 16) + 1] == "\u20ac".encode()
+    for pos in at:
+        data[pos] = 0xFF
+    data = bytes(data[: len(data) - cut])
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return data, data.count(b"\n", 0, exc.start) + 1
+    raise AssertionError("the bytes are UTF-8")
+
+
+def _read_rows(path):
+    """The rows of a ground-truth CSV file, unparsed."""
+    return raster.read_csv_records(path, ["object_id", "class_id", "x", "y", "w", "h"],
+                                   "ground-truth", lambda row: row, ImageIOError)
+
+
+@pytest.mark.parametrize("at, cut", [
+    # in the first 64 KiB; the straddling euro sign's second byte, which
+    # ends the first 64 KiB, and its third, which starts the next; the
+    # newline after it; far past the reader's buffer; two spoiled bytes;
+    # and a file that ends inside its last character
+    ([30], 0), ([(1 << 16) - 1], 0), ([1 << 16], 0), ([(1 << 16) + 1], 0),
+    ([500_000], 0), ([70_000, 600_000], 0), ([], 2),
+])
+def test_the_first_byte_that_is_not_utf8_names_its_line(tmp_path, at, cut):
+    data, line = _csv_with_bad_bytes(40_000, at, cut)
+    p = tmp_path / "gt.csv"
+    p.write_bytes(data)
+    with pytest.raises(ImageIOError, match=re.escape(f"{p}: line {line}: not UTF-8 text")):
+        _read_rows(p)
+
+
+def test_a_csv_pipe_is_read_whole(tmp_path):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    good = b"object_id,class_id,x,y,w,h\n0,1,2,3,4,5\n"
+    bad, line = _csv_with_bad_bytes(10_000, [100_000])
+    for data in (good, bad):
+        writer = threading.Thread(target=lambda: fifo.write_bytes(data), daemon=True)
+        writer.start()
+        if data is good:
+            assert load_ground_truth(fifo) == [GroundTruthBox(0, 1, 2, 3, 4, 5)]
+        else:
+            with pytest.raises(ImageIOError, match=re.escape(f"{fifo}: line {line}: not UTF-8")):
+                _read_rows(fifo)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+
+
 _WIDE = st.integers(-(2**70), 2**70)
 _WIDE_COORD = st.one_of(st.integers(-40, 300), _WIDE)
 _WIDE_SIZE = st.one_of(st.integers(1, 120), st.integers(1, 2**70))

@@ -260,6 +260,89 @@ def test_wide_input_lifts_in_int64():
     assert forward_53(np.full((4, 4), 2**50), 1).ll.dtype == np.int64
 
 
+# the largest peak whose synthesis level stays below 2**31: 9 * (peak + 1) <= 2**31
+_INT32_SYNTHESIS_PEAK = (1 << 31) // 9 - 1
+
+
+def _checked_synthesis(s, d, axis, peak):
+    """One int64 synthesis pass along ``axis``, checked against the bound a pass obeys.
+
+    Every value the pass forms, the sums inside its two lifting terms
+    included, has magnitude below 3 * (peak + 1) over inputs of
+    magnitude at most ``peak``.
+    """
+    s_, d_ = (s.T, d.T) if axis else (s, d)  # the lifting axis first
+    ns, nd = len(s_), len(d_)
+    edged = np.concatenate([d_[:1], d_, d_[-1:]])
+    sums = edged[:ns] + edged[1 : ns + 1] + 2  # every d[k-1] + d[k] + 2
+    even = s_ - (sums >> 2)
+    following = np.concatenate([even[1:], even[-1:]])
+    pairs = even[:nd] + following[:nd]  # every even[k] + even[k+1]
+    odd = d_ + (pairs >> 1)
+    for formed in (sums, even, pairs, odd):
+        assert int(abs(formed).max()) < 3 * (peak + 1)
+    samples = np.empty((ns + nd, *even.shape[1:]), dtype=np.int64)
+    samples[0::2], samples[1::2] = even, odd
+    out = wavelet._synthesize(s, d, axis)
+    assert out.dtype == np.int64 and np.array_equal(out.T if axis else out, samples)
+    return out
+
+
+def _extreme_levels(peak, h, w):
+    """One level's LL, HL, LH, HH of an h x w grid, every coefficient +-peak, signs patterned."""
+    a, b, c, d = -(-h // 2), -(-w // 2), h // 2, w // 2
+    rng = np.random.default_rng(peak % 1000 + h * w)
+    for k in range(6):
+        bands = []
+        for shape in ((a, b), (a, d), (c, b), (c, d)):
+            r, q = np.indices(shape)
+            # signs alternating down columns, along rows, both, none, or at random
+            signs = [r % 2, q % 2, (r + q) % 2, 0 * r, rng.integers(0, 2, size=shape)][min(k, 4)]
+            # LL and LH take the pattern, HL and HH its opposite
+            bands.append(np.where(signs == len(bands) % 2, peak, -peak).astype(np.int64))
+        yield bands
+
+
+@pytest.mark.parametrize("peak", [_INT32_SYNTHESIS_PEAK, _INT32_SYNTHESIS_PEAK + 1,
+                                  2**31 - 1, 2**31])
+def test_synthesis_bound_on_extreme_coefficients(peak):
+    width = np.int32 if peak <= _INT32_SYNTHESIS_PEAK else np.int64
+    assert wavelet._synthesis_dtype(peak) == width
+    for h, w in ((8, 8), (9, 8), (7, 11)):
+        for ll, hl, lh, hh in _extreme_levels(peak, h, w):
+            # the passes inverse_53 runs: columns (axis 0) of (LL, LH) and (HL, HH), then rows
+            low = _checked_synthesis(ll, lh, 0, peak)
+            high = _checked_synthesis(hl, hh, 0, peak)
+            row_peak = int(max(abs(low).max(), abs(high).max()))
+            assert row_peak <= 3 * peak + 2
+            want = _checked_synthesis(low, high, 1, row_peak)
+            assert int(abs(want).max()) < 9 * (peak + 1)
+            assert want.tolist() == ref.synthesize_2d(*(band.tolist() for band in (ll, hl, lh, hh)))
+            got = inverse_53(CoefficientPyramid(ll=ll, details=((hl, lh, hh),)))
+            assert got.dtype == width and np.array_equal(got, want)
+            # int32 bands take the same width and give the same grid
+            if peak < 2**31:
+                narrow = [band.astype(np.int32) for band in (ll, hl, lh, hh)]
+                got = inverse_53(CoefficientPyramid(ll=narrow[0], details=(tuple(narrow[1:]),)))
+                assert got.dtype == width and np.array_equal(got, want)
+
+
+def test_synthesis_width_limits():
+    assert wavelet._synthesis_dtype(0) == np.int32
+    assert wavelet._synthesis_dtype(_INT32_SYNTHESIS_PEAK) == np.int32
+    assert wavelet._synthesis_dtype(_INT32_SYNTHESIS_PEAK + 1) == np.int64
+    assert wavelet._synthesis_dtype((1 << 63) // 9 - 1) == np.int64
+    with pytest.raises(ValueError, match="overflow int64"):
+        wavelet._synthesis_dtype((1 << 63) // 9)
+    # a level past int64 is refused, not wrapped
+    big = np.full((2, 2), 2**62)
+    with pytest.raises(ValueError, match="overflow int64"):
+        inverse_53(CoefficientPyramid(ll=big, details=((big, big, big),)))
+    # a pyramid with no detail level is its LL band, as given
+    ll = np.array([[2**31 - 1, -(2**31)]], dtype=np.int32)
+    assert inverse_53(CoefficientPyramid(ll=ll, details=())) is ll
+
+
 @st.composite
 def stacks(draw):
     """A stack of 1-9 same-shape grids, 1-40 a side, a depth 0-7, and the width it lifts in."""
