@@ -1,9 +1,8 @@
 """Time the codec's decode and write layers on fixed inputs, and check what they return.
 
-    python3 perf/layers.py                       # this checkout, JSON on stdout
-    python3 perf/layers.py --small --repeats 1   # the tier-1 smoke test's inputs
-    python3 perf/layers.py --against ../parent --rounds 5 --out BENCH_28.json \\
-        --e2e codec-mix --seeds 201-210 --seconds 30
+    python3 perf/layers.py            # this checkout, JSON on stdout
+    python3 perf/layers.py --small    # the tier-1 smoke test's inputs
+    python3 perf/layers.py --against ../parent --e2e codec-mix --seeds 201-210 > BENCH_28.json
 
 Four layers, each called on one fixed input built with library calls:
 
@@ -22,18 +21,22 @@ compared with the SHA-256 pinned below for its input set, integers as
 int64 little-endian whatever width the layer returns, so a layer that
 stops doing its work fails instead of getting faster.
 
-A layer's time is ``time.perf_counter`` around one call, after one
-untimed call; it reports the median and quartiles of ``--repeats`` calls.
-``--against DIR`` also times the checkout at ``DIR`` (its ``src/``), in
-``--rounds`` alternating subprocess pairs, and writes both sides.
-``--e2e WORKLOAD`` adds alternating ``bench/run.py`` pairs of the two
-checkouts, each running its own copy, on ``--seeds`` for ``--seconds``.
+Each side is timed in a subprocess whose glibc mmap threshold is fixed
+at 1 MiB by ``bench/run.py``'s own ``_fix_mmap_threshold``, so arrays
+come from the allocator as they do in the benchmark. A layer's time is
+``time.perf_counter`` around one call, after one untimed call; it
+reports the median and quartiles of ``REPEATS`` calls. ``--against DIR``
+also times the checkout at ``DIR`` (its ``src/``), in ``ROUNDS``
+alternating subprocess pairs, and writes both sides. ``--e2e WORKLOAD``
+adds alternating ``bench/run.py`` pairs of the two checkouts, each
+running its own copy, on ``--seeds`` for ``SECONDS`` each.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.util
 import json
 import os
 import platform
@@ -44,6 +47,9 @@ import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
+REPEATS = 15  # timed calls per layer in one subprocess
+ROUNDS = 5  # alternating subprocess pairs with --against
+SECONDS = 30  # length of one bench/run.py run, as BENCHMARK.json runs it
 
 # SHA-256 of each layer's output on each input set
 DIGESTS = {
@@ -142,29 +148,35 @@ def summarize(layers: dict) -> dict:
     return out
 
 
+def _fix_mmap_threshold() -> None:
+    """Set the allocator up as ``bench/run.py`` does, by loading it (it fixes the threshold on import)."""
+    spec = importlib.util.spec_from_file_location("bench_run", os.path.join(ROOT, "bench", "run.py"))
+    spec.loader.exec_module(importlib.util.module_from_spec(spec))
+
+
 def _git_head(checkout: str) -> str:
     proc = subprocess.run(["git", "-C", checkout, "describe", "--always", "--dirty"],
                           capture_output=True, text=True)
     return proc.stdout.strip() or "unknown"
 
 
-def _side(checkout: str, small: bool, repeats: int) -> dict:
+def _side(checkout: str, small: bool) -> dict:
     """One subprocess timing the layers of the ``tilecast`` under ``checkout``/src."""
     env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
-    cmd = [sys.executable, os.path.abspath(__file__), "--raw", "--repeats", str(repeats)]
+    cmd = [sys.executable, os.path.abspath(__file__), "--raw"]
     proc = subprocess.run(cmd + (["--small"] if small else []), env=env, capture_output=True,
                           text=True, check=True)
     return json.loads(proc.stdout)
 
 
-def _e2e(checkouts: dict, workload: str, seeds: list[int], seconds: float) -> dict:
+def _e2e(checkouts: dict, workload: str, seeds: list[int]) -> dict:
     """Alternating ``bench/run.py`` pairs: the side that runs first swaps every seed."""
     runs = {side: [] for side in checkouts}
     for i, seed in enumerate(seeds):
         order = list(checkouts) if i % 2 == 0 else list(reversed(checkouts))
         for side in order:
             cmd = [sys.executable, os.path.join(checkouts[side], "bench", "run.py"),
-                   "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
+                   "--workload", workload, "--seed", str(seed), "--seconds", str(SECONDS)]
             proc = subprocess.run(cmd, capture_output=True, text=True, check=True,
                                   cwd=checkouts[side])
             result = json.loads(proc.stdout.strip().splitlines()[-1])
@@ -180,7 +192,7 @@ def _e2e(checkouts: dict, workload: str, seeds: list[int], seconds: float) -> di
             summary[side][metric] = {"median": statistics.median(values), "q1": q1, "q3": q3}
     change, parent = runs["change"], runs["parent"]
     wins = sum(c["ops_per_s"] > p["ops_per_s"] for c, p in zip(change, parent))
-    return {"workload": workload, "seconds": seconds, "seeds": seeds, "runs": runs,
+    return {"workload": workload, "seconds": SECONDS, "seeds": seeds, "runs": runs,
             "summary": summary, "ops_per_s_wins": f"{wins}/{len(seeds)}"}
 
 
@@ -192,47 +204,40 @@ def _seeds(text: str) -> list[int]:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--small", action="store_true", help="the smoke test's small inputs")
-    p.add_argument("--repeats", type=int, default=15, help="timed calls per layer")
     p.add_argument("--against", help="a parent checkout to time in alternating rounds")
-    p.add_argument("--rounds", type=int, default=5)
     p.add_argument("--e2e", nargs="*", default=[], help="bench/run.py workloads to pair")
     p.add_argument("--seeds", type=_seeds, default=_seeds("1-10"))
-    p.add_argument("--seconds", type=float, default=30)
-    p.add_argument("--out", help="write the JSON here as well as to stdout")
     p.add_argument("--raw", action="store_true", help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     if args.raw:
-        json.dump(measure(args.small, args.repeats), sys.stdout)
+        _fix_mmap_threshold()
+        json.dump(measure(args.small, REPEATS), sys.stdout)
         return 0
 
     import numpy as np
 
     env = {"nproc": os.cpu_count(), "python": platform.python_version(), "numpy": np.__version__,
-           "machine": platform.machine(), "repeats": args.repeats, "small": args.small}
+           "machine": platform.machine(), "repeats": REPEATS, "small": args.small}
     if not args.against:
         result = {"git_head": _git_head(ROOT), **env,
-                  "layers": summarize(_side(ROOT, args.small, args.repeats))}
+                  "layers": summarize(_side(ROOT, args.small))}
     else:
         checkouts = {"parent": os.path.abspath(args.against), "change": ROOT}
         timed = {side: {} for side in checkouts}
-        for r in range(args.rounds):
+        for r in range(ROUNDS):
             order = list(checkouts) if r % 2 == 0 else list(reversed(checkouts))
             for side in order:
-                for name, layer in _side(checkouts[side], args.small, args.repeats).items():
+                for name, layer in _side(checkouts[side], args.small).items():
                     timed[side].setdefault(name, {**layer, "times_s": []})
                     timed[side][name]["times_s"] += layer["times_s"]
-        result = {**env, "rounds": args.rounds}
+        result = {**env, "rounds": ROUNDS}
         for side, checkout in checkouts.items():
             result[side] = {"git_head": _git_head(checkout), "layers": summarize(timed[side])}
         result["speedup"] = {name: result["parent"]["layers"][name]["median_s"]
                              / result["change"]["layers"][name]["median_s"]
                              for name in timed["change"]}
-        result["end_to_end"] = [_e2e(checkouts, wl, args.seeds, args.seconds) for wl in args.e2e]
-    text = json.dumps(result, indent=1)
-    print(text)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        result["end_to_end"] = [_e2e(checkouts, wl, args.seeds) for wl in args.e2e]
+    print(json.dumps(result, indent=1))
     return 0
 
 
