@@ -4,11 +4,16 @@
     python3 perf/layers.py --small    # the tier-1 smoke test's inputs
     python3 perf/layers.py --against ../parent --e2e codec-mix --seeds 201-210 > BENCH_28.json
 
-Four layers, each called on one fixed input built with library calls:
+Six layers, each called on one fixed input built with library calls:
 
-- ``encode_bands``: the bands of the example scene's top-left 256x256
-  tile-component (component 0), lifted to the scene's depth, written in
-  one pass; the rate is token MB/s written.
+- ``forward_53``: the example scene's top-left 256x256 tile-component
+  (component 0), DC-shifted, lifted to the scene's depth as a stack of
+  one; Mpx/s.
+- ``band_sizes``: the token bytes of those bands, counted without
+  writing them; token MB/s counted. With ``forward_53`` this is what
+  ``measure`` does per tile-component.
+- ``encode_bands``: the same bands written in one pass; token MB/s
+  written.
 - ``decode_bands``: those tokens read back into bands; token MB/s read.
 - ``inverse_53``: the decoded bands as a stack of one, synthesized;
   Mpx/s.
@@ -54,12 +59,16 @@ SECONDS = 30  # length of one bench/run.py run, as BENCHMARK.json runs it
 # SHA-256 of each layer's output on each input set
 DIGESTS = {
     "full": {
+        "forward_53": "1762d3de80238dd816711e6009571f09df564aa764109bef02851cf31c655271",
+        "band_sizes": "2ff74a251c915b479ea3703d351d9bbe79fda6c8d2c0fd384614a25910db3e14",
         "encode_bands": "ba400414ec362fa35b3cb83ea02a010093345726e6526d152db980a063ab03a8",
         "decode_bands": "d29bd3920d105efce1e0e58fae0721833679745322ea629276b07140ac27a6ec",
         "inverse_53": "2f96ecd8b45b60b5bc7f4bfcafb1c3f1e85a7d398f23c7a8ff61ec23761bdf6b",
         "assemble": "7e381ce36279d32b4f17d6ca032efa1dbeecabd34d937d5aadbf285cc6bf80f5",
     },
     "small": {
+        "forward_53": "d41c4d338905bc99d8488b3fbc39db30163ae02d87c28529dfebc388a5ba7ad8",
+        "band_sizes": "6830e9e260414cc8cb1a4312a334a2fea6f86237d92e7924eba80e942757732d",
         "encode_bands": "d782faed044595669923dfcfb1c398d5118b91a29d5955e658458a11c23b26d2",
         "decode_bands": "418c481cf1c92b934024ae173cc6cf45fa5d89336e246e8b341c3fb840305131",
         "inverse_53": "caeb3a91b146136c81b5e7549ad249ab745a81b0c7c1485eecae4a197c69678d",
@@ -98,6 +107,7 @@ def build(small: bool):
         img, _ = scenario.load_scene(cfg)
         grid, levels = TileGrid.for_image(img.width, img.height, cfg.tile_w, cfg.tile_h), cfg.levels
     samples = np.subtract(img.pixels[:256, :256, 0], 128, dtype=np.int32)
+    stack = samples[np.newaxis]
     pyr = wavelet.forward_53(samples, levels - 1)
     bands = [pyr.ll, *(band for level in pyr.details for band in level)]
     coded, _ = codestream.encode_bands(bands)
@@ -109,6 +119,11 @@ def build(small: bool):
     stream = codestream.encode(img, grid, levels)
     mb = len(coded) / 1e6
     return {
+        "forward_53": (lambda: wavelet.forward_53(stack, levels - 1),
+                       lambda out: _digest(out.ll, *(b for level in out.details for b in level)),
+                       256 * 256 / 1e6, "Mpx/s"),
+        "band_sizes": (lambda: codestream.band_sizes(bands),
+                       lambda out: _digest(np.array(out)), mb, "MB/s"),
         "encode_bands": (lambda: codestream.encode_bands(bands),
                          lambda out: _digest(out[0], np.array(out[1])), mb, "MB/s"),
         "decode_bands": (lambda: codestream.decode_bands(coded, counts),
@@ -160,13 +175,20 @@ def _git_head(checkout: str) -> str:
     return proc.stdout.strip() or "unknown"
 
 
+def _run(cmd: list[str], **kwargs) -> str:
+    """``cmd``'s stdout; if it fails, its stderr is printed and this process exits nonzero."""
+    proc = subprocess.run(cmd, capture_output=True, text=True, **kwargs)
+    if proc.returncode:
+        sys.stderr.write(proc.stderr)
+        raise SystemExit(f"{' '.join(cmd)}: exit status {proc.returncode}")
+    return proc.stdout
+
+
 def _side(checkout: str, small: bool) -> dict:
     """One subprocess timing the layers of the ``tilecast`` under ``checkout``/src."""
     env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
     cmd = [sys.executable, os.path.abspath(__file__), "--raw"]
-    proc = subprocess.run(cmd + (["--small"] if small else []), env=env, capture_output=True,
-                          text=True, check=True)
-    return json.loads(proc.stdout)
+    return json.loads(_run(cmd + (["--small"] if small else []), env=env))
 
 
 def _e2e(checkouts: dict, workload: str, seeds: list[int]) -> dict:
@@ -177,9 +199,7 @@ def _e2e(checkouts: dict, workload: str, seeds: list[int]) -> dict:
         for side in order:
             cmd = [sys.executable, os.path.join(checkouts[side], "bench", "run.py"),
                    "--workload", workload, "--seed", str(seed), "--seconds", str(SECONDS)]
-            proc = subprocess.run(cmd, capture_output=True, text=True, check=True,
-                                  cwd=checkouts[side])
-            result = json.loads(proc.stdout.strip().splitlines()[-1])
+            result = json.loads(_run(cmd, cwd=checkouts[side]).strip().splitlines()[-1])
             runs[side].append({"seed": seed, "correct": result["correct"],
                                "attempted": result["attempted"], "failed": result["failed"],
                                **{k: m["value"] for k, m in result["metrics"].items()}})

@@ -18,13 +18,13 @@ zero run and is followed by the run length (>= 1); any other token is
 the zigzag code of one nonzero coefficient (2c for c >= 0, -2c-1 for
 c < 0, always >= 1 for nonzero c). Every token is below 2**32 and both
 sides work in uint32: the writer takes only integer bands within int32
-(lifting keeps the codec's own below 129 * 2**15 at depth 7), and a run
-cannot outgrow its band; the reader refuses a larger token where it reads
-it. A tile-component's segments 1..r are adjacent in the payload, and
-that run is the unit of reading: ``_runs`` alone turns segment lengths
-into runs, in one walk of the table in wire order, and ``extract``
-builds sub-codestreams by copying each tile-component's run verbatim,
-since tiles, components and resolutions are byte-separable.
+(lifting keeps the codec's own below 129 * 4**7, about 2**21, at depth
+7), and a run cannot outgrow its band; the reader refuses a larger token
+where it reads it. A tile-component's segments 1..r are adjacent in the
+payload, and that run is the unit of reading: ``_runs`` alone turns
+segment lengths into runs, in one walk of the table in wire order, and
+``extract`` builds sub-codestreams by copying each tile-component's run
+verbatim, since tiles, components and resolutions are byte-separable.
 
 Every header and table, however made, passes the checks of
 ``CodestreamTable``'s constructor: the header rules, at least one tile,

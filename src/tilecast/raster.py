@@ -157,7 +157,7 @@ _PNM_SEP = rb"(?:\s|#[^\r\n]*[\r\n])+"
 _PNM_HEADER = re.compile(
     rb"^(P[56])" + _PNM_SEP + rb"(\d+)" + _PNM_SEP + rb"(\d+)" + _PNM_SEP + rb"(\d+)\s"
 )
-_PNM_HEADER_MAX = 1 << 16  # bytes a header may take, comments included
+_HEADER_MAX = 1 << 16  # bytes a PNM header (comments included) or a CSV header line may take
 
 
 def load_image(path) -> Image:
@@ -169,7 +169,7 @@ def load_image(path) -> Image:
     """
     with open(path, "rb") as fh:
         src = fh if fh.seekable() else io.BytesIO(fh.read())
-        head = src.read(_PNM_HEADER_MAX)
+        head = src.read(_HEADER_MAX)
         size = src.seek(0, io.SEEK_END)
         m = _PNM_HEADER.match(head)
         if m is None:
@@ -235,11 +235,18 @@ def read_csv_records(path, header: list[str], kind: str, parse, error: type[Valu
     refuses (an oversized field, say) and a ValueError or TypeError from
     ``parse`` raise ``error`` naming the path and the line. The file is
     read as a stream: the header is checked before any row is read, and
-    each row is parsed as it is read, so no copy of the file is held. A
-    source that cannot seek, such as a pipe, is read whole first.
+    each row is parsed as it is read, so no copy of the file is held. The
+    header line, its line end included, or else the file, must end
+    within the first 64 KiB; a longer header line raises ``error`` with
+    nothing past them read. A source that cannot seek, such as a pipe,
+    is read whole first.
     """
     with open(path, "rb") as fh:
         src = fh if fh.seekable() else io.BytesIO(fh.read())
+        head = src.read(_HEADER_MAX + 1)  # one byte past: a file may end at the limit
+        if len(head) > _HEADER_MAX and not re.search(rb"[\r\n]", head[:_HEADER_MAX]):
+            raise error(f"{path}: line 1: {kind} header longer than {_HEADER_MAX} bytes")
+        src.seek(0)
         reader = csv.reader(io.TextIOWrapper(src, encoding="utf-8", newline=""))
         try:
             found = next(reader, None)

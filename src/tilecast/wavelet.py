@@ -33,30 +33,30 @@ C-contiguous, a stack's members included. Synthesis runs the same terms
 the same way and writes each pass into a C-ordered array through the
 same swapped view.
 
-Analysis works at the narrowest width that stays exact. A 1-D pass over
-values of magnitude at most m gives values of magnitude at most 2m + 1
-(Taubman & Marcellin, *JPEG2000*, 2002), and no sum it forms exceeds
-twice that, so ``depth`` levels (2 * depth passes) over a grid peaking
-at p never form a magnitude of (p + 1) * 2**(2 * depth + 1) or more.
-When that bound is at most 2**31 the pyramid is lifted in int32: for
-DC-shifted 8-bit samples (p = 128) that holds up to depth 11, and at
-depth 7, the deepest a codestream holds, the bound is 129 * 2**15, about
-2**22. Otherwise it is lifted in int64, and a grid whose bound exceeds
-2**63 is refused. A stack takes one width, from its largest peak.
-
-Synthesis picks a width per level, since coefficients read from a
-stream carry no bound but their own. A 1-D synthesis pass over values
-of magnitude at most m forms no magnitude of 3 * (m + 1) or more: the
-update sum d[k-1] + d[k] + 2 stays within 2m + 2, so the even samples
-stay within 1.5m + 1/2, their pairwise sums within 3m + 1 and the odd
-samples within 2.5m + 1. A level is a column pass and then a row pass
-over outputs within 3m + 2, so it forms no magnitude of 9 * (m + 1) or
-more, where m is the peak of the level's inputs: the LL so far and the
-three detail bands, measured. The level runs in int32 when that bound is
-at most 2**31, that is for m up to 238,609,293, else in int64, and a
-level whose bound exceeds 2**63 is refused. Decoded bands hold int32
-literals, and seven levels from peaks of 2**31 stay below 2**31 * 9**7,
-about 2**53, so a codestream never reaches the refusal.
+Both directions lift each level at the narrowest width that stays
+exact, by one rule: a level over values of magnitude at most m forms no
+magnitude of 9 * (m + 1) or more, so it runs in int32 when that bound is
+at most 2**31, that is for m up to 238,609,293, in int64 when it is at
+most 2**63, and is refused above. In analysis, a 1-D pass over values
+within m gives values within 2m + 1 (Taubman & Marcellin, *JPEG2000*,
+2002) and forms no sum beyond twice that, so a row pass and then a
+column pass form nothing of 8 * (m + 1) or more and keep the LL within
+4m + 3. Analysis therefore measures the input's peak p once and carries
+the bound from level to level: level k lifts values within
+4**(k - 1) * (p + 1) - 1. For DC-shifted 8-bit samples (p = 128) every
+level runs in int32 up to depth 11, and at depth 7, the deepest a
+codestream holds, no level forms a magnitude of 9 * 129 * 4**6, about
+2**22. A stack takes one width per level, from its largest peak. In
+synthesis, coefficients read from a stream carry no bound but their
+own, so each level measures m over its inputs: the LL so far and the
+three detail bands. A 1-D synthesis pass over values within m forms no
+magnitude of 3 * (m + 1) or more: the update sum d[k-1] + d[k] + 2
+stays within 2m + 2, so the even samples stay within 1.5m + 1/2, their
+pairwise sums within 3m + 1 and the odd samples within 2.5m + 1. A
+column pass and then a row pass over outputs within 3m + 2 therefore
+form nothing of 9 * (m + 1) or more. Decoded bands hold int32 literals,
+and seven levels from peaks of 2**31 stay below 2**31 * 9**7, about
+2**53, so a codestream never reaches the refusal.
 """
 
 from __future__ import annotations
@@ -98,32 +98,18 @@ def _integral_grid(a) -> np.ndarray:
     return arr
 
 
-def _lifting_dtype(peak: int, depth: int) -> np.dtype:
-    """int32 or int64: the narrowest width exact for ``depth`` levels over |x| <= peak.
+def _level_dtype(peak: int) -> np.dtype:
+    """int32 or int64: the narrowest width exact for one level over |x| <= peak.
 
-    Every value the lifting forms has magnitude below
-    (peak + 1) * 2**(2 * depth + 1); see the module docstring.
+    A level, analysis or synthesis, forms no magnitude of 9 * (peak + 1)
+    or more; see the module docstring.
     """
-    bound = (peak + 1) << 2 * depth + 1
-    return _width(bound, f"values up to {peak} overflow int64 at depth {depth}")
-
-
-def _synthesis_dtype(peak: int) -> np.dtype:
-    """int32 or int64: the narrowest width exact for one synthesis level over |x| <= peak.
-
-    Every value a level forms has magnitude below 9 * (peak + 1); see the
-    module docstring.
-    """
-    return _width(9 * (peak + 1), f"coefficients up to {peak} overflow int64")
-
-
-def _width(bound: int, overflow: str) -> np.dtype:
-    """int32 when every magnitude stays below ``bound`` <= 2**31, else int64 up to 2**63."""
+    bound = 9 * (peak + 1)
     if bound <= 1 << 31:
         return np.dtype(np.int32)
     if bound <= 1 << 63:
         return np.dtype(np.int64)
-    raise ValueError(overflow)
+    raise ValueError(f"values up to {peak} overflow int64")
 
 
 def _peak(*arrays: np.ndarray) -> int:
@@ -215,26 +201,28 @@ def forward_53(samples, depth: int) -> CoefficientPyramid:
     each is lifted on its own over the last two axes, and every band
     keeps the leading stack axis, so member ``k`` of each band is that
     band of ``forward_53(samples[k], depth)``. ``depth`` 0 returns the
-    input unchanged as a single LL band. Input is expected DC-shifted
+    input as given, as a single LL band. Input is expected DC-shifted
     (e.g. 8-bit value - 128) when coding images, but any integer grid
     (bool, signed or unsigned) is accepted; a grid of another dtype,
     float included, raises ``ValueError``, and so does a grid too large
-    for exact lifting in int64. The bands come out in the working
-    width: int32 when the peak magnitude of the whole input and
-    ``depth`` keep every lifted value inside it (see the module
-    docstring), else int64.
+    for exact lifting in int64. Each level is lifted, and its bands come
+    out, in int32 when the bound carried from the input's peak keeps
+    every value the level forms inside int32, else in int64 (see the
+    module docstring), so a deep pyramid of wide input may hold int32
+    bands at its shallow levels and int64 bands at its deep ones.
     """
     grid = _integral_grid(samples)
     if grid.size == 0:
         raise ValueError("empty grid")
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    cur = grid.astype(_lifting_dtype(_peak(grid), depth), copy=False)
+    cur, peak = grid, _peak(grid)
     collected = []
     for _ in range(depth):
-        ll, hl, lh, hh = _analyze2d(cur)
+        ll, hl, lh, hh = _analyze2d(cur.astype(_level_dtype(peak), copy=False))
         collected.append((hl, lh, hh))
-        cur = ll
+        # a row pass and then a column pass keep the LL within 4 * peak + 3
+        cur, peak = ll, 4 * peak + 3
     return CoefficientPyramid(ll=cur, details=tuple(reversed(collected)))
 
 
@@ -249,14 +237,15 @@ def inverse_53(pyramid: CoefficientPyramid) -> np.ndarray:
     alone; stack lengths that disagree raise ``PyramidShapeError``.
 
     Each level is synthesized in int32 when the measured peak of its
-    inputs keeps every value it forms inside int32, else in int64 (see
-    the module docstring), so the result is int32 or int64, the width of
-    the last level. A pyramid with no detail level returns its LL band
+    inputs keeps every value it forms inside int32, else in int64: the
+    rule ``forward_53`` applies to its carried bound (see the module
+    docstring). The result is int32 or int64, the width of the last
+    level. A pyramid with no detail level returns its LL band
     as given.
     """
     cur = _integral_grid(pyramid.ll)
     for bands in pyramid.details:
         level = [cur, *map(_integral_grid, bands)]
-        width = _synthesis_dtype(_peak(*level))
+        width = _level_dtype(_peak(*level))
         cur = _synthesize2d(*(a.astype(width, copy=False) for a in level))
     return cur

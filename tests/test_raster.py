@@ -344,6 +344,32 @@ def test_a_ground_truth_csv_with_a_bad_header_is_refused_unread(tmp_path):
     assert _traced_peak(refused) < 1 << 20
 
 
+def test_a_ground_truth_csv_whose_first_line_never_ends_is_refused_unread(tmp_path):
+    # a 60 MB file with no line end: only its first 64 KiB are read
+    p = tmp_path / "gt.csv"
+    _sparse(p, b"object_id,class", 60 << 20)
+    longer = re.escape(f"{p}: line 1: ground-truth header longer than 65536 bytes")
+
+    def refused():
+        with pytest.raises(ImageIOError, match=longer):
+            load_ground_truth(p)
+
+    assert _traced_peak(refused) < 1 << 20
+    # a header line that ends on the 64 KiB limit, or a file that does, is read
+    prefix = b"object_id,class_id,x,y,w,"
+    line = prefix + b"h" * ((1 << 16) - len(prefix) - 1) + b"\n"
+    bad = re.escape(f"{p}: bad ground-truth header ['object_id', 'class_id', 'x', 'y', 'w', 'hhh")
+    for data in (line + b"0,1,2,3,4,5\n", line[:-1] + b"h"):
+        p.write_bytes(data)
+        with pytest.raises(ImageIOError, match=bad):
+            load_ground_truth(p)
+    # one byte more, with or without a line end after it, is refused
+    for data in (line[:-1] + b"h\n0,1,2,3,4,5\n", line[:-1] + b"hh"):
+        p.write_bytes(data)
+        with pytest.raises(ImageIOError, match=longer):
+            load_ground_truth(p)
+
+
 def _csv_with_bad_bytes(rows, at, cut=0):
     """The ground-truth header, 7 blank lines and ``rows`` rows with a euro sign, spoiled.
 

@@ -38,6 +38,10 @@ def test_depth_zero_is_identity():
     assert pyr.details == ()
     assert np.array_equal(pyr.ll, g)
     assert np.array_equal(inverse_53(pyr), g)
+    # no level runs, so the grid comes back as given, in its own dtype
+    for dtype in (bool, np.uint8, np.int16, np.int64, np.uint64):
+        grid = g.astype(dtype)
+        assert forward_53(grid, 0).ll is grid
 
 
 def test_constant_grid_has_zero_details():
@@ -224,9 +228,19 @@ def _checked_pass(a, axis):
 
 def test_int32_lifting_bound_on_extreme_8bit_input():
     depth = 7  # a codestream's deepest split
-    assert wavelet._lifting_dtype(128, depth) == np.int32
-    assert wavelet._lifting_dtype(128, 11) == np.int32
-    assert wavelet._lifting_dtype(128, 12) == np.int64
+    # each level's width, from the bound carried from the peak: every
+    # level in int32 at depth 11; at depth 12 the deepest level (details[0])
+    # and the LL it makes in int64, the eleven above it still in int32
+    g = _extreme_patterns(16, 16)[2]
+    shallow, deep = forward_53(g, 11), forward_53(g, 12)
+    assert shallow.ll.dtype == np.int32
+    assert {band.dtype for level in shallow.details for band in level} == {np.dtype(np.int32)}
+    assert deep.ll.dtype == np.int64
+    assert [band.dtype for band in deep.details[0]] == [np.int64] * 3
+    assert {band.dtype for level in deep.details[1:] for band in level} == {np.dtype(np.int32)}
+    for got, want in zip(deep.details[1:], shallow.details):
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert np.array_equal(inverse_53(deep), g)
     for h, w in ((128, 128), (129, 128), (130, 131), (255, 133)):
         for g in _extreme_patterns(h, w):
             cur = g.astype(np.int64)
@@ -258,10 +272,14 @@ def test_wide_input_lifts_in_int64():
     with pytest.raises(ValueError, match="overflow int64"):
         forward_53(np.full((4, 4), 2**50), 7)
     assert forward_53(np.full((4, 4), 2**50), 1).ll.dtype == np.int64
+    # one level lifts values up to m in int64 while 9 * (m + 1) <= 2**63
+    assert forward_53(np.full((4, 4), (1 << 63) // 9 - 1), 1).ll.dtype == np.int64
+    with pytest.raises(ValueError, match="overflow int64"):
+        forward_53(np.full((4, 4), 2**60 - 1), 1)
 
 
-# the largest peak whose synthesis level stays below 2**31: 9 * (peak + 1) <= 2**31
-_INT32_SYNTHESIS_PEAK = (1 << 31) // 9 - 1
+# the largest peak whose level stays below 2**31: 9 * (peak + 1) <= 2**31
+_INT32_LEVEL_PEAK = (1 << 31) // 9 - 1
 
 
 def _checked_synthesis(s, d, axis, peak):
@@ -303,11 +321,11 @@ def _extreme_levels(peak, h, w):
         yield bands
 
 
-@pytest.mark.parametrize("peak", [_INT32_SYNTHESIS_PEAK, _INT32_SYNTHESIS_PEAK + 1,
+@pytest.mark.parametrize("peak", [_INT32_LEVEL_PEAK, _INT32_LEVEL_PEAK + 1,
                                   2**31 - 1, 2**31])
 def test_synthesis_bound_on_extreme_coefficients(peak):
-    width = np.int32 if peak <= _INT32_SYNTHESIS_PEAK else np.int64
-    assert wavelet._synthesis_dtype(peak) == width
+    width = np.int32 if peak <= _INT32_LEVEL_PEAK else np.int64
+    assert wavelet._level_dtype(peak) == width
     for h, w in ((8, 8), (9, 8), (7, 11)):
         for ll, hl, lh, hh in _extreme_levels(peak, h, w):
             # the passes inverse_53 runs: columns (axis 0) of (LL, LH) and (HL, HH), then rows
@@ -328,12 +346,12 @@ def test_synthesis_bound_on_extreme_coefficients(peak):
 
 
 def test_synthesis_width_limits():
-    assert wavelet._synthesis_dtype(0) == np.int32
-    assert wavelet._synthesis_dtype(_INT32_SYNTHESIS_PEAK) == np.int32
-    assert wavelet._synthesis_dtype(_INT32_SYNTHESIS_PEAK + 1) == np.int64
-    assert wavelet._synthesis_dtype((1 << 63) // 9 - 1) == np.int64
+    assert wavelet._level_dtype(0) == np.int32
+    assert wavelet._level_dtype(_INT32_LEVEL_PEAK) == np.int32
+    assert wavelet._level_dtype(_INT32_LEVEL_PEAK + 1) == np.int64
+    assert wavelet._level_dtype((1 << 63) // 9 - 1) == np.int64
     with pytest.raises(ValueError, match="overflow int64"):
-        wavelet._synthesis_dtype((1 << 63) // 9)
+        wavelet._level_dtype((1 << 63) // 9)
     # a level past int64 is refused, not wrapped
     big = np.full((2, 2), 2**62)
     with pytest.raises(ValueError, match="overflow int64"):
@@ -365,7 +383,8 @@ def _bands(pyr):
 def test_a_stack_lifts_as_its_members_do(case):
     grids, depth, width = case
     pyr = forward_53(grids, depth)
-    assert all(band.dtype == width for band in _bands(pyr))
+    # depth 0 lifts nothing and returns the stack as given
+    assert all(band.dtype == (width if depth else grids.dtype) for band in _bands(pyr))
     alone = [forward_53(grid, depth) for grid in grids]
     for k, member in enumerate(alone):
         for band, wanted in zip(_bands(pyr), _bands(member), strict=True):
