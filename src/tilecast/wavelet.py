@@ -216,13 +216,15 @@ def forward_53(samples, depth: int) -> CoefficientPyramid:
         raise ValueError("empty grid")
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    cur, peak = grid, _peak(grid)
-    collected = []
-    for _ in range(depth):
-        ll, hl, lh, hh = _analyze2d(cur.astype(_level_dtype(peak), copy=False))
+    # level k + 1 lifts values within 4**k * (p + 1) - 1 (module docstring);
+    # every width is taken, and a grid too wide refused, before any level runs
+    p = _peak(grid)
+    widths = [_level_dtype(4**k * (p + 1) - 1) for k in range(depth)]
+    cur, collected = grid, []
+    for width in widths:
+        ll, hl, lh, hh = _analyze2d(cur.astype(width, copy=False))
         collected.append((hl, lh, hh))
-        # a row pass and then a column pass keep the LL within 4 * peak + 3
-        cur, peak = ll, 4 * peak + 3
+        cur = ll
     return CoefficientPyramid(ll=cur, details=tuple(reversed(collected)))
 
 
