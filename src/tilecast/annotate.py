@@ -67,6 +67,22 @@ _COLUMNS = ("tile", "class_id", "x", "y", "w", "h", "confidence", "human")
 _INT64_MIN, _INT64_END = -(2**63), 2**63
 
 
+def _id_column(field: str, values) -> np.ndarray:
+    """``values`` as int64; the first that is not a whole number within int64 raises.
+
+    Whole floats pass. A column numpy cannot cast to int64 as it stands
+    (floats; Python ints past int64, which arrive as uint64 or objects)
+    is checked value by value as Python numbers, which compare exactly.
+    """
+    column = np.asarray(values)
+    if not np.can_cast(column.dtype, np.int64):
+        for v in column.tolist():
+            if not (v % 1 == 0 and _INT64_MIN <= v < _INT64_END):
+                problem = "outside int64" if v % 1 == 0 else "is not a whole number"
+                raise ValueError(f"{field} {v} {problem}")
+    return column.astype(np.int64)
+
+
 class AnnotationSet:
     """Detections as columns: one read-only array per field, in box order.
 
@@ -75,12 +91,10 @@ class AnnotationSet:
     (``HUM``) box and False for a detector (``DL``) one. Human boxes
     always carry confidence 1.0.
 
-    ``AnnotationSet(boxes)`` takes ``DetectionBox``es, each checked when
-    it was built, and refuses a tile or class id outside int64. The
-    annotators build their columns directly with ``from_columns``, which
-    checks them once with array operations. ``boxes`` is a per-box view,
-    built from the columns on each access. Sets compare by their columns
-    and are unhashable.
+    ``AnnotationSet(boxes)`` takes ``DetectionBox``es and builds their
+    columns with ``from_columns``, as the annotators do, which checks
+    them once. ``boxes`` is a per-box view, built from the columns on
+    each access. Sets compare by their columns and are unhashable.
     """
 
     __slots__ = _COLUMNS
@@ -88,15 +102,11 @@ class AnnotationSet:
 
     def __init__(self, boxes: Iterable[DetectionBox] = ()):
         boxes = tuple(boxes)
-        for name, field in (("tile", "tile_index"), ("class_id", "class_id")):
-            values = [getattr(b, field) for b in boxes]
-            for v in values:
-                if not _INT64_MIN <= v < _INT64_END:
-                    raise ValueError(f"{field} {v} outside int64")
-            self._put(name, np.array(values, dtype=np.int64))
-        for name in ("x", "y", "w", "h", "confidence"):
-            self._put(name, np.array([getattr(b, name) for b in boxes], dtype=np.float64))
-        self._put("human", np.array([b.source == SOURCE_HUM for b in boxes], dtype=bool))
+        fields = ("tile_index", "class_id", "x", "y", "w", "h", "confidence")
+        built = self.from_columns(*([getattr(b, f) for b in boxes] for f in fields),
+                                  [b.source == SOURCE_HUM for b in boxes])
+        for name in _COLUMNS:
+            setattr(self, name, getattr(built, name))
 
     def _put(self, name, column):
         column.flags.writeable = False
@@ -114,10 +124,11 @@ class AnnotationSet:
     def from_columns(cls, tile, class_id, x, y, w, h, confidence, human) -> "AnnotationSet":
         """A set from its columns, checked once with array operations.
 
-        The checks are ``DetectionBox``'s: the first box that fails one
-        raises the message building that box alone would.
+        The tile and class columns must hold whole numbers within int64.
+        The other checks are ``DetectionBox``'s: the first box that fails
+        one raises the message building that box alone would.
         """
-        ints = [np.array(c, dtype=np.int64) for c in (tile, class_id)]
+        ints = [_id_column(f, c) for f, c in (("tile_index", tile), ("class_id", class_id))]
         floats = [np.array(c, dtype=np.float64) for c in (x, y, w, h, confidence)]
         human = np.array(human, dtype=bool)
         x, y, w, h, confidence = floats

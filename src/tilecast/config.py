@@ -23,7 +23,7 @@ from typing import Optional
 
 from .annotate import DetectorModel
 from .codestream import MAX_LEVELS
-from .raster import MAX_PIXELS
+from .raster import MAX_PIXELS, _LineError, text_lines
 
 
 class ConfigError(ValueError):
@@ -106,24 +106,23 @@ _KEYS = {
 
 def _read_lines(path) -> dict[str, tuple[str, int]]:
     """Each key's raw value and line number; comments and blank lines dropped."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = list(fh)
-    except UnicodeDecodeError:
-        raise ConfigError(f"{path}: not UTF-8 text") from None
     raw: dict[str, tuple[str, int]] = {}
-    for lineno, line in enumerate(lines, start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}: line {lineno}: expected 'key = value'")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key in raw:
-            raise ConfigError(f"{path}: line {lineno}: duplicate key {key!r}")
-        if key not in _KEYS:
-            raise ConfigError(f"{path}: line {lineno}: unknown key {key!r}")
-        raw[key] = (value, lineno)
+    try:
+        with open(path, "rb") as fh:
+            for lineno, line in enumerate(text_lines(fh, path), start=1):
+                line = line.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                if "=" not in line:
+                    raise ConfigError(f"{path}: line {lineno}: expected 'key = value'")
+                key, value = (part.strip() for part in line.split("=", 1))
+                if key in raw:
+                    raise ConfigError(f"{path}: line {lineno}: duplicate key {key!r}")
+                if key not in _KEYS:
+                    raise ConfigError(f"{path}: line {lineno}: unknown key {key!r}")
+                raw[key] = (value, lineno)
+    except _LineError as exc:
+        raise ConfigError(str(exc)) from None
     return raw
 
 

@@ -7,7 +7,6 @@ graymap/pixmap files (P5/P6, maxval 255) are read and written.
 
 from __future__ import annotations
 
-import codecs
 import csv
 import io
 import re
@@ -105,6 +104,10 @@ class TileGrid:
         return cls(width, height, tile_w, tile_h)
 
 
+_GT_HEADER = ["object_id", "class_id", "x", "y", "w", "h"]  # the fields, as the CSV names them
+_INTEGER = (int, np.integer)
+
+
 @dataclass(frozen=True)
 class GroundTruthBox:
     """One true object in full-resolution pixel coordinates.
@@ -112,7 +115,8 @@ class GroundTruthBox:
     The box lies in the frame ``0..MAX_PIXELS`` on both axes, which holds
     every image side, so each coordinate is exact in int64 and in
     float64. ``class_id`` lies in int64, the annotators' class column;
-    ``object_id`` is only an RNG key and any int.
+    ``object_id`` is only an RNG key and any int. Every field is a Python
+    or numpy integer, so the box the annotators report is this one.
     """
 
     object_id: int
@@ -135,6 +139,11 @@ class GroundTruthBox:
         if not -(2**63) <= self.class_id < 2**63:
             raise ValueError(f"ground-truth object {self.object_id} has class id "
                              f"{self.class_id}, outside int64")
+        values = (self.object_id, self.class_id, self.x, self.y, self.w, self.h)
+        for name, value in zip(_GT_HEADER, values):
+            if not isinstance(value, _INTEGER):
+                raise ValueError(f"ground-truth object {self.object_id} has {name} {value}, "
+                                 "not an integer")
 
 
 def tile_bounds(grid: TileGrid, index: int) -> tuple[int, int, int, int]:
@@ -216,9 +225,6 @@ def save_image(img: Image, path) -> None:
         fh.write(img.samples)
 
 
-_GT_HEADER = ["object_id", "class_id", "x", "y", "w", "h"]
-
-
 def save_ground_truth(path, boxes: list[GroundTruthBox]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -227,19 +233,45 @@ def save_ground_truth(path, boxes: list[GroundTruthBox]) -> None:
             writer.writerow([b.object_id, b.class_id, b.x, b.y, b.w, b.h])
 
 
+_LINE_MAX = 1 << 20  # characters a CSV or config line, its line end included, may hold
+_SURROGATE = re.compile("[\ud800-\udfff]")  # how surrogateescape carries a byte that is not UTF-8
+
+
+class _LineError(Exception):
+    """A text line too long or not UTF-8; the message names the path and the line."""
+
+
+def text_lines(src, path):
+    """The lines of binary ``src`` as UTF-8 text, line ends kept, one at a time.
+
+    A line ends at ``\\n``, ``\\r`` or ``\\r\\n``; no more than ``_LINE_MAX``
+    characters of it are read, so at most one line is held. A longer
+    line, or one holding a byte that is not UTF-8, raises ``_LineError``
+    naming ``path`` and the line, counted from 1, before it is yielded.
+    ``src`` is closed when the generator ends or is closed.
+    """
+    with io.TextIOWrapper(src, encoding="utf-8", errors="surrogateescape", newline="") as text:
+        for lineno, line in enumerate(iter(lambda: text.readline(_LINE_MAX + 1), ""), start=1):
+            if len(line) > _LINE_MAX:
+                raise _LineError(f"{path}: line {lineno}: longer than {_LINE_MAX} characters")
+            if _SURROGATE.search(line):
+                raise _LineError(f"{path}: line {lineno}: not UTF-8 text")
+            yield line
+
+
 def read_csv_records(path, header: list[str], kind: str, parse, error: type[ValueError]) -> list:
     """``parse(row)`` of each non-blank record of a UTF-8 CSV file after ``header``.
 
     A missing or different header raises ``error`` naming the path and
-    the ``kind`` of file. Bytes that are not UTF-8, rows the csv module
-    refuses (an oversized field, say) and a ValueError or TypeError from
-    ``parse`` raise ``error`` naming the path and the line. The file is
-    read as a stream: the header is checked before any row is read, and
-    each row is parsed as it is read, so no copy of the file is held. The
-    header line, its line end included, or else the file, must end
-    within the first 64 KiB; a longer header line raises ``error`` with
-    nothing past them read. A source that cannot seek, such as a pipe,
-    is read whole first.
+    the ``kind`` of file. A line that ``text_lines`` refuses, rows the
+    csv module refuses (an oversized field, say) and a ValueError or
+    TypeError from ``parse`` raise ``error`` naming the path and the
+    line. The file is read a line at a time: the header is checked
+    before any row is read, and each row is parsed as it is read, so the
+    first error in line order is the one reported. The header line, its
+    line end included, or else the file, must end within the first 64
+    KiB; a longer header line raises ``error`` with nothing past them
+    read. A source that cannot seek, such as a pipe, is read whole first.
     """
     with open(path, "rb") as fh:
         src = fh if fh.seekable() else io.BytesIO(fh.read())
@@ -247,38 +279,18 @@ def read_csv_records(path, header: list[str], kind: str, parse, error: type[Valu
         if len(head) > _HEADER_MAX and not re.search(rb"[\r\n]", head[:_HEADER_MAX]):
             raise error(f"{path}: line 1: {kind} header longer than {_HEADER_MAX} bytes")
         src.seek(0)
-        reader = csv.reader(io.TextIOWrapper(src, encoding="utf-8", newline=""))
+        reader = csv.reader(text_lines(src, path))
         try:
             found = next(reader, None)
             if found == header:
                 return [parse(row) for row in reader if row]
-        except UnicodeDecodeError:
-            raise error(f"{path}: line {_first_non_utf8_line(src)}: not UTF-8 text") from None
+        except _LineError as exc:
+            raise error(str(exc)) from None
         except (csv.Error, ValueError, TypeError) as exc:
             raise error(f"{path}: line {reader.line_num}: {exc}") from None
     if found is None:
         raise error(f"{path}: empty {kind} file")
     raise error(f"{path}: bad {kind} header {found!r}")
-
-
-def _first_non_utf8_line(src) -> int:
-    """The line, counted from 1, of the first byte of binary ``src`` that is not UTF-8.
-
-    ``src`` is read from its start in 64 KiB chunks, decoded and the text dropped.
-    A character cut by a chunk's end is held by the decoder and holds no
-    newline, so the newlines of the chunks already read count the lines
-    before the failing chunk.
-    """
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    lines = 1
-    src.seek(0)
-    for chunk in iter(lambda: src.read(1 << 16), b""):
-        try:
-            decoder.decode(chunk)
-        except UnicodeDecodeError as exc:
-            return lines + exc.object.count(b"\n", 0, exc.start)
-        lines += chunk.count(b"\n")
-    return lines  # the file ends inside a character
 
 
 def load_ground_truth(path) -> list[GroundTruthBox]:

@@ -222,6 +222,35 @@ def test_annotation_set_refuses_ids_outside_int64():
             AnnotationSet((box,))
 
 
+def _one_box_columns(**ids):
+    return {"tile": [0], "class_id": [1], "x": [2.0], "y": [3.0], "w": [4.0], "h": [5.0],
+            "confidence": [0.5], "human": [False], **ids}
+
+
+def test_annotation_set_refuses_ids_that_are_not_whole_numbers():
+    for field, ids in (("tile_index", {"tile": [1.5]}), ("class_id", {"class_id": [2.7]}),
+                       ("tile_index", {"tile": [math.nan]})):
+        with pytest.raises(ValueError, match=f"{field} .* is not a whole number"):
+            AnnotationSet.from_columns(**_one_box_columns(**ids))
+    with pytest.raises(ValueError, match="tile_index 1.5 is not a whole number"):
+        AnnotationSet((DetectionBox(1.5, 2, 1, 1, 2, 2, 0.5, "DL"),))
+    # whole floats stay ids
+    anns = AnnotationSet.from_columns(**_one_box_columns(tile=np.zeros(1), class_id=[3.0]))
+    assert anns.tile.tolist() == [0] and anns.class_id.tolist() == [3]
+
+
+def test_from_columns_refuses_ids_outside_int64_by_name():
+    for field, ids, value in (("tile_index", {"tile": [2**63]}, 2**63),
+                              ("class_id", {"class_id": [-(2**63) - 1]}, -(2**63) - 1),
+                              ("tile_index", {"tile": [0, 2**64]}, 2**64),
+                              ("class_id", {"class_id": [2.0**63]}, 2.0**63)):
+        with pytest.raises(ValueError, match=re.escape(f"{field} {value} outside int64")):
+            AnnotationSet.from_columns(**_one_box_columns(**ids))
+    extremes = AnnotationSet.from_columns(**_one_box_columns(tile=[2**63 - 1],
+                                                             class_id=[-(2**63)]))
+    assert (extremes.tile.tolist(), extremes.class_id.tolist()) == ([2**63 - 1], [-(2**63)])
+
+
 def test_file_detect_refuses_a_class_id_outside_int64(tmp_path):
     path = tmp_path / "d.csv"
     header = "tile_index,class_id,x,y,w,h,confidence,source\n"

@@ -1,5 +1,7 @@
 import math
 import os
+import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -270,6 +272,39 @@ def test_non_utf8_file_is_a_config_error(tmp_path):
     p.write_bytes(MINIMAL.encode() + b"# caf\xe9\n")
     with pytest.raises(ConfigError, match="UTF-8"):
         parse_config(p)
+
+
+def test_a_non_utf8_config_names_its_line(tmp_path):
+    p = tmp_path / "latin1.cfg"
+    p.write_bytes(MINIMAL.encode() + b"# caf\xe9\nbogus = 1\n")
+    line = MINIMAL.count("\n") + 1
+    with pytest.raises(ConfigError, match=re.escape(f"{p}: line {line}: not UTF-8 text")):
+        parse_config(p)
+
+
+def test_a_config_whose_last_comment_never_ends_is_refused_at_its_line(tmp_path):
+    # a sparse 64 MB file: a good config, then a comment that runs to its end
+    p = tmp_path / "long.cfg"
+    p.write_bytes(MINIMAL.encode() + b"# ")
+    with open(p, "r+b") as fh:
+        fh.truncate(64 << 20)
+    line = MINIMAL.count("\n") + 1
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{p}: line {line}: longer than {1 << 20} characters")):
+            parse_config(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+
+
+def test_a_config_with_bare_carriage_returns_parses(tmp_path):
+    assert parse_config(write(tmp_path, MINIMAL.replace("\n", "\r"))) == parse_config(
+        write(tmp_path, MINIMAL))
+    with pytest.raises(ConfigError, match="line 2: unknown key 'bogus'"):
+        parse_config(write(tmp_path, "tile_w = 64\rbogus = 1\r\n"))
 
 
 ATOMS = ["0", "1", "3", "5", "-1", "0.5", "22", "2048", "3m", "0.5m", "1e-300", "1e300",

@@ -314,6 +314,18 @@ def test_a_ground_truth_box_outside_the_frame_is_refused_by_name():
     assert GroundTruthBox(7, 0, MAX_PIXELS - 4, 0, 4, MAX_PIXELS).x == MAX_PIXELS - 4
 
 
+def test_a_ground_truth_box_holds_integers():
+    for args, field, value in (((0, 1, 10.5, 3, 4, 4), "x", 10.5),
+                               ((0, 1.5, 10, 3, 4, 4), "class_id", 1.5),
+                               ((3.0, 1, 10, 3, 4, 4), "object_id", 3.0),
+                               ((0, 1, 10, 3, 4.0, 4), "w", 4.0)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"ground-truth object {args[0]} has {field} {value}, not an integer")):
+            GroundTruthBox(*args)
+    box = GroundTruthBox(np.int64(3), np.int32(1), np.uint16(10), 3, 4, 4)
+    assert (box.object_id, box.class_id, box.x) == (3, 1, 10)
+
+
 def test_ground_truth_outside_the_frame_names_path_and_line(tmp_path):
     p = tmp_path / "gt.csv"
     p.write_text("object_id,class_id,x,y,w,h\n0,1,-1,3,4,5\n")
@@ -428,6 +440,53 @@ def test_a_csv_pipe_is_read_whole(tmp_path):
                 _read_rows(fifo)
         writer.join(timeout=10)
         assert not writer.is_alive()
+
+
+def test_a_ground_truth_row_with_no_line_end_is_refused_at_its_line(tmp_path):
+    # a sparse 8 MB file: a good header, a row that starts and never ends
+    p = tmp_path / "gt.csv"
+    _sparse(p, b"object_id,class_id,x,y,w,h\n0,1", 8 << 20)
+
+    def refused():
+        with pytest.raises(ImageIOError, match=re.escape(
+                f"{p}: line 2: longer than {1 << 20} characters")):
+            load_ground_truth(p)
+
+    assert _traced_peak(refused) < 4 << 20
+
+
+def test_a_csv_error_is_reported_in_line_order(tmp_path):
+    # a bad value on line 2 comes before a byte that is not UTF-8 on line 3
+    p = tmp_path / "gt.csv"
+    p.write_bytes(b"object_id,class_id,x,y,w,h\n0,1,2,3,bad,5\n1,1,2,3,\xff,5\n")
+    with pytest.raises(ImageIOError, match=re.escape(f"{p}: line 2: invalid literal")):
+        load_ground_truth(p)
+
+
+def test_a_csv_with_bare_carriage_returns_loads(tmp_path):
+    p = tmp_path / "gt.csv"
+    p.write_bytes(b"object_id,class_id,x,y,w,h\r0,1,2,3,4,5\r\r1,0,9,9,1,1\r")
+    assert load_ground_truth(p) == [GroundTruthBox(0, 1, 2, 3, 4, 5),
+                                    GroundTruthBox(1, 0, 9, 9, 1, 1)]
+    p.write_bytes(b"object_id,class_id,x,y,w,h\r0,1,2,3,4,5\r1,0,9,9,0,1\r")
+    with pytest.raises(ImageIOError, match=re.escape(f"{p}: line 3: degenerate")):
+        load_ground_truth(p)
+
+
+def test_text_lines_holds_a_line_of_at_most_line_max_characters(tmp_path):
+    # the bound counts characters, line end included; a CRLF is one line end
+    limit = raster._LINE_MAX
+    p = tmp_path / "lines.txt"
+    for lines in (["x" * (limit - 1) + "\n", "next\n"], ["€" * (limit - 2) + "\r\n", "next"],
+                  ["first\r", "x" * limit]):
+        p.write_bytes("".join(lines).encode())
+        with open(p, "rb") as fh:
+            assert list(raster.text_lines(fh, p)) == lines
+    for text in ("x" * limit + "\n", "x" * (limit - 1) + "\r\n", "x" * (limit + 1)):
+        p.write_bytes(f"first\n{text}".encode())
+        with open(p, "rb") as fh, pytest.raises(raster._LineError, match=re.escape(
+                f"{p}: line 2: longer than {limit} characters")):
+            list(raster.text_lines(fh, p))
 
 
 _WIDE = st.integers(-(2**70), 2**70)
