@@ -1,19 +1,23 @@
-"""Time the codec's decode and write layers on fixed inputs, and check what they return.
+"""Time the codec's layers on fixed inputs, and check what they return.
 
     python3 perf/layers.py            # this checkout, JSON on stdout
     python3 perf/layers.py --small    # the tier-1 smoke test's inputs
-    python3 perf/layers.py --against ../parent --e2e codec-mix --seeds 201-210 > BENCH_28.json
+    python3 perf/layers.py --against ../parent --e2e grid-sweep --seeds 1-10 > BENCH_31.json
 
-Six layers, each called on one fixed input built with library calls:
+Seven layers, each called on one fixed input built with library calls:
 
 - ``forward_53``: the example scene's top-left 256x256 tile-component
-  (component 0), DC-shifted, lifted to the scene's depth as a stack of
+  (component 0), DC-shifted into the width its first level lifts in, as
+  ``codestream`` does, and lifted to the scene's depth as a stack of
   one; Mpx/s.
 - ``band_sizes``: the token bytes of those bands, counted without
   writing them; token MB/s counted. With ``forward_53`` this is what
   ``measure`` does per tile-component.
-- ``encode_bands``: the same bands written in one pass; token MB/s
-  written.
+- ``measure``: the whole example scene's table, lifted and sized in
+  the codec's batches; tiles/s. Batching shows here and in no other
+  layer.
+- ``encode_bands``: the bands of ``forward_53`` written in one pass;
+  token MB/s written.
 - ``decode_bands``: those tokens read back into bands; token MB/s read.
 - ``inverse_53``: the decoded bands as a stack of one, synthesized;
   Mpx/s.
@@ -26,21 +30,25 @@ compared with the SHA-256 pinned below for its input set, integers as
 int64 little-endian whatever width the layer returns, so a layer that
 stops doing its work fails instead of getting faster.
 
-Each side is timed in a subprocess whose glibc mmap threshold is fixed
+Everything is timed in this process, with glibc's mmap threshold fixed
 at 1 MiB by ``bench/run.py``'s own ``_fix_mmap_threshold``, so arrays
 come from the allocator as they do in the benchmark. A layer's time is
 ``time.perf_counter`` around one call, after one untimed call; it
-reports the median and quartiles of ``REPEATS`` calls. ``--against DIR``
-also times the checkout at ``DIR`` (its ``src/``), in ``ROUNDS``
-alternating subprocess pairs, and writes both sides. ``--e2e WORKLOAD``
-adds alternating ``bench/run.py`` pairs of the two checkouts, each
-running its own copy, on ``--seeds`` for ``SECONDS`` each.
+reports the median and quartiles of ``REPEATS`` calls.
 
-``--against`` resolves a layer difference of about 10% or more, not
-less: on a 2-core x86_64 machine, ``band_sizes``, byte-identical on both
-sides, read 0.85-0.95x on this checkout's side in six of seven runs, while a
-checkout timed against itself read 0.98-1.05x. A smaller layer gain
-needs in-process alternation of the two versions instead.
+``--against DIR`` loads the ``tilecast`` under ``DIR``/src a second
+time, as the package ``tilecast_parent``, beside this checkout's. Each
+side builds its own inputs with its own package, and the two sides'
+calls alternate call by call, the side that goes first swapping each
+pair, so load and heap drift fall on both alike. The result gives each
+layer's speedup (the parent's median over this checkout's) and the pairs
+this checkout won, and the same for ``DIR`` timed against a second copy
+of itself, which states the resolution of the run: a layer's speedup
+means something only where it lies outside that row's. Timing each
+side in its own subprocess instead could not resolve a difference under
+about 10%. ``--e2e WORKLOAD`` adds alternating ``bench/run.py`` pairs of
+the two checkouts, each running its own copy, on ``--seeds`` for
+``SECONDS`` each.
 """
 
 from __future__ import annotations
@@ -58,8 +66,7 @@ import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
-REPEATS = 15  # timed calls per layer in one subprocess
-ROUNDS = 5  # alternating subprocess pairs with --against
+REPEATS = 21  # timed calls per layer and side
 SECONDS = 30  # length of one bench/run.py run, as BENCHMARK.json runs it
 
 # SHA-256 of each layer's output on each input set
@@ -67,6 +74,7 @@ DIGESTS = {
     "full": {
         "forward_53": "1762d3de80238dd816711e6009571f09df564aa764109bef02851cf31c655271",
         "band_sizes": "2ff74a251c915b479ea3703d351d9bbe79fda6c8d2c0fd384614a25910db3e14",
+        "measure": "a3417959f6e6d4d64c4fd997e879792cad175641ae409052897570858b417afc",
         "encode_bands": "ba400414ec362fa35b3cb83ea02a010093345726e6526d152db980a063ab03a8",
         "decode_bands": "d29bd3920d105efce1e0e58fae0721833679745322ea629276b07140ac27a6ec",
         "inverse_53": "2f96ecd8b45b60b5bc7f4bfcafb1c3f1e85a7d398f23c7a8ff61ec23761bdf6b",
@@ -75,6 +83,7 @@ DIGESTS = {
     "small": {
         "forward_53": "d41c4d338905bc99d8488b3fbc39db30163ae02d87c28529dfebc388a5ba7ad8",
         "band_sizes": "6830e9e260414cc8cb1a4312a334a2fea6f86237d92e7924eba80e942757732d",
+        "measure": "6d2c328e304e07c205e66410729ef48d617848d26b752f0e860686846a676531",
         "encode_bands": "d782faed044595669923dfcfb1c398d5118b91a29d5955e658458a11c23b26d2",
         "decode_bands": "418c481cf1c92b934024ae173cc6cf45fa5d89336e246e8b341c3fb840305131",
         "inverse_53": "caeb3a91b146136c81b5e7549ad249ab745a81b0c7c1485eecae4a197c69678d",
@@ -98,23 +107,27 @@ def _digest(*arrays_or_bytes) -> str:
     return h.hexdigest()
 
 
-def build(small: bool):
-    """The layers' inputs: {layer: (call, digest of its result, units of work, unit)}."""
+def build(small: bool, package: str = "tilecast"):
+    """The layers' inputs: {layer: (call, digest of its result, units of work, unit)}.
+
+    Every input is built, and every call made, with ``package``'s own modules.
+    """
     import numpy as np
 
-    from tilecast import codestream, config, scenario, wavelet
-    from tilecast.raster import TileGrid, generate_scene
-
+    codestream, config, raster, scenario, wavelet = (
+        importlib.import_module(f"{package}.{name}")
+        for name in ("codestream", "config", "raster", "scenario", "wavelet"))
     if small:
-        img, _ = generate_scene(1, 256, 256, 4, (8, 24))
-        grid, levels = TileGrid.for_image(256, 256, 64, 64), 4
+        img, _ = raster.generate_scene(1, 256, 256, 4, (8, 24))
+        grid, levels = raster.TileGrid.for_image(256, 256, 64, 64), 4
     else:
         cfg = config.parse_config(os.path.join(ROOT, "scenario.example.cfg"))
         img, _ = scenario.load_scene(cfg)
-        grid, levels = TileGrid.for_image(img.width, img.height, cfg.tile_w, cfg.tile_h), cfg.levels
-    samples = np.subtract(img.pixels[:256, :256, 0], 128, dtype=np.int32)
-    stack = samples[np.newaxis]
-    pyr = wavelet.forward_53(samples, levels - 1)
+        grid, levels = raster.TileGrid.for_image(img.width, img.height, cfg.tile_w, cfg.tile_h), cfg.levels
+    # codestream DC-shifts into the width the first level of 8-bit samples lifts in
+    shift = np.subtract(img.pixels[:256, :256, 0], 128, dtype=wavelet._level_dtype(128))
+    stack = shift[np.newaxis]
+    pyr = wavelet.forward_53(shift, levels - 1)
     bands = [pyr.ll, *(band for level in pyr.details for band in level)]
     coded, _ = codestream.encode_bands(bands)
     counts = [band.size for band in bands]
@@ -130,6 +143,10 @@ def build(small: bool):
                        256 * 256 / 1e6, "Mpx/s"),
         "band_sizes": (lambda: codestream.band_sizes(bands),
                        lambda out: _digest(np.array(out)), mb, "MB/s"),
+        "measure": (lambda: codestream.measure(img, grid, levels),
+                    lambda out: _digest(np.array([e.index for e in out.entries]),
+                                        np.array([e.seg_lengths for e in out.entries])),
+                    grid.tile_count, "tiles/s"),
         "encode_bands": (lambda: codestream.encode_bands(bands),
                          lambda out: _digest(out[0], np.array(out[1])), mb, "MB/s"),
         "decode_bands": (lambda: codestream.decode_bands(coded, counts),
@@ -141,21 +158,35 @@ def build(small: bool):
     }
 
 
+def _time(sides: dict, small: bool, repeats: int) -> dict:
+    """{side: {layer: timings}} for sides given as {side: package}; refuses a wrong result.
+
+    Each layer's calls alternate between the sides, the side that goes
+    first swapping with each round.
+    """
+    pinned = DIGESTS["small" if small else "full"]
+    built = {side: build(small, package) for side, package in sides.items()}
+    order = list(sides)
+    timed = {side: {} for side in sides}
+    for name in pinned:
+        for side in order:
+            call, digest, work, unit = built[side][name]
+            got = digest(call())
+            if got != pinned[name]:
+                raise SystemExit(f"{name}: output digest {got} != pinned {pinned[name]}")
+            timed[side][name] = {"times_s": [], "work": work, "unit": unit, "digest": got}
+        for r in range(repeats):
+            for side in order if r % 2 == 0 else reversed(order):
+                call = built[side][name][0]
+                t0 = time.perf_counter()
+                call()
+                timed[side][name]["times_s"].append(time.perf_counter() - t0)
+    return timed
+
+
 def measure(small: bool, repeats: int) -> dict:
     """Each layer's timings and rate on this interpreter's ``tilecast``; refuses a wrong result."""
-    pinned = DIGESTS["small" if small else "full"]
-    layers = {}
-    for name, (call, digest, work, unit) in build(small).items():
-        got = digest(call())
-        if got != pinned[name]:
-            raise SystemExit(f"{name}: output digest {got} != pinned {pinned[name]}")
-        times = []
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            call()
-            times.append(time.perf_counter() - t0)
-        layers[name] = {"times_s": times, "work": work, "unit": unit, "digest": got}
-    return layers
+    return _time({"change": "tilecast"}, small, repeats)["change"]
 
 
 def summarize(layers: dict) -> dict:
@@ -167,6 +198,28 @@ def summarize(layers: dict) -> dict:
         out[name] = {"n": len(times), "median_s": med, "q1_s": q1, "q3_s": q3,
                      "rate": layer["work"] / med, "unit": layer["unit"], "digest": layer["digest"]}
     return out
+
+
+def _versus(timed: dict, parent: str, change: str) -> dict:
+    """Per layer, the parent's median time over the change's, and the rounds the change won."""
+    rows = {}
+    for name, layer in timed[change].items():
+        ours, theirs = layer["times_s"], timed[parent][name]["times_s"]
+        wins = sum(a < b for a, b in zip(ours, theirs))
+        rows[name] = {"speedup": statistics.median(theirs) / statistics.median(ours),
+                      "wins": f"{wins}/{len(ours)}"}
+    return rows
+
+
+def _load(checkout: str, package: str) -> str:
+    """Import ``checkout``/src/tilecast as the package ``package``, beside any other copy."""
+    path = os.path.join(checkout, "src", "tilecast")
+    spec = importlib.util.spec_from_file_location(
+        package, os.path.join(path, "__init__.py"), submodule_search_locations=[path])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[package] = module
+    spec.loader.exec_module(module)
+    return package
 
 
 def _fix_mmap_threshold() -> None:
@@ -188,13 +241,6 @@ def _run(cmd: list[str], **kwargs) -> str:
         sys.stderr.write(proc.stderr)
         raise SystemExit(f"{' '.join(cmd)}: exit status {proc.returncode}")
     return proc.stdout
-
-
-def _side(checkout: str, small: bool) -> dict:
-    """One subprocess timing the layers of the ``tilecast`` under ``checkout``/src."""
-    env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
-    cmd = [sys.executable, os.path.abspath(__file__), "--raw"]
-    return json.loads(_run(cmd + (["--small"] if small else []), env=env))
 
 
 def _e2e(checkouts: dict, workload: str, seeds: list[int]) -> dict:
@@ -230,15 +276,12 @@ def _seeds(text: str) -> list[int]:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--small", action="store_true", help="the smoke test's small inputs")
-    p.add_argument("--against", help="a parent checkout to time in alternating rounds")
+    p.add_argument("--against", help="a parent checkout to time call by call against this one")
     p.add_argument("--e2e", nargs="*", default=[], help="bench/run.py workloads to pair")
     p.add_argument("--seeds", type=_seeds, default=_seeds("1-10"))
-    p.add_argument("--raw", action="store_true", help=argparse.SUPPRESS)
     args = p.parse_args(argv)
-    if args.raw:
-        _fix_mmap_threshold()
-        json.dump(measure(args.small, REPEATS), sys.stdout)
-        return 0
+    _fix_mmap_threshold()
+    sys.path.insert(0, os.path.join(ROOT, "src"))
 
     import numpy as np
 
@@ -246,23 +289,20 @@ def main(argv=None) -> int:
            "machine": platform.machine(), "repeats": REPEATS, "small": args.small}
     if not args.against:
         result = {"git_head": _git_head(ROOT), **env,
-                  "layers": summarize(_side(ROOT, args.small))}
+                  "layers": summarize(measure(args.small, REPEATS))}
     else:
-        checkouts = {"parent": os.path.abspath(args.against), "change": ROOT}
-        timed = {side: {} for side in checkouts}
-        for r in range(ROUNDS):
-            order = list(checkouts) if r % 2 == 0 else list(reversed(checkouts))
-            for side in order:
-                for name, layer in _side(checkouts[side], args.small).items():
-                    timed[side].setdefault(name, {**layer, "times_s": []})
-                    timed[side][name]["times_s"] += layer["times_s"]
-        result = {**env, "rounds": ROUNDS}
-        for side, checkout in checkouts.items():
+        parent = os.path.abspath(args.against)
+        sides = {"parent": _load(parent, "tilecast_parent"), "change": "tilecast"}
+        timed = _time(sides, args.small, REPEATS)
+        result = dict(env)
+        for side, checkout in (("parent", parent), ("change", ROOT)):
             result[side] = {"git_head": _git_head(checkout), "layers": summarize(timed[side])}
-        result["speedup"] = {name: result["parent"]["layers"][name]["median_s"]
-                             / result["change"]["layers"][name]["median_s"]
-                             for name in timed["change"]}
-        result["end_to_end"] = [_e2e(checkouts, wl, args.seeds) for wl in args.e2e]
+        result["versus"] = _versus(timed, "parent", "change")
+        again = _time({"parent": "tilecast_parent", "again": _load(parent, "tilecast_again")},
+                      args.small, REPEATS)
+        result["parent_vs_parent"] = _versus(again, "parent", "again")
+        result["end_to_end"] = [_e2e({"parent": parent, "change": ROOT}, wl, args.seeds)
+                                for wl in args.e2e]
     print(json.dumps(result, indent=1))
     return 0
 

@@ -19,7 +19,8 @@ the zigzag code of one nonzero coefficient (2c for c >= 0, -2c-1 for
 c < 0, always >= 1 for nonzero c). Every token is below 2**32 and both
 sides work in uint32: the writer takes only integer bands within int32
 (lifting keeps the codec's own below 129 * 4**7, about 2**21, at depth
-7), and a run cannot outgrow its band; the reader refuses a larger token
+7, and gives them in int16 at the levels that stay below 2**15), and a
+run cannot outgrow its band; the reader refuses a larger token
 where it reads it. A tile-component's segments 1..r are adjacent in the
 payload, and that run is the unit of reading: ``_runs`` alone turns
 segment lengths into runs, in one walk of the table in wire order, and
@@ -35,16 +36,20 @@ payload once each, in order, each only once the source holds it, so a
 file's payload is held once.
 
 The unit of a token pass is a batch: consecutive tile-components in
-wire order, closed once it holds 2^16 coefficients (one 256x256
-tile-component, which is always coded alone). Bands are coded
-independently and runs stop at band ends, so a batch writes exactly the
-bytes its tile-components would write one at a time, and small tiles
-share the fixed cost of a pass. The bound keeps a pass's arrays to at
-most 2^16 coefficients plus one tile-component, however many tiles an
-image has. The unit of lifting is one tile shape within a batch: the
-batch's tile-components of each size are lifted as one stack, each
-exactly as it would be alone, so a 256x256 tile-component is lifted as a
-stack of one and no stack outgrows its batch. The encoder codes a batch
+wire order, closed once it holds 2^17 coefficients (two 256x256
+tile-components, which share a pass). Bands are coded independently and
+runs stop at band ends, so a batch writes exactly the bytes its
+tile-components would write one at a time, and tiles share the fixed
+cost of a pass. The bound keeps a pass's arrays to at most 2^17
+coefficients plus one tile-component, however many tiles an image has.
+The unit of lifting is one tile shape within a batch: the batch's
+tile-components of each size are DC-shifted into int16 and lifted as
+one stack, each exactly as it would be alone, so two 256x256
+tile-components are lifted as one stack and no stack outgrows its
+batch. At the depths a codestream holds, the first three levels of
+8-bit samples lift in int16 and deeper ones in int32
+(``wavelet._level_dtype``), so a 2^17-coefficient stack holds the
+256 KiB of samples that a 2^16 stack held in int32. The encoder codes a batch
 in one ``encode_bands`` pass. ``measure`` gives the header and table
 ``encode`` would write (a ``CodestreamTable``) by walking the same
 batches and counting their token bytes with one ``band_sizes`` pass
@@ -55,11 +60,11 @@ The decoder walks the requested tiles' components in batches of
 the same bound, counted at the decoded resolution. It joins a batch's
 runs and checks them in one ``decode_bands`` pass, against the band
 sizes the header implies and before it expands any run, and synthesizes
-the batch one stack per tile size. Decoding stays in 32 bits from token
-to pixel where the coefficients allow: ``decode_bands`` gives int32
-bands, and ``inverse_53`` lifts each level in int32 unless the level's
-measured peak could carry a value out of int32, which only literals far
-beyond what lifting 8-bit samples makes can do. ``decode`` and ``assemble`` share
+the batch one stack per tile size. Decoding stays in 32 bits or fewer
+from token to pixel where the coefficients allow: ``decode_bands``
+gives int32 bands, and ``inverse_53`` lifts each level in int16 or
+int32 as the level's measured peak allows; only literals far beyond
+what lifting 8-bit samples makes need int64. ``decode`` and ``assemble`` share
 that walk and write each synthesized plane once, into its tile or
 straight into the canvas, so decoding holds the output plus one batch.
 Every run must end inside its band, and every segment end, the last one
@@ -85,7 +90,7 @@ from .raster import MAX_PIXELS, Image, TileGrid, tile_bounds
 MAGIC = b"SSC1"
 MAX_LEVELS = 8
 _HEADER = struct.Struct(">4sIIHHBBBI")
-_BATCH_COEFFS = 1 << 16  # one 256x256 tile-component: a token pass closes here
+_BATCH_COEFFS = 1 << 17  # two 256x256 tile-components: a token pass closes here
 
 
 class CodestreamError(ValueError):
@@ -151,12 +156,15 @@ def _token_runs(bands):
     widened; a band that is not integer, or leaves int32, is refused), the
     band cuts, the zeros' positions, and for each run the index in
     ``zeros`` of its first zero and its length. A run stops at the end of
-    its band, so a band's first coefficient, if zero, opens one.
+    its band, so a band's first coefficient, if zero, opens one. An
+    integer band of 16 bits or fewer always fits int32 and is not scanned;
+    a wider one, int32 itself aside, is scanned for its range.
     """
     flats = [np.ravel(band) for band in bands]
     for f in flats:
-        if f.dtype != np.int32 and (f.dtype.kind not in "iu" or f.size and not (
-                -(1 << 31) <= f.min() and f.max() < 1 << 31)):
+        scanned = f.dtype.itemsize > 2 and f.dtype != np.int32 and f.size
+        if f.dtype.kind not in "iu" or scanned and not (
+                -(1 << 31) <= f.min() and f.max() < 1 << 31):
             raise CodestreamError(f"a band of {f.dtype} is not all integers within int32")
     cuts = np.cumsum([0, *(f.size for f in flats)])
     flat = np.concatenate(flats, dtype=np.int32) if flats else np.empty(0, dtype=np.int32)
@@ -270,21 +278,23 @@ def decode_bands(buf, counts: list[int], segments=None) -> list[np.ndarray]:
         raise CodestreamError("zero-length zero run")
     if np.any(is_zero[at_token[at_token > 0] - 1]):
         raise CodestreamError("dangling zero-run introducer")
-    # coefficients each token expands to: a literal 1, a run's zero its
-    # length, the length itself none; ends[t] counts those of the first t.
-    # A run may be 2**32 - 1 long, so the counts and sums are int64.
+    # A literal expands to one coefficient and a run's two tokens to its
+    # length, so the tokens before token t expand to t plus, over the runs
+    # among them, length - 2: extra[k] sums that over the first k runs. A
+    # run may be 2**32 - 1 long, so the lengths and sums are int64.
     zeros = np.flatnonzero(is_zero)
-    expand = np.ones(tokens.size, dtype=np.int64)
-    expand[zeros] = tokens[zeros + 1]
-    expand[zeros + 1] = 0
-    ends = np.zeros(tokens.size + 1, dtype=np.int64)
-    np.cumsum(expand, out=ends[1:])
+    runs = tokens[zeros + 1].astype(np.int64)
+    extra = np.zeros(zeros.size + 1, dtype=np.int64)
+    np.cumsum(runs - 2, out=extra[1:])
+    run_starts = zeros + extra[:-1]
     bounds = np.cumsum([0, *counts])
+    # a band may not end inside a run, where more runs start before it than end at or before it;
+    # one that ends past the last token leaves its segment short
     inner = bounds[bounds > 0]
-    # each band must end where a literal or a run ends; the -1 stands past the last
-    if np.any(np.append(ends, -1)[np.searchsorted(ends, inner)] != inner):
+    inside = np.searchsorted(run_starts, inner) != np.searchsorted(run_starts + runs, inner, "right")
+    if np.any(inside):
         raise CodestreamError("zero run crosses a band boundary or segment is short")
-    got, want = ends[at_token], bounds[at_band]
+    got, want = at_token + extra[np.searchsorted(zeros, at_token)], bounds[at_band]
     if np.any(got < want):
         raise CodestreamError("zero run crosses a band boundary or segment is short")
     if np.any(got > want):
@@ -292,6 +302,10 @@ def decode_bands(buf, counts: list[int], segments=None) -> list[np.ndarray]:
     # undo the zigzag in uint32 and read the result as int32; a zero stays zero
     values = tokens >> 1
     values ^= -(tokens & 1)
+    # a literal stands for itself, a run's zero for its length in zeros, the length for nothing
+    expand = np.ones(tokens.size, dtype=np.intp)
+    expand[zeros] = runs
+    expand[zeros + 1] = 0
     coeffs = np.repeat(values.view(np.int32), expand)
     return [coeffs[a:b] for a, b in zip(bounds, bounds[1:])]
 
@@ -424,8 +438,9 @@ def _shape_groups(sizes):
 def _stack(arrays: list) -> np.ndarray:
     """``np.stack(arrays)``, but one array is viewed as a stack of one, not copied.
 
-    Every 256x256 tile-component is alone in its batch, and copying its
-    decoded bands took ~0.28 ms, about 7% of assembling the example scene.
+    A batch can hold a tile size once (a 256x256 tile-component beside
+    an edge tile's, say), and copying one 256x256 tile-component's
+    decoded bands took ~0.28 ms.
     """
     return arrays[0][np.newaxis] if len(arrays) == 1 else np.stack(arrays)
 
@@ -440,7 +455,7 @@ def _lift_batch(img: Image, batch, levels: int) -> list:
     for (tw, th), group in _shape_groups(bounds[2:] for _, _, bounds in batch):
         members = [batch[pos] for pos in group]
         stack = _stack([img.pixels[y : y + th, x : x + tw, c] for _, c, (x, y, _, _) in members])
-        pyr = wavelet.forward_53(np.subtract(stack, 128, dtype=np.int32), levels - 1)
+        pyr = wavelet.forward_53(np.subtract(stack, 128, dtype=np.int16), levels - 1)
         for k, pos in enumerate(group):
             # deepest details first == resolution 2 first
             segs[pos] = [(pyr.ll[k],), *((hl[k], lh[k], hh[k]) for hl, lh, hh in pyr.details)]

@@ -35,16 +35,18 @@ same swapped view.
 
 Both directions lift each level at the narrowest width that stays
 exact, by one rule: a level over values of magnitude at most m forms no
-magnitude of 9 * (m + 1) or more, so it runs in int32 when that bound is
-at most 2**31, that is for m up to 238,609,293, in int64 when it is at
-most 2**63, and is refused above. In analysis, a 1-D pass over values
+magnitude of 9 * (m + 1) or more, so it runs in int16 when that bound is
+at most 2**15, that is for m up to 3,639, in int32 when it is at most
+2**31, that is for m up to 238,609,293, in int64 when it is at most
+2**63, and is refused above. In analysis, a 1-D pass over values
 within m gives values within 2m + 1 (Taubman & Marcellin, *JPEG2000*,
 2002) and forms no sum beyond twice that, so a row pass and then a
 column pass form nothing of 8 * (m + 1) or more and keep the LL within
 4m + 3. Analysis therefore measures the input's peak p once and carries
 the bound from level to level: level k lifts values within
-4**(k - 1) * (p + 1) - 1. For DC-shifted 8-bit samples (p = 128) every
-level runs in int32 up to depth 11, and at depth 7, the deepest a
+4**(k - 1) * (p + 1) - 1. For DC-shifted 8-bit samples (p = 128) the
+bounds 128, 515 and 2,063 put levels 1-3 in int16, every deeper level
+runs in int32 up to depth 11, and at depth 7, the deepest a
 codestream holds, no level forms a magnitude of 9 * 129 * 4**6, about
 2**22. A stack takes one width per level, from its largest peak. In
 synthesis, coefficients read from a stream carry no bound but their
@@ -99,12 +101,14 @@ def _integral_grid(a) -> np.ndarray:
 
 
 def _level_dtype(peak: int) -> np.dtype:
-    """int32 or int64: the narrowest width exact for one level over |x| <= peak.
+    """int16, int32 or int64: the narrowest width exact for one level over |x| <= peak.
 
     A level, analysis or synthesis, forms no magnitude of 9 * (peak + 1)
     or more; see the module docstring.
     """
     bound = 9 * (peak + 1)
+    if bound <= 1 << 15:
+        return np.dtype(np.int16)
     if bound <= 1 << 31:
         return np.dtype(np.int32)
     if bound <= 1 << 63:
@@ -206,10 +210,10 @@ def forward_53(samples, depth: int) -> CoefficientPyramid:
     (bool, signed or unsigned) is accepted; a grid of another dtype,
     float included, raises ``ValueError``, and so does a grid too large
     for exact lifting in int64. Each level is lifted, and its bands come
-    out, in int32 when the bound carried from the input's peak keeps
-    every value the level forms inside int32, else in int64 (see the
-    module docstring), so a deep pyramid of wide input may hold int32
-    bands at its shallow levels and int64 bands at its deep ones.
+    out, in the narrowest of int16, int32 and int64 that the bound
+    carried from the input's peak keeps every value the level forms
+    inside (see the module docstring), so a deep pyramid may hold int16
+    bands at its shallow levels and wider bands at its deep ones.
     """
     grid = _integral_grid(samples)
     if grid.size == 0:
@@ -238,12 +242,11 @@ def inverse_53(pyramid: CoefficientPyramid) -> np.ndarray:
     same ``n``, synthesizes a stack of ``n`` grids, each as it would be
     alone; stack lengths that disagree raise ``PyramidShapeError``.
 
-    Each level is synthesized in int32 when the measured peak of its
-    inputs keeps every value it forms inside int32, else in int64: the
-    rule ``forward_53`` applies to its carried bound (see the module
-    docstring). The result is int32 or int64, the width of the last
-    level. A pyramid with no detail level returns its LL band
-    as given.
+    Each level is synthesized in the narrowest of int16, int32 and
+    int64 that the measured peak of its inputs keeps every value it
+    forms inside: the rule ``forward_53`` applies to its carried bound
+    (see the module docstring). The result has the width of the last
+    level. A pyramid with no detail level returns its LL band as given.
     """
     cur = _integral_grid(pyramid.ll)
     for bands in pyramid.details:

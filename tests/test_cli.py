@@ -552,3 +552,35 @@ def test_example_scenario_golden_detections(tmp_path):
     assert run("--out-dir", tmp_path, "run", EXAMPLE_CFG, "--save-detections") == 0
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     assert got == {**EXAMPLE_GOLDEN, **EXAMPLE_DETECTIONS_GOLDEN}
+
+
+# Run in the child: refuse to run if numpy still dispatches any SIMD
+# target, then run the command as ``python -m tilecast`` would.
+_UNDISPATCHED_CLI = """
+import runpy, sys
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+still = [t for t in __cpu_dispatch__ if __cpu_features__[t]]
+if still:
+    sys.exit(f"numpy still dispatches {still}")
+sys.argv[0] = "tilecast"
+runpy.run_module("tilecast", run_name="__main__")
+"""
+
+
+def test_example_pins_hold_with_every_simd_target_disabled(tmp_path):
+    # numpy picks its SIMD kernels at run time (int16 and int32 lifting,
+    # float reductions, ...); the pinned outputs may not depend on which
+    umath = pytest.importorskip("numpy._core._multiarray_umath",
+                                reason="numpy before 2.0 lists its SIMD targets elsewhere")
+    targets = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__[t]]
+    if not targets:
+        pytest.skip("numpy dispatches no SIMD target on this CPU, so there is none to disable")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(targets),
+           "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    argv = ["--quiet", "--out-dir", tmp_path, "run", EXAMPLE_CFG, "--save-detections"]
+    done = subprocess.run([sys.executable, "-c", _UNDISPATCHED_CLI, *map(str, argv)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert got == {**EXAMPLE_GOLDEN, **EXAMPLE_DETECTIONS_GOLDEN}

@@ -1213,14 +1213,16 @@ def test_no_pass_covers_more_than_the_bound_plus_one_tile_component():
 
     calls = _coefficients_per_call(run)
     assert {name for name, _ in calls} == {"encode_bands", "band_sizes", "decode_bands"}
-    assert max(n for _, n in calls) <= (1 << 16) + 200 * 200
+    assert max(n for _, n in calls) <= cs._BATCH_COEFFS + 200 * 200
     # tile-components share passes: 27 of them are coded in far fewer calls
     assert sum(name == "encode_bands" for name, _ in calls) < 27 / 2
 
 
-def test_a_256_square_tile_component_is_coded_alone():
-    # in wire order a 44 px wide edge tile comes before each 256^2 tile of
-    # the next row, and must not share its pass
+def test_two_256_square_tile_components_share_a_pass():
+    # in wire order a 44 px wide edge tile comes between tile 0 and tile 2,
+    # both 256^2; a pass closes once it holds the bound, two of them
+    pair = cs._BATCH_COEFFS // (256 * 256)
+    assert pair == 2
     rng = np.random.default_rng(20)
     for components in (1, 3):
         img = _noisy_image(rng, 600, 300, components)
@@ -1233,12 +1235,16 @@ def test_a_256_square_tile_component_is_coded_alone():
             cs.assemble(stream, 5)
             decode(stream, [2, 1, 0], 5)
 
-        calls = _coefficients_per_call(run)
-        alone = collections.Counter(name for name, n in calls if n == 256 * 256)
-        # tiles 0 and 2 are 256^2: coded, sized, assembled and decoded once each
-        assert alone == {name: 2 * components for name in ("encode_bands", "band_sizes")} | {
-            "decode_bands": 4 * components}
-        assert max(n for _, n in calls) <= (1 << 16) + 256 * 256
+        calls = _calls(run)
+        # tiles 0 and 2 are 256^2: coded, sized, assembled and decoded two to a lift
+        full = [shape[0] for name, shape in calls if name in _LIFTS and shape[1:] == (256, 256)]
+        assert full == [pair] * 4 * components
+        passes = [(name, n) for name, n in calls if name not in _LIFTS]
+        # with three components, tile 0's first two fill a pass by themselves, as do tile 2's last two
+        together = collections.Counter(name for name, n in passes if n == pair * 256 * 256)
+        assert together == ({} if components == 1 else {
+            "encode_bands": 2, "band_sizes": 2, "decode_bands": 4})
+        assert max(n for _, n in passes) <= cs._BATCH_COEFFS + 256 * 256
 
 
 def _stacks_per_batch(calls, lifts_follow_their_pass):
@@ -1296,12 +1302,14 @@ def test_a_batch_lifts_one_stack_per_tile_shape():
                 # below full resolution two tile sizes can halve to one shape
                 _check_call_shape(batches, len(indices) * img.components, resolution == levels)
                 lifts += [shape for _, stacks in batches for shape in stacks]
-        # a 256^2 tile-component fills a batch, so it is always a stack of one:
-        # tiles 0 and 2 are 256^2, lifted by encode, measure and the two
-        # full-resolution decodes (the subset holds tile 2)
-        full = [shape for shape in lifts if shape[1:] == (256, 256)]
-        assert all(shape[0] == 1 for shape in full)
-        assert len(full) == (6 + 6 + 3 + 6 if tw == 256 else 0)
+        # two 256^2 tile-components fill a batch, so a stack holds at most
+        # two: tiles 0 and 2 are 256^2, lifted by encode, measure and the
+        # two full-resolution decodes (the subset holds tile 2, whose last
+        # component shares its batch with tile 5)
+        full = [shape[0] for shape in lifts if shape[1:] == (256, 256)]
+        assert full == ([2] * 3 + [2] * 3 + [2, 1] + [2] * 3 if tw == 256 else [])
+        assert max(full, default=0) <= cs._BATCH_COEFFS // (256 * 256)
+        assert sum(full) == (6 + 6 + 3 + 6 if tw == 256 else 0)
         if tw < 10:
             assert len(lifts) < everything / 10
 

@@ -19,7 +19,7 @@ def layers():
 
 def test_every_layer_runs_once_on_small_inputs_and_matches_its_digest(layers):
     timed = layers.measure(small=True, repeats=1)
-    assert set(timed) == {"forward_53", "band_sizes", "encode_bands", "decode_bands",
+    assert set(timed) == {"forward_53", "band_sizes", "measure", "encode_bands", "decode_bands",
                           "inverse_53", "assemble"}
     for name, layer in timed.items():
         assert layer["digest"] == layers.DIGESTS["small"][name]

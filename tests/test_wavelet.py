@@ -226,18 +226,26 @@ def _checked_pass(a, axis):
     return low, high
 
 
+def _8bit_width(level):
+    """The width 8-bit samples lift in at ``level`` (1 is the first split): int16 to 3, then int32."""
+    return np.int16 if level <= 3 else np.int32
+
+
 def test_int32_lifting_bound_on_extreme_8bit_input():
     depth = 7  # a codestream's deepest split
-    # each level's width, from the bound carried from the peak: every
-    # level in int32 at depth 11; at depth 12 the deepest level (details[0])
-    # and the LL it makes in int64, the eleven above it still in int32
+    # each level's width, from the bound carried from the peak: levels 1-3
+    # in int16 and the rest in int32 at depth 11; at depth 12 the deepest
+    # level (details[0]) and the LL it makes in int64, the eleven above it
+    # as at depth 11
     g = _extreme_patterns(16, 16)[2]
     shallow, deep = forward_53(g, 11), forward_53(g, 12)
     assert shallow.ll.dtype == np.int32
-    assert {band.dtype for level in shallow.details for band in level} == {np.dtype(np.int32)}
+    for i, level in enumerate(shallow.details):
+        assert [band.dtype for band in level] == [_8bit_width(11 - i)] * 3
     assert deep.ll.dtype == np.int64
     assert [band.dtype for band in deep.details[0]] == [np.int64] * 3
-    assert {band.dtype for level in deep.details[1:] for band in level} == {np.dtype(np.int32)}
+    for i, level in enumerate(deep.details[1:]):
+        assert [band.dtype for band in level] == [_8bit_width(11 - i)] * 3
     for got, want in zip(deep.details[1:], shallow.details):
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
     assert np.array_equal(inverse_53(deep), g)
@@ -255,10 +263,54 @@ def test_int32_lifting_bound_on_extreme_8bit_input():
             pyr = forward_53(g, depth)
             assert pyr.ll.dtype == np.int32
             assert np.array_equal(pyr.ll, cur)
-            for got, want in zip(pyr.details, reversed(levels)):
+            for i, (got, want) in enumerate(zip(pyr.details, reversed(levels))):
                 for band, wanted in zip(got, want):
-                    assert band.dtype == np.int32 and np.array_equal(band, wanted)
+                    assert band.dtype == _8bit_width(depth - i) and np.array_equal(band, wanted)
                     assert int(abs(band).max(initial=0)) < 1 << 22
+            assert np.array_equal(inverse_53(pyr), g)
+
+
+def _int16_checked_pass(a, axis):
+    """One int64 lifting pass along ``axis``; every value it forms, sums included, within int16.
+
+    The pass is formed here from the lifting steps, term by term, and
+    must equal ``wavelet._analyze`` on the same input.
+    """
+    x = a.T if axis else a  # the lifting axis first
+    even, odd = x[0::2], x[1::2]
+    ns, nd = len(even), len(odd)
+    following = np.concatenate([even[1:], even[-1:]])
+    pairs = even[:nd] + following[:nd]  # every x[2n] + x[2n+2]
+    d = odd - (pairs >> 1)
+    edged = np.concatenate([d[:1], d, d[-1:]])
+    sums = edged[:ns] + edged[1 : ns + 1] + 2  # every d[n-1] + d[n] + 2
+    s = even + (sums >> 2)
+    for formed in (pairs, d, sums, s):
+        assert int(abs(formed).max(initial=0)) < 1 << 15
+    low, high = wavelet._analyze(a, axis)
+    assert np.array_equal(low, s.T if axis else s) and np.array_equal(high, d.T if axis else d)
+    return low, high
+
+
+def test_int16_lifting_bound_on_extreme_8bit_input():
+    # levels 1-3 of 8-bit samples lift in int16: every sum each of their
+    # passes forms, computed in int64, stays below 2**15; level 4 is int32
+    for h, w in ((128, 128), (129, 128), (130, 131), (255, 133)):
+        for g in _extreme_patterns(h, w):
+            cur, levels = g.astype(np.int64), []
+            for _ in range(3):
+                # the passes forward_53 runs: rows (the last axis), then columns (axis 0)
+                low, high = _int16_checked_pass(cur, 1)
+                ll, lh = _int16_checked_pass(low, 0)
+                hl, hh = _int16_checked_pass(high, 0)
+                levels.append((hl, lh, hh))
+                cur = ll
+            pyr = forward_53(g, 4)
+            assert pyr.ll.dtype == np.int32
+            assert [band.dtype for band in pyr.details[0]] == [np.int32] * 3
+            for got, want in zip(pyr.details[1:], reversed(levels)):
+                for band, wanted in zip(got, want):
+                    assert band.dtype == np.int16 and np.array_equal(band, wanted)
             assert np.array_equal(inverse_53(pyr), g)
 
 
@@ -346,7 +398,10 @@ def test_synthesis_bound_on_extreme_coefficients(peak):
 
 
 def test_synthesis_width_limits():
-    assert wavelet._level_dtype(0) == np.int32
+    # one level lifts values up to m in int16 while 9 * (m + 1) <= 2**15
+    assert wavelet._level_dtype(0) == np.int16
+    assert wavelet._level_dtype((1 << 15) // 9 - 1) == wavelet._level_dtype(3639) == np.int16
+    assert wavelet._level_dtype(3640) == np.int32
     assert wavelet._level_dtype(_INT32_LEVEL_PEAK) == np.int32
     assert wavelet._level_dtype(_INT32_LEVEL_PEAK + 1) == np.int64
     assert wavelet._level_dtype((1 << 63) // 9 - 1) == np.int64
@@ -363,15 +418,16 @@ def test_synthesis_width_limits():
 
 @st.composite
 def stacks(draw):
-    """A stack of 1-9 same-shape grids, 1-40 a side, a depth 0-7, and the width it lifts in."""
+    """A stack of 1-9 same-shape grids, 1-40 a side, a depth 0-7, and the width of each level."""
     n, h, w = draw(st.integers(1, 9)), draw(st.integers(1, 40)), draw(st.integers(1, 40))
     depth = draw(st.integers(0, 7))
-    # 8-bit samples lift in int32 at every depth; 2**40 forces int64
+    # 8-bit samples lift levels 1-3 in int16 and deeper ones in int32; 2**40 forces int64
     peak = draw(st.sampled_from([128, 2**40]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     grids = rng.integers(-peak, peak, size=(n, h, w))
     grids[rng.integers(n), rng.integers(h), rng.integers(w)] = -peak  # the stack reaches its peak
-    return grids, depth, np.int32 if peak == 128 else np.int64
+    widths = [_8bit_width(k) if peak == 128 else np.int64 for k in range(1, depth + 1)]
+    return grids, depth, widths
 
 
 def _bands(pyr):
@@ -381,10 +437,13 @@ def _bands(pyr):
 @settings(max_examples=150, deadline=None)
 @given(stacks())
 def test_a_stack_lifts_as_its_members_do(case):
-    grids, depth, width = case
+    grids, depth, widths = case
     pyr = forward_53(grids, depth)
+    # each level's bands in its width, and the LL in the deepest one's;
     # depth 0 lifts nothing and returns the stack as given
-    assert all(band.dtype == (width if depth else grids.dtype) for band in _bands(pyr))
+    assert pyr.ll.dtype == (widths[-1] if depth else grids.dtype)
+    for level, bands in zip(reversed(widths), pyr.details, strict=True):
+        assert all(band.dtype == level for band in bands)
     alone = [forward_53(grid, depth) for grid in grids]
     for k, member in enumerate(alone):
         for band, wanted in zip(_bands(pyr), _bands(member), strict=True):
