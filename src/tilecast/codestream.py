@@ -288,11 +288,11 @@ def decode_bands(buf, counts: list[int], segments=None) -> list[np.ndarray]:
     np.cumsum(runs - 2, out=extra[1:])
     run_starts = zeros + extra[:-1]
     bounds = np.cumsum([0, *counts])
-    # a band may not end inside a run, where more runs start before it than end at or before it;
-    # one that ends past the last token leaves its segment short
+    # a band may not end inside a run, where more runs start before its end
+    # than end at or before it; one past the last token is caught below
     inner = bounds[bounds > 0]
-    inside = np.searchsorted(run_starts, inner) != np.searchsorted(run_starts + runs, inner, "right")
-    if np.any(inside):
+    run_ends = run_starts + runs
+    if np.any(np.searchsorted(run_starts, inner) != np.searchsorted(run_ends, inner, "right")):
         raise CodestreamError("zero run crosses a band boundary or segment is short")
     got, want = at_token + extra[np.searchsorted(zeros, at_token)], bounds[at_band]
     if np.any(got < want):
