@@ -49,11 +49,11 @@ tile-components are lifted as one stack and no stack outgrows its
 batch. At the depths a codestream holds, the first three levels of
 8-bit samples lift in int16 and deeper ones in int32
 (``wavelet._level_dtype``), so a 2^17-coefficient stack holds the
-256 KiB of samples that a 2^16 stack held in int32. The encoder codes a batch
-in one ``encode_bands`` pass. ``measure`` gives the header and table
-``encode`` would write (a ``CodestreamTable``) by walking the same
-batches and counting their token bytes with one ``band_sizes`` pass
-each. Both coders follow one run rule, found by ``_token_runs``, and
+256 KiB of samples that a 2^16 stack held in int32. The encoder codes
+a batch in one ``encode_bands`` pass. ``measure`` gives the header and
+table ``encode`` would write (a ``CodestreamTable``) by walking the
+same batches and counting their token bytes with one ``band_sizes``
+pass each. Both coders follow one run rule, found by ``_token_runs``, and
 ``encode_bands`` takes its lengths from ``band_sizes``' counting body,
 so ``measure`` counts what ``encode`` writes.
 The decoder walks the requested tiles' components in batches of
@@ -64,9 +64,10 @@ the batch one stack per tile size. Decoding stays in 32 bits or fewer
 from token to pixel where the coefficients allow: ``decode_bands``
 gives int32 bands, and ``inverse_53`` lifts each level in int16 or
 int32 as the level's measured peak allows; only literals far beyond
-what lifting 8-bit samples makes need int64. ``decode`` and ``assemble`` share
-that walk and write each synthesized plane once, into its tile or
-straight into the canvas, so decoding holds the output plus one batch.
+what lifting 8-bit samples makes need int64. ``decode`` and
+``assemble`` share that walk and write each synthesized plane once,
+into its tile or straight into the canvas, so decoding holds the
+output plus one batch.
 Every run must end inside its band, and every segment end, the last one
 included, obeys one rule: it falls where a token ends, not after a
 zero-run introducer, and closes exactly on its last band's coefficient
