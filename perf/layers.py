@@ -4,7 +4,7 @@
     python3 perf/layers.py --small    # the tier-1 smoke test's inputs
     python3 perf/layers.py --against ../parent --e2e grid-sweep --seeds 1-10 > BENCH_31.json
 
-Seven layers, each called on one fixed input built with library calls:
+Ten layers, each called on one fixed input built with library calls:
 
 - ``forward_53``: the example scene's top-left 256x256 tile-component
   (component 0), DC-shifted into the width its first level lifts in, as
@@ -23,6 +23,13 @@ Seven layers, each called on one fixed input built with library calls:
   Mpx/s.
 - ``assemble``: the whole example scene, encoded once, mosaicked at full
   resolution; tiles/s.
+- ``write_codestream``: that encoded stream serialized to ``.ssc`` bytes;
+  MB/s written.
+- ``parse_codestream``: those bytes parsed back, and hashed as written
+  again; MB/s read.
+- ``compute_budget``: that stream's plan over a fixed link, one that
+  carries half its payload within the time limit, at 10 s of human time
+  per tile and a 300 s cap; tiles/s.
 
 ``--small`` takes the same layers from a 256x256 scene of 64 px tiles
 instead (the smoke test's inputs). Every call's result is hashed and
@@ -79,6 +86,9 @@ DIGESTS = {
         "decode_bands": "d29bd3920d105efce1e0e58fae0721833679745322ea629276b07140ac27a6ec",
         "inverse_53": "2f96ecd8b45b60b5bc7f4bfcafb1c3f1e85a7d398f23c7a8ff61ec23761bdf6b",
         "assemble": "7e381ce36279d32b4f17d6ca032efa1dbeecabd34d937d5aadbf285cc6bf80f5",
+        "write_codestream": "c5cfee84e5be1b1a509c12abf51e3d2fb11fab0f33038a72bdd2782ac2f0b6b0",
+        "parse_codestream": "c5cfee84e5be1b1a509c12abf51e3d2fb11fab0f33038a72bdd2782ac2f0b6b0",
+        "compute_budget": "9a010008d53c4abb61157c179ea328d89ce03aec9ec236d6825c4087a7f93698",
     },
     "small": {
         "forward_53": "d41c4d338905bc99d8488b3fbc39db30163ae02d87c28529dfebc388a5ba7ad8",
@@ -88,6 +98,9 @@ DIGESTS = {
         "decode_bands": "418c481cf1c92b934024ae173cc6cf45fa5d89336e246e8b341c3fb840305131",
         "inverse_53": "caeb3a91b146136c81b5e7549ad249ab745a81b0c7c1485eecae4a197c69678d",
         "assemble": "0da740d1241bd02ab095fe95a17b889ebc5ece8a23607b6cf7d7c3fb4f690470",
+        "write_codestream": "362c2c47bfbc7a21ce2abef4acf8d60ef1f579464f0a0d4614b0936ed84d3be0",
+        "parse_codestream": "362c2c47bfbc7a21ce2abef4acf8d60ef1f579464f0a0d4614b0936ed84d3be0",
+        "compute_budget": "d24bfcaa0126147808c7b8915a9d34657c49cf182d7aea1936db487250cd1caa",
     },
 }
 
@@ -114,9 +127,10 @@ def build(small: bool, package: str = "tilecast"):
     """
     import numpy as np
 
-    codestream, config, raster, scenario, wavelet = (
+    channel, codestream, config, pipeline, raster, scenario, wavelet = (
         importlib.import_module(f"{package}.{name}")
-        for name in ("codestream", "config", "raster", "scenario", "wavelet"))
+        for name in ("channel", "codestream", "config", "pipeline", "raster", "scenario",
+                     "wavelet"))
     if small:
         img, _ = raster.generate_scene(1, 256, 256, 4, (8, 24))
         grid, levels = raster.TileGrid.for_image(256, 256, 64, 64), 4
@@ -137,6 +151,8 @@ def build(small: bool, package: str = "tilecast"):
     pyramid = wavelet.CoefficientPyramid(
         shaped[0], tuple(tuple(shaped[i : i + 3]) for i in range(1, len(shaped), 3)))
     stream = codestream.encode(img, grid, levels)
+    blob = codestream.write_codestream(stream)
+    link = channel.ChannelSpec(data_rate=len(stream.payload) * 4 / 600, t_tr_limit=600.0)
     mb = len(coded) / 1e6
     return {
         "forward_53": (lambda: wavelet.forward_53(stack, levels - 1),
@@ -156,6 +172,14 @@ def build(small: bool, package: str = "tilecast"):
                        lambda out: _digest(out), 256 * 256 / 1e6, "Mpx/s"),
         "assemble": (lambda: codestream.assemble(stream, levels),
                      lambda out: _digest(out.pixels), stream.tile_count, "tiles/s"),
+        "write_codestream": (lambda: codestream.write_codestream(stream),
+                             lambda out: _digest(out), len(blob) / 1e6, "MB/s"),
+        "parse_codestream": (lambda: codestream.parse_codestream(blob),
+                             lambda out: _digest(codestream.write_codestream(out)),
+                             len(blob) / 1e6, "MB/s"),
+        "compute_budget": (lambda: pipeline.compute_budget(stream, link, 10.0, 300.0),
+                           lambda out: _digest(np.array([out.lr, out.human_budget])),
+                           stream.tile_count, "tiles/s"),
     }
 
 

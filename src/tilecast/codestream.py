@@ -30,10 +30,12 @@ verbatim, since tiles, components and resolutions are byte-separable.
 Every header and table, however made, passes the checks of
 ``CodestreamTable``'s constructor: the header rules, at least one tile,
 tile indices strictly increasing inside the grid, and one length in
-0..2**32-1 per component and resolution. ``parse_codestream`` checks the
-payload's length against the table, and reads header, table and
-payload once each, in order, each only once the source holds it, so a
-file's payload is held once.
+0..2**32-1 per component and resolution. ``write_codestream`` and
+``parse_codestream`` check the payload's length against the table's
+words by one rule, ``_declared_payload``; the parser reads header, table
+and payload once each, in order, each only once the source holds it, so
+a file's payload is held once. Every byte count over a table, in
+``size_of`` and the planner's budget, comes from ``tile_sizes``.
 
 The unit of a token pass is a batch: consecutive tile-components in
 wire order, closed once it holds 2^17 coefficients (two 256x256
@@ -81,7 +83,7 @@ import dataclasses
 import io
 import struct
 from dataclasses import dataclass
-from itertools import islice, pairwise
+from itertools import accumulate, pairwise
 
 import numpy as np
 
@@ -321,9 +323,6 @@ class TileEntry:
     index: int
     seg_lengths: tuple[tuple[int, ...], ...]
 
-    def total(self, max_resolution: int) -> int:
-        return sum(sum(comp[:max_resolution]) for comp in self.seg_lengths)
-
 
 @dataclass(frozen=True)
 class CodestreamTable:
@@ -447,20 +446,19 @@ def _stack(arrays: list) -> np.ndarray:
 
 
 def _lift_batch(img: Image, batch, levels: int) -> list:
-    """bands[resolution - 1] of each tile-component of a batch, in batch order.
+    """Each tile-component's bands, in batch order: LL, then HL, LH, HH deepest first.
 
     The tile-components of one size are DC-shifted and lifted as one
     stack; member ``k`` of each band is that band of the ``k``-th of them.
     """
-    segs = [None] * len(batch)
+    bands = [None] * len(batch)
     for (tw, th), group in _shape_groups(bounds[2:] for _, _, bounds in batch):
         members = [batch[pos] for pos in group]
         stack = _stack([img.pixels[y : y + th, x : x + tw, c] for _, c, (x, y, _, _) in members])
         pyr = wavelet.forward_53(np.subtract(stack, 128, dtype=np.int16), levels - 1)
         for k, pos in enumerate(group):
-            # deepest details first == resolution 2 first
-            segs[pos] = [(pyr.ll[k],), *((hl[k], lh[k], hh[k]) for hl, lh, hh in pyr.details)]
-    return segs
+            bands[pos] = [pyr.ll[k], *(band[k] for level in pyr.details for band in level)]
+    return bands
 
 
 def _check_header(
@@ -499,16 +497,6 @@ def _header(img: Image, grid: TileGrid, levels: int) -> dict:
     )
 
 
-def _segment_sums(segs, band_lengths) -> tuple[int, ...]:
-    """A tile-component's segment lengths from its bands' lengths, in wire order.
-
-    ``band_lengths`` may be an iterator shared by consecutive
-    tile-components: each takes as many lengths as it has bands.
-    """
-    lengths = iter(band_lengths)
-    return tuple(sum(islice(lengths, len(bands))) for bands in segs)
-
-
 def _batches(units, coefficients):
     """Split tile-components, in order, into the batches that share one token pass.
 
@@ -537,16 +525,18 @@ def _coded_entries(img: Image, grid: TileGrid, levels: int, coder) -> tuple[Tile
 
     Each batch's tile-components are lifted one stack per tile size.
     ``coder(bands)`` codes the batch's bands, in wire order, in one pass
-    and returns each band's length in bytes; the lengths are split back
-    into each tile-component's segments.
+    and returns each band's length in bytes: a row of 3 * levels - 2 per
+    tile-component, whose segment 1 is its LL band and each later
+    segment the next three bands.
     """
     seg_lengths: dict[int, list] = {}
     units = _tile_components(img, grid, levels)
+    firsts = [0, *range(1, 3 * levels - 2, 3)]  # each segment's first band
     for batch in _batches(units, lambda unit: unit[2][2] * unit[2][3]):
-        segs_of = _lift_batch(img, batch, levels)
-        lengths = iter(coder([band for segs in segs_of for bands in segs for band in bands]))
-        for (index, _, _), segs in zip(batch, segs_of):
-            seg_lengths.setdefault(index, []).append(_segment_sums(segs, lengths))
+        bands = [band for unit in _lift_batch(img, batch, levels) for band in unit]
+        rows = np.reshape(coder(bands), (len(batch), -1))
+        for (index, _, _), seg in zip(batch, np.add.reduceat(rows, firsts, axis=1).tolist()):
+            seg_lengths.setdefault(index, []).append(tuple(seg))
     return tuple(TileEntry(index, tuple(comps)) for index, comps in seg_lengths.items())
 
 
@@ -581,15 +571,16 @@ def measure(img: Image, grid: TileGrid, levels: int) -> CodestreamTable:
     return CodestreamTable(**_header(img, grid, levels), entries=entries)
 
 
-def _check_indices(cs: CodestreamTable, indices) -> list[int]:
+def _check_indices(cs: CodestreamTable, indices) -> dict[int, TileEntry]:
+    """The table rows of the given tiles, keyed by tile index in the order given."""
     indices = list(indices)
     if len(set(indices)) != len(indices):
         raise CodestreamError("duplicate tile indices")
-    present = {e.index for e in cs.entries}
+    rows = {e.index: e for e in cs.entries}
     for i in indices:
-        if i not in present:
+        if i not in rows:
             raise CodestreamError(f"tile {i} not present in codestream")
-    return indices
+    return {i: rows[i] for i in indices}
 
 
 def _check_resolution(cs: CodestreamTable, resolution: int) -> None:
@@ -694,41 +685,51 @@ def extract(cs: Codestream, indices, resolution: int) -> Codestream:
     )
 
 
+def tile_sizes(cs: CodestreamTable, indices=None) -> list[list[int]]:
+    """Payload bytes of each tile up to each resolution level, in one walk of its rows.
+
+    Row k, column r - 1 is ``size_of(cs, [tile], r)`` of the k-th tile of
+    ``indices``, or of the table when ``indices`` is None.
+    """
+    entries = cs.entries if indices is None else _check_indices(cs, indices).values()
+    return [list(accumulate(map(sum, zip(*e.seg_lengths)))) for e in entries]
+
+
 def size_of(cs: CodestreamTable, indices, resolution: int) -> int:
     """Payload bytes of the selected tiles up to a resolution level.
 
-    Counts segment bytes only; container header and table are excluded.
+    Counts the selected tiles' segment bytes, from their ``tile_sizes`` rows; no header or table.
     """
-    wanted = set(_check_indices(cs, indices))
+    sizes = tile_sizes(cs, indices)
     _check_resolution(cs, resolution)
-    return sum(e.total(resolution) for e in cs.entries if e.index in wanted)
+    return sum(row[resolution - 1] for row in sizes)
 
 
 # --- serialization ------------------------------------------------------
 
 
+def _declared_payload(words, row_words: int) -> int:
+    """The payload length of a table's words: their sum but each row's first, the tile index."""
+    return sum(words) - sum(words[::row_words])
+
+
 def write_codestream(cs: Codestream, path=None) -> bytes:
-    """Serialize to the .ssc wire format; optionally write to a file."""
-    parts = [
-        _HEADER.pack(
-            MAGIC,
-            cs.width,
-            cs.height,
-            cs.tile_w,
-            cs.tile_h,
-            cs.levels,
-            cs.components,
-            cs.max_resolution,
-            cs.tile_count,
-        )
-    ]
+    """Serialize to the .ssc wire format; optionally write to a file.
+
+    A payload of another length than the table declares is refused, as
+    ``parse_codestream`` would refuse the file.
+    """
+    words = []
     for e in cs.entries:
-        row = [e.index]
+        words.append(e.index)
         for comp in e.seg_lengths:
-            row.extend(comp)
-        parts.append(struct.pack(f">{len(row)}I", *row))
-    parts.append(cs.payload)
-    blob = b"".join(parts)
+            words += comp
+    declared = _declared_payload(words, 1 + cs.components * cs.max_resolution)
+    if len(cs.payload) != declared:
+        raise CodestreamError(f"payload of {len(cs.payload)} bytes, the table declares {declared}")
+    head = _HEADER.pack(MAGIC, cs.width, cs.height, cs.tile_w, cs.tile_h, cs.levels,
+                        cs.components, cs.max_resolution, cs.tile_count)
+    blob = b"".join((head, struct.pack(f">{len(words)}I", *words), cs.payload))
     if path is not None:
         with open(path, "wb") as fh:
             fh.write(blob)
@@ -776,16 +777,16 @@ def _parse(read, left) -> Codestream:
     if left < 0:
         raise CodestreamError("truncated table")
     words = struct.unpack(f">{table_words}I", read(4 * table_words))
+    payload_len = _declared_payload(words, row_words)
+    if left < payload_len:
+        raise CodestreamError(f"payload shorter than declared ({left} < {payload_len})")
+    if left > payload_len:
+        raise CodestreamError("trailing data after payload")
     entries = tuple(
         TileEntry(words[i], tuple(words[i + 1 + c * max_res : i + 1 + (c + 1) * max_res]
                                   for c in range(components)))
         for i in range(0, len(words), row_words)
     )
-    payload_len = sum(e.total(max_res) for e in entries)
-    if left < payload_len:
-        raise CodestreamError(f"payload shorter than declared ({left} < {payload_len})")
-    if left > payload_len:
-        raise CodestreamError("trailing data after payload")
     return Codestream(*fields, components, max_res, entries, read(payload_len))
 
 

@@ -131,20 +131,15 @@ def compute_budget(
 ) -> BudgetPlan:
     """Budget plan for a full codestream (or its table) over a channel.
 
-    Sizes are counted by ``TileEntry.total``, as ``size_of`` counts
-    them: each resolution's bytes over all tiles, and each tile's
+    Sizes come from ``codestream.tile_sizes``, which ``size_of`` reads
+    too: each resolution's bytes over all tiles, and each tile's
     full-resolution size.
     """
     if cs.tile_count != cs.grid.tile_count or cs.max_resolution != cs.levels:
         raise ValueError("compute_budget requires a full codestream")
-    return plan_budget(
-        [sum(e.total(r) for e in cs.entries) for r in range(1, cs.levels + 1)],
-        [e.total(cs.levels) for e in cs.entries],
-        ch_mod.bandwidth_budget(ch),
-        mu_t_hum,
-        t_hum_cap,
-        estimate,
-    )
+    sizes = cs_mod.tile_sizes(cs)
+    return plan_budget([sum(column) for column in zip(*sizes)], [row[-1] for row in sizes],
+                       ch_mod.bandwidth_budget(ch), mu_t_hum, t_hum_cap, estimate)
 
 
 def select_tiles_for_human(anns: AnnotationSet, budget: int) -> list[int]:

@@ -43,9 +43,9 @@ def mix64(x: int) -> int:
 
 
 def mix64_array(x: np.ndarray) -> np.ndarray:
-    """Vectorized mix64 over a uint64 array. Matches mix64 bit-for-bit."""
-    x = x.astype(np.uint64, copy=True)
-    x ^= x >> np.uint64(30)
+    """Vectorized mix64 over a uint64 array. Matches mix64 bit-for-bit; ``x`` is not changed."""
+    x = np.asarray(x, dtype=np.uint64)
+    x = x ^ (x >> np.uint64(30))
     x *= np.uint64(0xBF58476D1CE4E5B9)
     x ^= x >> np.uint64(27)
     x *= np.uint64(0x94D049BB133111EB)

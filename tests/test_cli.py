@@ -1,4 +1,5 @@
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from tilecast import raster, scenario
 from tilecast.cli import main
 from tilecast.config import parse_config
 from tilecast.scenario import GRID_CSV_HEADER
+from test_codestream import ACCEPTANCE_SSC, EXAMPLE_SSC
 
 
 @pytest.fixture
@@ -555,15 +557,31 @@ def test_example_scenario_golden_detections(tmp_path):
 
 
 # Run in the child: refuse to run if numpy still dispatches any SIMD
-# target, then run the command as ``python -m tilecast`` would.
+# target, run the command as ``python -m tilecast`` would, then print the
+# (length, SHA-256) of the .ssc bytes of the run's scene and of the
+# acceptance inputs.
 _UNDISPATCHED_CLI = """
-import runpy, sys
+import hashlib, json, runpy, sys
 from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 still = [t for t in __cpu_dispatch__ if __cpu_features__[t]]
 if still:
     sys.exit(f"numpy still dispatches {still}")
 sys.argv[0] = "tilecast"
-runpy.run_module("tilecast", run_name="__main__")
+try:
+    runpy.run_module("tilecast", run_name="__main__")
+except SystemExit as done:
+    if done.code:
+        raise
+from tilecast import codestream, config, raster, scenario
+from test_codestream import _criterion_1_fixed_cases, _criterion_2_input
+cfg = config.parse_config(sys.argv[sys.argv.index("run") + 1])
+img, _ = scenario.load_scene(cfg)
+grid = raster.TileGrid.for_image(img.width, img.height, cfg.tile_w, cfg.tile_h)
+pins = []
+for case in [(img, grid, cfg.levels), *_criterion_1_fixed_cases(), _criterion_2_input()]:
+    blob = codestream.write_codestream(codestream.encode(*case))
+    pins.append([len(blob), hashlib.sha256(blob).hexdigest()])
+print(json.dumps(pins))
 """
 
 
@@ -575,12 +593,15 @@ def test_example_pins_hold_with_every_simd_target_disabled(tmp_path):
     targets = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__[t]]
     if not targets:
         pytest.skip("numpy dispatches no SIMD target on this CPU, so there is none to disable")
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    here = os.path.dirname(__file__)
+    paths = (os.path.join(here, os.pardir, "src"), here, os.environ.get("PYTHONPATH"))
     env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(targets),
-           "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+           "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
     argv = ["--quiet", "--out-dir", tmp_path, "run", EXAMPLE_CFG, "--save-detections"]
     done = subprocess.run([sys.executable, "-c", _UNDISPATCHED_CLI, *map(str, argv)],
                           capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     assert got == {**EXAMPLE_GOLDEN, **EXAMPLE_DETECTIONS_GOLDEN}
+    pins = json.loads(done.stdout.splitlines()[-1])
+    assert [tuple(pin) for pin in pins] == [EXAMPLE_SSC, *ACCEPTANCE_SSC]

@@ -35,11 +35,21 @@ from tilecast.codestream import (
     measure,
     parse_codestream,
     size_of,
+    tile_sizes,
     write_codestream,
 )
 from tilecast.raster import Image, TileGrid, generate_scene
 
 EXAMPLE_CFG = os.path.join(os.path.dirname(__file__), os.pardir, "scenario.example.cfg")
+
+# (length, SHA-256) of the .ssc bytes of the example scene and of the three
+# acceptance inputs, pinned: a faster coder must write the same streams
+EXAMPLE_SSC = (20_961_238, "c5cfee84e5be1b1a509c12abf51e3d2fb11fab0f33038a72bdd2782ac2f0b6b0")
+ACCEPTANCE_SSC = (
+    (535, "fb5c0b6516707760a0a358fa86daa22c29636ac72196fc511f0d9e01e677b7be"),
+    (4_523_647, "710a608b8ff6c4782da3abf7c144937a5b2968b92601df31e341d805585c29fe"),
+    (334_113, "97e74a91a3877c73b2f0ba3ea6b06289dc093f06ad5438393f0270e383821c30"),
+)
 
 
 def random_image(rng, max_side=120, comps=None):
@@ -491,11 +501,7 @@ def test_measure_matches_encode_on_example_scene():
     img, _ = scenario.load_scene(cfg)
     grid = TileGrid.for_image(img.width, img.height, cfg.tile_w, cfg.tile_h)
     blob = _assert_measure_matches_encode(img, grid, cfg.levels)
-    # the .ssc bytes are pinned: a faster coder must write the same stream
-    assert len(blob) == 20_961_238
-    assert hashlib.sha256(blob).hexdigest() == (
-        "c5cfee84e5be1b1a509c12abf51e3d2fb11fab0f33038a72bdd2782ac2f0b6b0"
-    )
+    assert (len(blob), hashlib.sha256(blob).hexdigest()) == EXAMPLE_SSC
 
 
 def test_measure_matches_encode_on_dense_scene():
@@ -559,11 +565,7 @@ def _criterion_2_input():
     return img, TileGrid.for_image(320, 240, 48, 48), 5
 
 
-@pytest.mark.parametrize("case, size, sha256", [
-    (0, 535, "fb5c0b6516707760a0a358fa86daa22c29636ac72196fc511f0d9e01e677b7be"),
-    (1, 4_523_647, "710a608b8ff6c4782da3abf7c144937a5b2968b92601df31e341d805585c29fe"),
-    (2, 334_113, "97e74a91a3877c73b2f0ba3ea6b06289dc093f06ad5438393f0270e383821c30"),
-])
+@pytest.mark.parametrize("case, size, sha256", [(k, *pin) for k, pin in enumerate(ACCEPTANCE_SSC)])
 def test_acceptance_inputs_encode_to_pinned_bytes(case, size, sha256):
     # criteria 1 and 2 check round trips, which a coder that changed its
     # bytes consistently on both sides would pass; these pins do not move
@@ -648,8 +650,7 @@ def test_writing_a_256_square_tile_component_peaks_below_2_5_mb():
     # arrays around it peaks near 5 MB
     cfg = config.parse_config(EXAMPLE_CFG)
     img, _ = scenario.load_scene(cfg)
-    (segs,) = cs._lift_batch(img, [(0, 0, (0, 0, 256, 256))], cfg.levels)
-    bands = [band for seg in segs for band in seg]
+    (bands,) = cs._lift_batch(img, [(0, 0, (0, 0, 256, 256))], cfg.levels)
     assert bands[0].dtype == np.int32 and sum(band.size for band in bands) == 256 * 256
     assert _traced_peak(lambda: encode_bands(bands)) <= 2.5e6
 
@@ -660,8 +661,7 @@ def test_decoding_a_256_square_tile_component_peaks_below_the_int64_decoder():
     # 3,641,740 B here (2,526,398 B in int32)
     cfg = config.parse_config(EXAMPLE_CFG)
     img, _ = scenario.load_scene(cfg)
-    (segs,) = cs._lift_batch(img, [(0, 0, (0, 0, 256, 256))], cfg.levels)
-    bands = [band for seg in segs for band in seg]
+    (bands,) = cs._lift_batch(img, [(0, 0, (0, 0, 256, 256))], cfg.levels)
     buf, _ = encode_bands(bands)
     counts = [band.size for band in bands]
     assert len(buf) == 110_812
@@ -774,6 +774,47 @@ def test_size_monotone_and_total():
         assert sizes == sorted(sizes)
 
 
+def _odd_tilings():
+    """The images, tile grids and depths of ``test_measure_matches_encode_on_odd_tilings``."""
+    rng = np.random.default_rng(12)
+    for _ in range(80):
+        img = random_image(rng)
+        if rng.random() < 0.3:
+            img = Image(img.pixels // 64 * 64)
+        tw = int(rng.integers(1, img.width + 20))
+        th = int(rng.integers(1, img.height + 20))
+        yield img, TileGrid.for_image(img.width, img.height, tw, th), int(rng.integers(1, 6))
+
+
+def _assert_tile_sizes_hold(stream):
+    """Each row of ``tile_sizes`` is ``size_of`` of its tile, rising, and the payload sums."""
+    sizes = tile_sizes(stream)
+    assert len(sizes) == stream.tile_count
+    for e, row in zip(stream.entries, sizes):
+        assert row == [size_of(stream, [e.index], r) for r in range(1, stream.max_resolution + 1)]
+        assert row == sorted(row)
+    assert sum(row[-1] for row in sizes) == len(stream.payload)
+
+
+def test_tile_sizes_agree_with_size_of_on_odd_tilings():
+    for img, grid, levels in _odd_tilings():
+        _assert_tile_sizes_hold(encode(img, grid, levels))
+
+
+def test_tile_sizes_agree_with_size_of_on_an_extracted_stream():
+    rng = np.random.default_rng(14)
+    img = random_image(rng, comps=3)
+    stream = encode(img, TileGrid.for_image(img.width, img.height, 17, 23), 4)
+    picked = sorted(rng.choice(stream.tile_count, size=(stream.tile_count + 1) // 2,
+                               replace=False).tolist())
+    sub = extract(stream, picked, 3)
+    _assert_tile_sizes_hold(sub)
+    # rows come in the order the tiles are asked for, each cut at the sub-stream's depth
+    assert tile_sizes(sub, picked[::-1]) == [row[:3] for row in tile_sizes(stream, picked[::-1])]
+    with pytest.raises(CodestreamError, match="duplicate tile indices"):
+        tile_sizes(sub, [picked[0], picked[0]])
+
+
 def test_wire_round_trip_bit_exact():
     rng = np.random.default_rng(10)
     img = random_image(rng)
@@ -799,6 +840,22 @@ def test_parse_diagnostics():
         parse_codestream(blob[:-1])
     with pytest.raises(CodestreamError, match="trailing data"):
         parse_codestream(blob + b"\x00")
+
+
+def test_write_refuses_a_payload_four_bytes_longer_than_its_table():
+    stream = _small_stream()
+    n = len(stream.payload)
+    with pytest.raises(CodestreamError, match=f"payload of {n + 4} bytes, the table declares {n}$"):
+        write_codestream(dataclasses.replace(stream, payload=stream.payload + b"junk"))
+
+
+def test_write_refuses_a_payload_one_byte_shorter_than_its_table(tmp_path):
+    stream = _small_stream()
+    n = len(stream.payload)
+    path = tmp_path / "short.ssc"
+    with pytest.raises(CodestreamError, match=f"payload of {n - 1} bytes, the table declares {n}$"):
+        write_codestream(dataclasses.replace(stream, payload=stream.payload[:-1]), path)
+    assert not path.exists()
 
 
 def test_parse_rejects_non_increasing_indices():

@@ -20,7 +20,8 @@ def layers():
 def test_every_layer_runs_once_on_small_inputs_and_matches_its_digest(layers):
     timed = layers.measure(small=True, repeats=1)
     assert set(timed) == {"forward_53", "band_sizes", "measure", "encode_bands", "decode_bands",
-                          "inverse_53", "assemble"}
+                          "inverse_53", "assemble", "write_codestream", "parse_codestream",
+                          "compute_budget"}
     for name, layer in timed.items():
         assert layer["digest"] == layers.DIGESTS["small"][name]
         assert len(layer["times_s"]) == 1 and layer["times_s"][0] > 0

@@ -14,6 +14,13 @@ def test_scalar_and_vector_mix_agree():
         assert rng.mix64(x) == v
 
 
+def test_vector_mix_leaves_its_input_unchanged():
+    xs = np.arange(5, dtype=np.uint64) << np.uint64(60)
+    vec = rng.mix64_array(xs)
+    assert xs.tolist() == [k << 60 for k in range(5)] and vec is not xs
+    assert vec.tolist() == [rng.mix64(k << 60) for k in range(5)]
+
+
 def test_streams_are_keyed_and_reproducible():
     a = [rng.Stream(1, 2, 3).next_u64() for _ in range(3)]
     b = [rng.Stream(1, 2, 3).next_u64() for _ in range(3)]
