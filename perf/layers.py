@@ -2,9 +2,10 @@
 
     python3 perf/layers.py            # this checkout, JSON on stdout
     python3 perf/layers.py --small    # the tier-1 smoke test's inputs
-    python3 perf/layers.py --against ../parent --e2e grid-sweep --seeds 1-10 > BENCH_31.json
+    python3 perf/layers.py --against ../parent --e2e grid-sweep --seeds 1-10 > BENCH_33.json
 
-Ten layers, each called on one fixed input built with library calls:
+Sixteen layers, each called on one fixed input built with library calls.
+Ten are the codec's:
 
 - ``forward_53``: the example scene's top-left 256x256 tile-component
   (component 0), DC-shifted into the width its first level lifts in, as
@@ -31,11 +32,29 @@ Ten layers, each called on one fixed input built with library calls:
   carries half its payload within the time limit, at 10 s of human time
   per tile and a 300 s cap; tiles/s.
 
-``--small`` takes the same layers from a 256x256 scene of 64 px tiles
-instead (the smoke test's inputs). Every call's result is hashed and
-compared with the SHA-256 pinned below for its input set, integers as
-int64 little-endian whatever width the layer returns, so a layer that
-stops doing its work fails instead of getting faster.
+Six are the simulator's, on the dense-cells workload's scene (seed 5:
+1024x1024, 120 objects, 256 px tiles, 5 levels), detected at level 3:
+
+- ``generate_scene``: that scene and its ground truth; Mpx/s.
+- ``oracle_detect``: the detector's boxes at level 3; objects/s.
+- ``select_tiles_for_human``: those boxes' tiles ranked for a budget of
+  every tile; boxes/s.
+- ``human_annotate``: the expert's boxes on the ranked tiles; tiles/s.
+- ``recall_by_step``: the recall after each ranked tile, the detector's
+  boxes merged with the expert's, each arriving with its tile; boxes/s.
+- ``cells``: ``run_baseline`` and ``run_streamlined`` on the scene's
+  measured table over the workload's nine links, 1, 16 and 256 kbit/s
+  by 56, 224 and 896 s, at 15 s of human time per tile and a 240 s cap;
+  cells/s.
+
+``--small`` takes the codec's layers from a 256x256 scene of 64 px tiles
+instead, and the simulator's from a 256x256 scene of 30 objects of
+8-24 px with 64 px tiles and 4 levels, its link rates a sixteenth of the
+full set's as its pixels are (the smoke test's inputs). Every call's
+result is hashed and compared with the SHA-256 pinned below for its
+input set, integers as int64 little-endian whatever width the layer
+returns, so a layer that stops doing its work fails instead of getting
+faster.
 
 Everything is timed in this process, with glibc's mmap threshold fixed
 at 1 MiB by ``bench/run.py``'s own ``_fix_mmap_threshold``, so arrays
@@ -89,6 +108,12 @@ DIGESTS = {
         "write_codestream": "c5cfee84e5be1b1a509c12abf51e3d2fb11fab0f33038a72bdd2782ac2f0b6b0",
         "parse_codestream": "c5cfee84e5be1b1a509c12abf51e3d2fb11fab0f33038a72bdd2782ac2f0b6b0",
         "compute_budget": "9a010008d53c4abb61157c179ea328d89ce03aec9ec236d6825c4087a7f93698",
+        "generate_scene": "fc11f230369df932d1b533d149bc8777f36702e73935687cbbaa2d4ff68c777e",
+        "oracle_detect": "c8e3513304fa3a4a1c1cc13907d623ebcd93c93185bca3bc2d7cacf1783adbbd",
+        "select_tiles_for_human": "41077636d099611a34b7105bb8dd794293f6736d6ad97c8d43162c02ace4aad7",
+        "human_annotate": "506857003e6c65d9748fa66714b10b43316da99bd634aa683511d41b94e1f724",
+        "recall_by_step": "caf5a591338a0eb010d2c39a6a2c0f4fa9daf1b04f2e58a1e4cfea93e616ff5f",
+        "cells": "6bf814107b88d89b4307f3da0e489d3ef4a44a89a1b201bde885dabd1b28c293",
     },
     "small": {
         "forward_53": "d41c4d338905bc99d8488b3fbc39db30163ae02d87c28529dfebc388a5ba7ad8",
@@ -101,6 +126,12 @@ DIGESTS = {
         "write_codestream": "362c2c47bfbc7a21ce2abef4acf8d60ef1f579464f0a0d4614b0936ed84d3be0",
         "parse_codestream": "362c2c47bfbc7a21ce2abef4acf8d60ef1f579464f0a0d4614b0936ed84d3be0",
         "compute_budget": "d24bfcaa0126147808c7b8915a9d34657c49cf182d7aea1936db487250cd1caa",
+        "generate_scene": "cbc90ab704d476c6a6ab3077ce370c2d96731a4b4cda659176e6fbed13af6a74",
+        "oracle_detect": "15da53e0f8dc33ed00b1745e4d447d84f9292fd3adaa015ca40511513e787652",
+        "select_tiles_for_human": "233e8af965583a470ea3a6aedfa84c4331ff44e0d4d892f2046b389dc3daeff5",
+        "human_annotate": "2862a25ca39056b877b6c1effae2373d764d38d7dfaddbccc844e7e89c1161f4",
+        "recall_by_step": "3dbe12ec390ece1d148b44303762c4a486721aa2e60a452463e99cf45fa4b9ef",
+        "cells": "915fa2c70c0f25880c99a5875dba42949eaaaf0ce8bf7d14edd8e437ed0c24f8",
     },
 }
 
@@ -120,6 +151,77 @@ def _digest(*arrays_or_bytes) -> str:
     return h.hexdigest()
 
 
+def _annotations(anns) -> tuple:
+    """An annotation set's columns, in the order ``AnnotationSet`` keeps them."""
+    return tuple(getattr(anns, name)
+                 for name in ("tile", "class_id", "x", "y", "w", "h", "confidence", "human"))
+
+
+def _run_parts(runs) -> tuple:
+    """What a list of ``RunResult``s holds: plans, timelines and annotations."""
+    import numpy as np
+
+    parts = []
+    for run in runs:
+        t = run.timeline
+        parts += [np.array([run.plan.lr or 0, run.plan.human_budget]),
+                  np.array([t.t_tr, t.t_hum, *(v for e in t.events for v in e[:2])]),
+                  *_annotations(run.annotations)]
+    return tuple(parts)
+
+
+def _simulator(small: bool, annotate, channel, codestream, metrics, pipeline, raster) -> dict:
+    """The simulator's layers, in ``build``'s form, on the dense-cells scene (or its small twin)."""
+    import numpy as np
+
+    seed, lr, mu, cap = 5, 3, 15.0, 240.0
+    if small:
+        size, objects, tile, levels, scale = 256, 30, 64, 4, 1 / 16
+        scene = (seed, size, size, objects, (8, 24))
+    else:
+        size, objects, tile, levels, scale = 1024, 120, 256, 5, 1.0
+        scene = (seed, size, size, objects)
+    img, gt = raster.generate_scene(*scene)
+    grid = raster.TileGrid.for_image(size, size, tile, tile)
+    model = annotate.DetectorModel.default(levels)
+    dl = annotate.oracle_detect(gt, lr, model, seed, grid)
+    ranked = pipeline.select_tiles_for_human(dl, grid.tile_count)
+    human = annotate.human_annotate(ranked, gt, grid)
+    # a human box arrives with its tile, the first ranked tile it meets
+    step = {t: k + 1 for k, t in enumerate(ranked)}
+    first_step = [0] * len(dl) + [step[t] for t in human.tile.tolist()]
+    merged = dl.merged_with(human)
+    table = codestream.measure(img, grid, levels)
+    detector = annotate.OracleDetector(model, grid, size, size)
+    links = [channel.ChannelSpec(data_rate=rate * 1000.0 * scale, t_tr_limit=limit)
+             for rate in (1.0, 16.0, 256.0) for limit in (56.0, 224.0, 896.0)]
+
+    def cells():
+        return [run for link in links for run in (
+            pipeline.run_baseline(img, grid, levels, link, mu, int(cap / mu), detector, gt, seed,
+                                  codestream=table),
+            pipeline.run_streamlined(img, grid, levels, link, mu, cap, detector, gt, seed,
+                                     codestream=table))]
+
+    def scene_digest(out):
+        boxes = [(b.object_id, b.class_id, b.x, b.y, b.w, b.h) for b in out[1]]
+        return _digest(out[0].pixels, np.array(boxes))
+
+    return {
+        "generate_scene": (lambda: raster.generate_scene(*scene), scene_digest,
+                           size * size / 1e6, "Mpx/s"),
+        "oracle_detect": (lambda: annotate.oracle_detect(gt, lr, model, seed, grid),
+                          lambda out: _digest(*_annotations(out)), len(gt), "objects/s"),
+        "select_tiles_for_human": (lambda: pipeline.select_tiles_for_human(dl, grid.tile_count),
+                                   lambda out: _digest(np.array(out)), len(dl), "boxes/s"),
+        "human_annotate": (lambda: annotate.human_annotate(ranked, gt, grid),
+                           lambda out: _digest(*_annotations(out)), len(ranked), "tiles/s"),
+        "recall_by_step": (lambda: metrics.recall_by_step(merged, first_step, len(ranked), gt),
+                           lambda out: _digest(np.array(out)), len(merged), "boxes/s"),
+        "cells": (cells, lambda out: _digest(*_run_parts(out)), len(links), "cells/s"),
+    }
+
+
 def build(small: bool, package: str = "tilecast"):
     """The layers' inputs: {layer: (call, digest of its result, units of work, unit)}.
 
@@ -127,10 +229,10 @@ def build(small: bool, package: str = "tilecast"):
     """
     import numpy as np
 
-    channel, codestream, config, pipeline, raster, scenario, wavelet = (
+    annotate, channel, codestream, config, metrics, pipeline, raster, scenario, wavelet = (
         importlib.import_module(f"{package}.{name}")
-        for name in ("channel", "codestream", "config", "pipeline", "raster", "scenario",
-                     "wavelet"))
+        for name in ("annotate", "channel", "codestream", "config", "metrics", "pipeline",
+                     "raster", "scenario", "wavelet"))
     if small:
         img, _ = raster.generate_scene(1, 256, 256, 4, (8, 24))
         grid, levels = raster.TileGrid.for_image(256, 256, 64, 64), 4
@@ -180,6 +282,7 @@ def build(small: bool, package: str = "tilecast"):
         "compute_budget": (lambda: pipeline.compute_budget(stream, link, 10.0, 300.0),
                            lambda out: _digest(np.array([out.lr, out.human_budget])),
                            stream.tile_count, "tiles/s"),
+        **_simulator(small, annotate, channel, codestream, metrics, pipeline, raster),
     }
 
 

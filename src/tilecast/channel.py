@@ -15,7 +15,7 @@ LABEL_HR_SELECTED = "HR-selected"
 LABEL_HR_ALL = "HR-all"
 LABEL_INDICES = "indices"
 
-INDEX_BYTES = 4  # wire cost per tile index when index charging is enabled
+INDEX_BYTES = 4  # size of one tile index in the transfer record
 
 
 @dataclass(frozen=True)
@@ -24,7 +24,6 @@ class ChannelSpec:
 
     data_rate: float
     t_tr_limit: float
-    charge_index_bytes: bool = False
 
     def __post_init__(self):
         for name in ("data_rate", "t_tr_limit"):
@@ -49,15 +48,12 @@ class TransferRecord:
 def transmit(nbytes: int, ch: ChannelSpec, label: str) -> TransferRecord:
     """Send bytes through the channel; duration = bytes * 8 / rate.
 
-    Index-list transfers are free (metadata is negligible next to image
-    data) unless the channel explicitly charges for them.
+    Index-list transfers take no time: a tile index is a few bytes next
+    to the codestream data it fetches.
     """
     if nbytes < 0:
         raise ValueError("cannot transmit a negative byte count")
-    if label == LABEL_INDICES and not ch.charge_index_bytes:
-        seconds = 0.0
-    else:
-        seconds = nbytes * 8 / ch.data_rate
+    seconds = 0.0 if label == LABEL_INDICES else nbytes * 8 / ch.data_rate
     return TransferRecord(nbytes=nbytes, seconds=seconds, label=label)
 
 

@@ -4,14 +4,16 @@ Both frameworks run one flow on a ``BudgetPlan``: send every tile at
 ``plan.lr``, annotate with the detector, and send the lowest-confidence
 tiles to the human. A plan is two numbers, ``lr`` and the human budget;
 the codestream's table gives the rest, its tiles and its depth.
-``run_baseline`` fixes the plan at the table's full resolution with a
-given human budget. ``run_streamlined`` fits the plan to the bandwidth
-budget (``compute_budget``), then exchanges the picked tiles' indices
-and pulls those tiles back up to full resolution. At full resolution
-with free indices the two therefore agree bit for bit.
+Below full resolution the picked tiles' indices go up, at no cost in
+time, and those tiles come back at full resolution. ``run_baseline``
+fixes the plan at the table's full resolution with a given human
+budget; ``run_streamlined`` fits the plan to the bandwidth budget
+(``compute_budget``). At full resolution the two therefore agree bit
+for bit.
 
 Transfers are charged by their byte counts, read from the codestream's
-table. Without a ``codestream=`` argument the table comes from
+table, which must be full: every tile of its grid at every level.
+Without a ``codestream=`` argument the table comes from
 ``codestream.measure``, which sizes every segment without writing it;
 nothing is encoded or decoded here, since the detectors take ground
 truth, not pixels. Writing and reading bytes is the codec's business
@@ -122,6 +124,18 @@ def plan_budget(
     return BudgetPlan(lr=lr, human_budget=int(budget))
 
 
+def _full_tile_sizes(cs: cs_mod.CodestreamTable) -> list[list[int]]:
+    """``codestream.tile_sizes`` of a full table, whose row k is tile k.
+
+    A table that lacks a tile of its grid or a resolution level raises
+    ``ValueError``, the one refusal of a partial table for both frameworks.
+    """
+    if cs.tile_count != cs.grid.tile_count or cs.max_resolution != cs.levels:
+        raise ValueError(f"requires a full codestream: {cs.grid.tile_count} tiles at "
+                         f"{cs.levels} levels, not {cs.tile_count} at {cs.max_resolution}")
+    return cs_mod.tile_sizes(cs)
+
+
 def compute_budget(
     cs: cs_mod.CodestreamTable,
     ch: ChannelSpec,
@@ -131,13 +145,10 @@ def compute_budget(
 ) -> BudgetPlan:
     """Budget plan for a full codestream (or its table) over a channel.
 
-    Sizes come from ``codestream.tile_sizes``, which ``size_of`` reads
-    too: each resolution's bytes over all tiles, and each tile's
-    full-resolution size.
+    Sizes come from ``_full_tile_sizes``: each resolution's bytes over
+    all tiles, and each tile's full-resolution size.
     """
-    if cs.tile_count != cs.grid.tile_count or cs.max_resolution != cs.levels:
-        raise ValueError("compute_budget requires a full codestream")
-    sizes = cs_mod.tile_sizes(cs)
+    sizes = _full_tile_sizes(cs)
     return plan_budget([sum(column) for column in zip(*sizes)], [row[-1] for row in sizes],
                        ch_mod.bandwidth_budget(ch), mu_t_hum, t_hum_cap, estimate)
 
@@ -191,23 +202,24 @@ def _human_timeline(
 
 
 def _run_plan(
-    cs: cs_mod.CodestreamTable, ch: ChannelSpec, plan: BudgetPlan, exchange: bool,
-    mu_t_hum: float, detector, gt: Sequence[GroundTruthBox], seed: int,
-    compute_delay: float, iou_threshold: float,
+    cs: cs_mod.CodestreamTable, ch: ChannelSpec, plan: BudgetPlan, mu_t_hum: float,
+    detector, gt: Sequence[GroundTruthBox], seed: int, compute_delay: float, iou_threshold: float,
 ) -> RunResult:
     """The flow both frameworks run on their plan.
 
     The table alone gives the run's tiles and its full resolution,
-    ``cs.levels``. With ``exchange`` the picked tiles' indices go up and
-    those tiles come back at ``cs.levels``: a zero-byte transfer when
-    ``plan.lr`` is already full resolution. An infeasible plan sends
-    nothing. A human time per tile that is not positive is refused
+    ``cs.levels``, and both transfer sizes. Every tile goes down at
+    ``plan.lr``: ``HR-all`` at full resolution, else ``LR-all``, after
+    which the picked tiles' indices go up and those tiles come back at
+    ``cs.levels``. An infeasible plan sends nothing. A table that is
+    not full and a human time per tile that is not positive are refused
     before any transfer, and so is a ground-truth box that leaves the
     table's image, which no tile could hold, a detector on another tile
     grid than the table's (the grid names its image size, so this covers
     the image too), whose tile indices would name other tiles, or an
     oracle of another depth than the table's; a replay names no depth.
     """
+    sizes = _full_tile_sizes(cs)
     if not mu_t_hum > 0:
         raise ValueError(f"mu_t_hum must be > 0, got {mu_t_hum!r}")
     for b in gt:
@@ -225,17 +237,16 @@ def _run_plan(
     if plan.lr is None:
         timeline = TimelineReport(events=(), t_tr=0.0, t_hum=0.0)
         return RunResult(annotations=AnnotationSet(), plan=plan, timeline=timeline)
-    all_tiles = list(range(grid.tile_count))
-    label = ch_mod.LABEL_LR_ALL if exchange else ch_mod.LABEL_HR_ALL
-    tr_all = transmit(cs_mod.size_of(cs, all_tiles, plan.lr), ch, label)
+    reduced = plan.lr < cs.levels
+    label = ch_mod.LABEL_LR_ALL if reduced else ch_mod.LABEL_HR_ALL
+    tr_all = transmit(sum(row[plan.lr - 1] for row in sizes), ch, label)
     dl_anns = detector.detect(gt, plan.lr, seed)
     selected = select_tiles_for_human(dl_anns, plan.human_budget)
     dl_time = compute_delay + tr_all.seconds
     t_tr = dl_time
-    if exchange:
+    if reduced:
         t_tr += transmit(ch_mod.INDEX_BYTES * len(selected), ch, ch_mod.LABEL_INDICES).seconds
-        hr_bytes = cs_mod.size_of(cs, selected, cs.levels) if selected and plan.lr < cs.levels else 0
-        t_tr += transmit(hr_bytes, ch, ch_mod.LABEL_HR_SELECTED).seconds
+        t_tr += transmit(sum(sizes[k][-1] for k in selected), ch, ch_mod.LABEL_HR_SELECTED).seconds
     events, merged = _human_timeline(
         dl_anns, selected, gt, grid, dl_time, t_tr, mu_t_hum, iou_threshold
     )
@@ -261,7 +272,7 @@ def run_baseline(
     """Conventional flow: send everything at full resolution, then refine.
 
     The flow runs on a fixed plan, ``lr`` at the table's full depth
-    (``cs.levels``) with the given human budget, and without the index
+    (``cs.levels``) with the given human budget, so there is no index
     exchange: the human's tiles are already on the ground. The framework
     does not adapt to the channel, which is exactly its weakness.
     ``codestream`` may be a ``Codestream`` or just its
@@ -270,9 +281,7 @@ def run_baseline(
     """
     cs = codestream if codestream is not None else cs_mod.measure(img, grid, levels)
     plan = BudgetPlan(cs.levels, human_budget)
-    return _run_plan(
-        cs, ch, plan, False, mu_t_hum, detector, gt, seed, compute_delay, iou_threshold
-    )
+    return _run_plan(cs, ch, plan, mu_t_hum, detector, gt, seed, compute_delay, iou_threshold)
 
 
 def run_streamlined(
@@ -294,21 +303,16 @@ def run_streamlined(
     """Bandwidth-adaptive flow: low resolution first, detail on demand.
 
     ``compute_budget`` fits the plan to the channel, and the flow runs
-    it with the index exchange. When the budget cannot carry even the
-    lowest resolution the run is infeasible: no transmissions, empty
-    annotations, recall 0. When the chosen level is already full
-    resolution the re-transfer is empty, so the flow is the baseline's
-    plus the index exchange, which takes no time unless
-    ``ch.charge_index_bytes`` is set. Without index charging, and with a
-    human budget equal to the baseline's ``human_budget``, the result
-    then equals ``run_baseline``'s for the same remaining arguments: the
-    same timeline, bit for bit, and the same annotations. ``codestream``
-    may be a ``Codestream`` or just its ``CodestreamTable``; ``img``,
-    ``grid`` and ``levels`` are read only to measure a table when it is
-    not given.
+    it. When the budget cannot carry even the lowest resolution the run
+    is infeasible: no transmissions, empty annotations, recall 0. When
+    the chosen level is already full resolution the flow is the
+    baseline's, and with a human budget equal to the baseline's
+    ``human_budget`` the result equals ``run_baseline``'s for the same
+    remaining arguments: the same timeline, bit for bit, and the same
+    annotations. ``codestream`` may be a ``Codestream`` or just its
+    ``CodestreamTable``; ``img``, ``grid`` and ``levels`` are read only
+    to measure a table when it is not given.
     """
     cs = codestream if codestream is not None else cs_mod.measure(img, grid, levels)
     plan = compute_budget(cs, ch, mu_t_hum, t_hum_cap, estimate=tile_size_estimate)
-    return _run_plan(
-        cs, ch, plan, True, mu_t_hum, detector, gt, seed, compute_delay, iou_threshold
-    )
+    return _run_plan(cs, ch, plan, mu_t_hum, detector, gt, seed, compute_delay, iou_threshold)

@@ -122,11 +122,7 @@ def run_grid(
 
     def run_cell(spec):
         rate, limit = spec
-        chan = ChannelSpec(
-            data_rate=rate * 1000.0,
-            t_tr_limit=limit,
-            charge_index_bytes=cfg.charge_index_bytes,
-        )
+        chan = ChannelSpec(data_rate=rate * 1000.0, t_tr_limit=limit)
         base = run_baseline(
             img, grid, cfg.levels, chan, cfg.mu_t_hum, cfg.baseline_human_budget,
             detector, gt, cfg.seed,

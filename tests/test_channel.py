@@ -20,8 +20,6 @@ def test_transfer_arithmetic():
 def test_index_transfers_are_free_by_default():
     ch = ChannelSpec(data_rate=16_000, t_tr_limit=1000)
     assert transmit(4_000_000, ch, LABEL_INDICES).seconds == 0.0
-    charged = ChannelSpec(data_rate=16_000, t_tr_limit=1000, charge_index_bytes=True)
-    assert transmit(400, charged, LABEL_INDICES).seconds == 400 * 8 / 16_000
 
 
 def test_budget_values():

@@ -40,7 +40,6 @@ def test_minimal_config_and_defaults(tmp_path):
     assert cfg.baseline_human_budget == 10
     assert cfg.detector.detect_p == (0.3, 0.5, 0.7, 0.85, 0.95)
     assert cfg.tile_size_estimate == "max"
-    assert not cfg.charge_index_bytes
 
 
 def test_minute_suffix(tmp_path):
@@ -77,7 +76,6 @@ detect_fp_rate = 0
 baseline_human_budget = 3
 seed = 9
 tile_size_estimate = mean
-charge_index_bytes = true
 compute_delay = 2
 """
 
@@ -91,7 +89,6 @@ def test_comments_and_overrides(tmp_path):
     assert cfg.baseline_human_budget == 3
     assert cfg.seed == 9
     assert cfg.tile_size_estimate == "mean"
-    assert cfg.charge_index_bytes
     assert cfg.compute_delay == 2.0
 
 
@@ -103,6 +100,11 @@ def test_missing_image_source(tmp_path):
 def test_unknown_key_names_line(tmp_path):
     with pytest.raises(ConfigError, match="line 2: unknown key 'bogus'"):
         parse_config(write(tmp_path, "synthetic = 1, 64, 64, 1\nbogus = 3\n"))
+
+
+def test_the_removed_index_charging_key_is_unknown(tmp_path):
+    with pytest.raises(ConfigError, match="line 5: unknown key 'charge_index_bytes'"):
+        parse_config(write(tmp_path, MINIMAL + "charge_index_bytes = true\n"))
 
 
 def test_malformed_values_name_line(tmp_path):
@@ -167,7 +169,7 @@ def test_every_field_of_the_example_and_overrides(tmp_path):
             detect_p=(0.3, 0.5, 0.7, 0.85, 0.95), conf_mean=(0.4, 0.5, 0.6, 0.72, 0.85),
             conf_sigma=0.08, jitter=0.5, fp_rate=0.05,
         ),
-        tile_size_estimate="max", charge_index_bytes=False, compute_delay=0.0, **common,
+        tile_size_estimate="max", compute_delay=0.0, **common,
     )
     overrides = ScenarioConfig(
         synthetic=SyntheticSpec(seed=1, width=128, height=128, objects=4),
@@ -178,7 +180,7 @@ def test_every_field_of_the_example_and_overrides(tmp_path):
             detect_p=(0.2, 0.4, 0.9), conf_mean=(0.3, 0.4, 0.5),
             conf_sigma=0.0, jitter=0.0, fp_rate=0.0,
         ),
-        tile_size_estimate="mean", charge_index_bytes=True, compute_delay=2.0, **common,
+        tile_size_estimate="mean", compute_delay=2.0, **common,
     )
     for cfg, expected in (
         (parse_config(EXAMPLE_CFG), example),

@@ -18,7 +18,7 @@ from tilecast.annotate import (
     OracleDetector,
     human_annotate,
 )
-from tilecast.channel import INDEX_BYTES, ChannelSpec, bandwidth_budget
+from tilecast.channel import ChannelSpec, bandwidth_budget, transmit
 from tilecast.codestream import encode, size_of
 from tilecast.pipeline import (
     BudgetPlan,
@@ -282,52 +282,81 @@ def test_compute_delay_is_charged():
     assert delayed.timeline.t_rs == delayed.timeline.t_tr + delayed.timeline.t_hum
 
 
-def test_index_charging_in_both_pipelines():
+def test_streamlined_transfer_time_below_and_at_full_resolution():
     img, gt, grid, stream, levels = make_scene(size=512, objects=12, tile=64)
     det = perfect_detector(grid, 512, levels)
     all_idx = list(range(grid.tile_count))
 
-    def runs(rate, limit):
-        free, charged = (
-            ChannelSpec(data_rate=rate, t_tr_limit=limit, charge_index_bytes=c)
-            for c in (False, True)
-        )
-        return [
-            run_streamlined(img, grid, levels, ch, 30.0, 300.0, det, gt, 1, codestream=stream)
-            for ch in (free, charged)
-        ]
-
-    # below full resolution: LR-all, then the k indices, then the k tiles at full resolution
+    # below full resolution: LR-all, then the k indices in no time, then the k tiles at full
+    # resolution
     rate = size_of(stream, all_idx, levels) * 8 / 100
-    free, charged = runs(rate, 30)
-    assert free.plan == charged.plan and free.plan.lr < levels
-    selected = select_tiles_for_human(
-        det.detect(gt, free.plan.lr, 1), free.plan.human_budget
-    )
-    k = len(selected)
-    assert k > 0
-    assert k == sum(e.phase.startswith("HUM") for e in charged.timeline.events)
-    lr_s = size_of(stream, all_idx, free.plan.lr) * 8 / rate
+    prop = run_streamlined(img, grid, levels, ChannelSpec(data_rate=rate, t_tr_limit=30), 30.0,
+                           300.0, det, gt, 1, codestream=stream)
+    assert prop.plan.lr < levels
+    selected = select_tiles_for_human(det.detect(gt, prop.plan.lr, 1), prop.plan.human_budget)
+    assert len(selected) > 0
+    assert len(selected) == sum(e.phase.startswith("HUM") for e in prop.timeline.events)
+    lr_s = size_of(stream, all_idx, prop.plan.lr) * 8 / rate
     hr_s = size_of(stream, selected, levels) * 8 / rate
-    index_s = INDEX_BYTES * k * 8 / rate
-    assert free.timeline.t_tr == lr_s + 0.0 + hr_s
-    assert charged.timeline.t_tr == lr_s + index_s + hr_s
-    assert charged.annotations == free.annotations
+    assert prop.timeline.t_tr == lr_s + hr_s
 
-    # full resolution: the baseline plus the index exchange, nothing else
-    free, charged = runs(1e9, 1e6)
-    assert charged.plan.lr == levels
-    k = sum(e.phase.startswith("HUM") for e in charged.timeline.events)
-    assert k > 0
-    for prop in (free, charged):
-        base = run_baseline(
-            img, grid, levels, ChannelSpec(data_rate=1e9, t_tr_limit=1e6, charge_index_bytes=True),
-            30.0, prop.plan.human_budget, det, gt, 1, codestream=stream,
-        )
-        assert base.annotations == prop.annotations
-        assert base.timeline.t_hum == prop.timeline.t_hum
-    assert free.timeline.t_tr == base.timeline.t_tr
-    assert charged.timeline.t_tr == base.timeline.t_tr + INDEX_BYTES * k * 8 / 1e9
+    # full resolution: the baseline's flow, bit for bit
+    ch = ChannelSpec(data_rate=1e9, t_tr_limit=1e6)
+    prop = run_streamlined(img, grid, levels, ch, 30.0, 300.0, det, gt, 1, codestream=stream)
+    assert prop.plan.lr == levels
+    assert sum(e.phase.startswith("HUM") for e in prop.timeline.events) > 0
+    base = run_baseline(img, grid, levels, ch, 30.0, prop.plan.human_budget, det, gt, 1,
+                        codestream=stream)
+    assert base.annotations == prop.annotations
+    assert base.timeline == prop.timeline
+
+
+def test_the_index_exchange_happens_only_below_full_resolution(monkeypatch):
+    img, gt, grid, stream, levels = make_scene(size=512, objects=12, tile=64)
+    det = perfect_detector(grid, 512, levels)
+    sent = []
+
+    def record(nbytes, ch, label):
+        sent.append(label)
+        return transmit(nbytes, ch, label)
+
+    monkeypatch.setattr(pipeline_mod, "transmit", record)
+    full = ChannelSpec(data_rate=1e9, t_tr_limit=1e6)
+    run_baseline(img, grid, levels, full, 30.0, 10, det, gt, 1, codestream=stream)
+    assert sent == ["HR-all"]
+    sent.clear()
+    assert run_streamlined(img, grid, levels, full, 30.0, 300.0, det, gt, 1,
+                           codestream=stream).plan.lr == levels
+    assert sent == ["HR-all"]
+    sent.clear()
+    rate = size_of(stream, range(grid.tile_count), levels) * 8 / 100
+    below = ChannelSpec(data_rate=rate, t_tr_limit=30)
+    assert run_streamlined(img, grid, levels, below, 30.0, 300.0, det, gt, 1,
+                           codestream=stream).plan.lr < levels
+    assert sent == ["LR-all", "indices", "HR-selected"]
+
+
+@pytest.mark.parametrize("streamlined", [False, True])
+def test_both_frameworks_refuse_a_partial_codestream_alike(monkeypatch, streamlined):
+    img, gt, grid, stream, levels = make_scene()
+    det = perfect_detector(grid, 256, levels)
+    ch = ChannelSpec(data_rate=1e9, t_tr_limit=100)
+
+    def no_transfer(*args, **kwargs):
+        raise AssertionError("a transfer before the codestream was checked")
+
+    monkeypatch.setattr(pipeline_mod, "transmit", no_transfer)
+    without_tile_0 = cs_mod.extract(stream, range(1, grid.tile_count), levels)
+    lower = cs_mod.extract(stream, range(grid.tile_count), levels - 1)
+    for sub, held in ((without_tile_0, f"{grid.tile_count - 1} at {levels}"),
+                      (lower, f"{grid.tile_count} at {levels - 1}")):
+        with pytest.raises(ValueError, match=rf"^requires a full codestream: "
+                                             rf"{grid.tile_count} tiles at {levels} levels, "
+                                             rf"not {held}$"):
+            if streamlined:
+                run_streamlined(img, grid, levels, ch, 30.0, 300.0, det, gt, 1, codestream=sub)
+            else:
+                run_baseline(img, grid, levels, ch, 30.0, 3, det, gt, 1, codestream=sub)
 
 
 def test_budget_plan_validation():
