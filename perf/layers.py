@@ -4,8 +4,8 @@
     python3 perf/layers.py --small    # the tier-1 smoke test's inputs
     python3 perf/layers.py --against ../parent --e2e grid-sweep --seeds 1-10 > BENCH_33.json
 
-Sixteen layers, each called on one fixed input built with library calls.
-Ten are the codec's:
+Seventeen layers, each called on one fixed input built with library calls.
+Eleven are the codec's:
 
 - ``forward_53``: the example scene's top-left 256x256 tile-component
   (component 0), DC-shifted into the width its first level lifts in, as
@@ -28,6 +28,8 @@ Ten are the codec's:
   MB/s written.
 - ``parse_codestream``: those bytes parsed back, and hashed as written
   again; MB/s read.
+- ``extract``: that stream's even-numbered tiles at two levels below
+  full resolution, hashed as written; tiles/s extracted.
 - ``compute_budget``: that stream's plan over a fixed link, one that
   carries half its payload within the time limit, at 10 s of human time
   per tile and a 300 s cap; tiles/s.
@@ -107,6 +109,7 @@ DIGESTS = {
         "assemble": "7e381ce36279d32b4f17d6ca032efa1dbeecabd34d937d5aadbf285cc6bf80f5",
         "write_codestream": "c5cfee84e5be1b1a509c12abf51e3d2fb11fab0f33038a72bdd2782ac2f0b6b0",
         "parse_codestream": "c5cfee84e5be1b1a509c12abf51e3d2fb11fab0f33038a72bdd2782ac2f0b6b0",
+        "extract": "9368be60ab55225904ba3d7dd3849067d6df546859919e7d2dba9848cd1acb6e",
         "compute_budget": "9a010008d53c4abb61157c179ea328d89ce03aec9ec236d6825c4087a7f93698",
         "generate_scene": "fc11f230369df932d1b533d149bc8777f36702e73935687cbbaa2d4ff68c777e",
         "oracle_detect": "c8e3513304fa3a4a1c1cc13907d623ebcd93c93185bca3bc2d7cacf1783adbbd",
@@ -125,6 +128,7 @@ DIGESTS = {
         "assemble": "0da740d1241bd02ab095fe95a17b889ebc5ece8a23607b6cf7d7c3fb4f690470",
         "write_codestream": "362c2c47bfbc7a21ce2abef4acf8d60ef1f579464f0a0d4614b0936ed84d3be0",
         "parse_codestream": "362c2c47bfbc7a21ce2abef4acf8d60ef1f579464f0a0d4614b0936ed84d3be0",
+        "extract": "446067edcf145df3a8f967c8dc9da318ead74a9ba6341539c3b35b2ac6751fca",
         "compute_budget": "d24bfcaa0126147808c7b8915a9d34657c49cf182d7aea1936db487250cd1caa",
         "generate_scene": "cbc90ab704d476c6a6ab3077ce370c2d96731a4b4cda659176e6fbed13af6a74",
         "oracle_detect": "15da53e0f8dc33ed00b1745e4d447d84f9292fd3adaa015ca40511513e787652",
@@ -254,6 +258,7 @@ def build(small: bool, package: str = "tilecast"):
         shaped[0], tuple(tuple(shaped[i : i + 3]) for i in range(1, len(shaped), 3)))
     stream = codestream.encode(img, grid, levels)
     blob = codestream.write_codestream(stream)
+    even = range(0, stream.tile_count, 2)
     link = channel.ChannelSpec(data_rate=len(stream.payload) * 4 / 600, t_tr_limit=600.0)
     mb = len(coded) / 1e6
     return {
@@ -279,6 +284,8 @@ def build(small: bool, package: str = "tilecast"):
         "parse_codestream": (lambda: codestream.parse_codestream(blob),
                              lambda out: _digest(codestream.write_codestream(out)),
                              len(blob) / 1e6, "MB/s"),
+        "extract": (lambda: codestream.extract(stream, even, levels - 2),
+                    lambda out: _digest(codestream.write_codestream(out)), len(even), "tiles/s"),
         "compute_budget": (lambda: pipeline.compute_budget(stream, link, 10.0, 300.0),
                            lambda out: _digest(np.array([out.lr, out.human_budget])),
                            stream.tile_count, "tiles/s"),

@@ -58,7 +58,6 @@ class ScenarioConfig:
     detections_path: Optional[str]
     object_size: tuple[int, int]
     tile_size_estimate: str
-    compute_delay: float
     iou_threshold: float = 0.1
 
 
@@ -98,8 +97,7 @@ _KEYS = {
     "baseline_human_budget", "seed",
     "detect_p", "detect_conf", "detect_sigma", "detect_jitter",
     "detect_fp_rate", "detections",
-    "tile_size_estimate", "compute_delay",
-    "iou_threshold",
+    "tile_size_estimate", "iou_threshold",
 }
 
 
@@ -231,7 +229,6 @@ def parse_config(path) -> ScenarioConfig:
         object_size=object_size,
         tile_size_estimate=get("tile_size_estimate", _TEXT, (
             lambda v: v in ("max", "mean"), "must be 'max' or 'mean'"), default="max"),
-        compute_delay=get("compute_delay", _TIME, _AT_LEAST_0, default=0.0),
         iou_threshold=get("iou_threshold", _NUMBER, (lambda v: 0 < v <= 1, "must be in (0, 1]"),
                           default=0.1),
     )

@@ -86,13 +86,13 @@ def plan_budget(
     bytes fund full-resolution tiles for the human at the per-tile cost
     given by ``estimate`` ("max" never overshoots the budget; "mean"
     reads the per-tile size as a constant average instead). The budget
-    is further capped by the annotator time cap (none when ``mu_t_hum``
-    is 0) and by the tile count, ``len(tile_hr_sizes)``, which must be
-    at least 1. A NaN or negative ``mu_t_hum``, and a NaN, infinite or
-    negative ``t_hum_cap``, raise ``ValueError``.
+    is further capped by the annotator time cap and by the tile count,
+    ``len(tile_hr_sizes)``, which must be at least 1. A ``mu_t_hum``
+    that is not positive, and a NaN, infinite or negative ``t_hum_cap``,
+    raise ``ValueError``.
     """
-    if not mu_t_hum >= 0:
-        raise ValueError(f"mu_t_hum must be >= 0, got {mu_t_hum!r}")
+    if not mu_t_hum > 0:
+        raise ValueError(f"mu_t_hum must be > 0, got {mu_t_hum!r}")
     if not 0 <= t_hum_cap < math.inf:
         raise ValueError(f"t_hum_cap must be finite and >= 0, got {t_hum_cap!r}")
     hr = len(sizes_by_resolution)
@@ -119,7 +119,7 @@ def plan_budget(
         by_bandwidth = slack * tile_count // total if total > 0 else tile_count
     budget = min(by_bandwidth, tile_count)
     # compared before int(), which refuses the inf a tiny mu_t_hum gives
-    if mu_t_hum > 0 and t_hum_cap / mu_t_hum < budget:
+    if t_hum_cap / mu_t_hum < budget:
         budget = int(t_hum_cap / mu_t_hum)
     return BudgetPlan(lr=lr, human_budget=int(budget))
 
@@ -203,7 +203,7 @@ def _human_timeline(
 
 def _run_plan(
     cs: cs_mod.CodestreamTable, ch: ChannelSpec, plan: BudgetPlan, mu_t_hum: float,
-    detector, gt: Sequence[GroundTruthBox], seed: int, compute_delay: float, iou_threshold: float,
+    detector, gt: Sequence[GroundTruthBox], seed: int, iou_threshold: float,
 ) -> RunResult:
     """The flow both frameworks run on their plan.
 
@@ -242,13 +242,12 @@ def _run_plan(
     tr_all = transmit(sum(row[plan.lr - 1] for row in sizes), ch, label)
     dl_anns = detector.detect(gt, plan.lr, seed)
     selected = select_tiles_for_human(dl_anns, plan.human_budget)
-    dl_time = compute_delay + tr_all.seconds
-    t_tr = dl_time
+    t_tr = tr_all.seconds
     if reduced:
         t_tr += transmit(ch_mod.INDEX_BYTES * len(selected), ch, ch_mod.LABEL_INDICES).seconds
         t_tr += transmit(sum(sizes[k][-1] for k in selected), ch, ch_mod.LABEL_HR_SELECTED).seconds
     events, merged = _human_timeline(
-        dl_anns, selected, gt, grid, dl_time, t_tr, mu_t_hum, iou_threshold
+        dl_anns, selected, gt, grid, tr_all.seconds, t_tr, mu_t_hum, iou_threshold
     )
     timeline = TimelineReport(tuple(events), t_tr, human_time(len(selected), mu_t_hum))
     return RunResult(annotations=merged, plan=plan, timeline=timeline)
@@ -266,7 +265,6 @@ def run_baseline(
     seed: int,
     *,
     codestream: cs_mod.CodestreamTable | None = None,
-    compute_delay: float = 0.0,
     iou_threshold: float = 0.1,
 ) -> RunResult:
     """Conventional flow: send everything at full resolution, then refine.
@@ -281,7 +279,7 @@ def run_baseline(
     """
     cs = codestream if codestream is not None else cs_mod.measure(img, grid, levels)
     plan = BudgetPlan(cs.levels, human_budget)
-    return _run_plan(cs, ch, plan, mu_t_hum, detector, gt, seed, compute_delay, iou_threshold)
+    return _run_plan(cs, ch, plan, mu_t_hum, detector, gt, seed, iou_threshold)
 
 
 def run_streamlined(
@@ -296,7 +294,6 @@ def run_streamlined(
     seed: int,
     *,
     codestream: cs_mod.CodestreamTable | None = None,
-    compute_delay: float = 0.0,
     iou_threshold: float = 0.1,
     tile_size_estimate: str = ESTIMATE_MAX,
 ) -> RunResult:
@@ -315,4 +312,4 @@ def run_streamlined(
     """
     cs = codestream if codestream is not None else cs_mod.measure(img, grid, levels)
     plan = compute_budget(cs, ch, mu_t_hum, t_hum_cap, estimate=tile_size_estimate)
-    return _run_plan(cs, ch, plan, mu_t_hum, detector, gt, seed, compute_delay, iou_threshold)
+    return _run_plan(cs, ch, plan, mu_t_hum, detector, gt, seed, iou_threshold)

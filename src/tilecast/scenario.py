@@ -126,14 +126,13 @@ def run_grid(
         base = run_baseline(
             img, grid, cfg.levels, chan, cfg.mu_t_hum, cfg.baseline_human_budget,
             detector, gt, cfg.seed,
-            codestream=table, compute_delay=cfg.compute_delay,
-            iou_threshold=cfg.iou_threshold,
+            codestream=table, iou_threshold=cfg.iou_threshold,
         )
         prop = run_streamlined(
             img, grid, cfg.levels, chan, cfg.mu_t_hum, cfg.t_hum_cap,
             detector, gt, cfg.seed,
-            codestream=table, compute_delay=cfg.compute_delay,
-            iou_threshold=cfg.iou_threshold, tile_size_estimate=cfg.tile_size_estimate,
+            codestream=table, iou_threshold=cfg.iou_threshold,
+            tile_size_estimate=cfg.tile_size_estimate,
         )
         return GridCell(rate_kbps=rate, limit_s=limit, base=base, prop=prop)
 

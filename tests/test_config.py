@@ -76,7 +76,6 @@ detect_fp_rate = 0
 baseline_human_budget = 3
 seed = 9
 tile_size_estimate = mean
-compute_delay = 2
 """
 
 
@@ -89,7 +88,6 @@ def test_comments_and_overrides(tmp_path):
     assert cfg.baseline_human_budget == 3
     assert cfg.seed == 9
     assert cfg.tile_size_estimate == "mean"
-    assert cfg.compute_delay == 2.0
 
 
 def test_missing_image_source(tmp_path):
@@ -105,6 +103,11 @@ def test_unknown_key_names_line(tmp_path):
 def test_the_removed_index_charging_key_is_unknown(tmp_path):
     with pytest.raises(ConfigError, match="line 5: unknown key 'charge_index_bytes'"):
         parse_config(write(tmp_path, MINIMAL + "charge_index_bytes = true\n"))
+
+
+def test_the_removed_compute_delay_key_is_unknown(tmp_path):
+    with pytest.raises(ConfigError, match="line 5: unknown key 'compute_delay'"):
+        parse_config(write(tmp_path, MINIMAL + "compute_delay = 2\n"))
 
 
 def test_malformed_values_name_line(tmp_path):
@@ -169,7 +172,7 @@ def test_every_field_of_the_example_and_overrides(tmp_path):
             detect_p=(0.3, 0.5, 0.7, 0.85, 0.95), conf_mean=(0.4, 0.5, 0.6, 0.72, 0.85),
             conf_sigma=0.08, jitter=0.5, fp_rate=0.05,
         ),
-        tile_size_estimate="max", compute_delay=0.0, **common,
+        tile_size_estimate="max", **common,
     )
     overrides = ScenarioConfig(
         synthetic=SyntheticSpec(seed=1, width=128, height=128, objects=4),
@@ -180,7 +183,7 @@ def test_every_field_of_the_example_and_overrides(tmp_path):
             detect_p=(0.2, 0.4, 0.9), conf_mean=(0.3, 0.4, 0.5),
             conf_sigma=0.0, jitter=0.0, fp_rate=0.0,
         ),
-        tile_size_estimate="mean", compute_delay=2.0, **common,
+        tile_size_estimate="mean", **common,
     )
     for cfg, expected in (
         (parse_config(EXAMPLE_CFG), example),
@@ -190,7 +193,7 @@ def test_every_field_of_the_example_and_overrides(tmp_path):
         assert repr(cfg) == repr(expected)  # float fields stay floats
 
 
-TIME_KEYS = ["data_rates", "t_TRlimits", "mu_t_hum", "t_hum_cap", "compute_delay"]
+TIME_KEYS = ["data_rates", "t_TRlimits", "mu_t_hum", "t_hum_cap"]
 NUMBER_KEYS = ["detect_p", "detect_conf", "detect_sigma", "detect_jitter",
                "detect_fp_rate", "iou_threshold"]
 INT_KEYS = ["synthetic", "object_size", "tile_w", "tile_h", "levels",

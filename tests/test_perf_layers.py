@@ -21,7 +21,7 @@ def test_every_layer_runs_once_on_small_inputs_and_matches_its_digest(layers):
     timed = layers.measure(small=True, repeats=1)
     assert set(timed) == {"forward_53", "band_sizes", "measure", "encode_bands", "decode_bands",
                           "inverse_53", "assemble", "write_codestream", "parse_codestream",
-                          "compute_budget", "generate_scene", "oracle_detect",
+                          "extract", "compute_budget", "generate_scene", "oracle_detect",
                           "select_tiles_for_human", "human_annotate", "recall_by_step", "cells"}
     for name, layer in timed.items():
         assert layer["digest"] == layers.DIGESTS["small"][name]
